@@ -56,6 +56,14 @@ class RunConfig:
     seed: int
     out: str | None
     emit_plot_data: bool
+    stages: tuple[str, ...] | None
+    points: str | None
+    thresholds: str | None
+    max_dim: int | None
+    eta: float | None
+    witnesses: int | None
+    samples: int | None
+    method: str | None
 
     def estimator_params(self) -> EstimatorParams:
         return EstimatorParams(delta=self.delta, degree=self.degree, probes=self.probes,
@@ -87,6 +95,9 @@ def _build_config(args) -> RunConfig:
         seed=_resolve_seed(getattr(args, "seed", None)),
         out=getattr(args, "out", None),
         emit_plot_data=bool(getattr(args, "plot_data", None)),
+        stages=tuple(args.stages) if getattr(args, "stages", None) else None,
+        **{name: getattr(args, name, None)
+           for name in ("points", "thresholds", "max_dim", "eta", "witnesses", "samples", "method")},
     )
 
 

@@ -96,7 +96,7 @@ def random_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
     if n == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
     if k.size(r + 1) > 0:
-        if n - exact.rank(boundary_matrix(k, r + 1).toarray()) == 0:
+        if n - exact.rank(boundary_matrix(k, r + 1).entries) == 0:
             raise TrivialCocycleSpace(f"the degree-{r} cocycle space is zero")
     rng = np.random.default_rng(seed)
     w = Cochain(r=r, values=rng.standard_normal(n))
@@ -121,34 +121,31 @@ def manual_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
     if k.size(r) == 0 or k.size(r + 1) == 0:
         raise EmptyLayer(f"manual construction needs simplices at dimensions {r} and {r + 1}")
     rng = np.random.default_rng(seed)
-    d = boundary_matrix(k, r + 1).entries.tocsc()
+    columns = exact.sparse_columns(boundary_matrix(k, r + 1).entries)
     values: dict[int, Fraction] = {}
-    for col in range(d.shape[1]):
-        start, end = d.indptr[col], d.indptr[col + 1]
-        faces = [(int(i), int(s)) for i, s in zip(d.indices[start:end], d.data[start:end])]
-        unassigned = [i for i, _ in faces if i not in values]
+    for col, faces in enumerate(columns):
+        unassigned = [i for i in faces if i not in values]
         if not unassigned:
-            residual = sum(s * values[i] for i, s in faces)
-            if residual != 0:
-                raise ConstructionFailed(col + 1, k.layer(r + 1)[col])
-            continue
+            continue  # checked with every other column below
         for i in unassigned[:-1]:
             values[i] = Fraction(int(rng.integers(-4, 5)))
         last = unassigned[-1]
-        others = sum(s * values[i] for i, s in faces if i != last)
-        sign_last = next(s for i, s in faces if i == last)
-        values[last] = Fraction(-others, sign_last)
+        others = sum(s * values[i] for i, s in faces.items() if i != last)
+        values[last] = Fraction(-others, faces[last])
+    # exact global verification before anything leaves this function
+    _verify_cocycle(k, r, columns, values)
     dense = np.zeros(k.size(r))
     for i, v in values.items():
         dense[i] = float(v)
-    # exact global verification before anything leaves this function
-    delta_rows = exact.to_integer_rows(boundary_matrix(k, r + 1).toarray())
-    full = [values.get(i, Fraction(0)) for i in range(k.size(r))]
-    for col in range(len(delta_rows[0]) if delta_rows else 0):
-        total = sum(delta_rows[i][col] * full[i] for i in range(len(full)))
-        if total != 0:
-            raise ConstructionFailed(col + 1, k.layer(r + 1)[col])
     return Cochain(r=r, values=dense, cocycle=True)
+
+
+def _verify_cocycle(k: SimplicialComplex, r: int, columns, values) -> None:
+    """Raise :class:`ConstructionFailed` at the first (r+1)-simplex on whose
+    boundary the exact cochain ``values`` (index -> rational) does not vanish."""
+    for col, faces in enumerate(columns):
+        if sum(s * values.get(i, 0) for i, s in faces.items()) != 0:
+            raise ConstructionFailed(col + 1, k.layer(r + 1)[col])
 
 
 def pair_cocycle(k: SimplicialComplex, r: int) -> Cochain:

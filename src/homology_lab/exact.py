@@ -1,165 +1,164 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals by sparse fraction-free reduction.
 
-These routines back every oracle in the package: rank by fraction-free
-(Bareiss) elimination over arbitrary-precision integers, kernel bases and
-solvability by rational reduced row echelon form.  No floating point enters
-any code path here.
+Every oracle in the package rests on one algorithm: column reduction of a
+sparse matrix over the integers, as in boundary-matrix reduction for
+persistent homology.  A column is reduced against the stored pivot columns,
+keyed by their largest nonzero index, until its own largest index is free or
+it vanishes.  Each step is ``a*v - b*p`` with ``a`` and ``b`` divided by their
+gcd, followed by division by the content gcd, so entries stay small and no
+fraction or modulus ever appears: the results are exact over Q.  Rational
+input has its denominators cleared per vector.  No floating point enters any
+code path here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-Row = list
-Matrix = list  # list of rows
+Vector = dict  # sparse vector: index -> nonzero entry
 
 
-def to_integer_rows(m) -> list[list[int]]:
-    """Copy any matrix-like into integer rows, clearing denominators per row.
+def _cleared(values) -> tuple[Vector, int]:
+    """Integer copy of a mapping or dense sequence, and the positive factor
+    that cleared its denominators."""
+    items = values.items() if isinstance(values, Mapping) else enumerate(values)
+    items = [(i, x) for i, x in items if x]
+    if all(type(x) is int for _, x in items):
+        return dict(items), 1
+    items = [(i, Fraction(x)) for i, x in items]
+    scale = lcm(*(x.denominator for _, x in items))
+    return {i: int(x * scale) for i, x in items}, scale
 
-    Row scaling by positive integers preserves rank, kernels of the transpose,
-    and column-space membership structure used by the callers.
-    """
-    rows = _as_rows(m)
-    out: list[list[int]] = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        out.append([int(f * denom) for f in fracs])
+
+def _combine(a: int, v: Vector, b: int, p: Vector) -> Vector:
+    """a*v - b*p with cancelled entries dropped."""
+    out = {i: a * x for i, x in v.items()} if a != 1 else dict(v)
+    for i, y in p.items():
+        z = out.get(i, 0) - b * y
+        if z:
+            out[i] = z
+        else:
+            del out[i]
     return out
 
 
-def _as_rows(m) -> list[list]:
-    if hasattr(m, "toarray"):  # scipy sparse
-        m = m.toarray()
-    if hasattr(m, "tolist"):  # numpy
-        m = m.tolist()
-    return [list(row) for row in m]
+class Reduction:
+    """Fraction-free column reduction of a growing list of vectors.
+
+    ``pivots`` maps each pivot index (the largest index of a stored reduced
+    vector) to that vector, so its size is the rank of everything added.
+    With ``track`` the column operations are recorded, and every added
+    vector that reduces to zero leaves in ``kernel`` the primitive integer
+    combination of the added vectors (by position) that vanishes; its entry
+    at the vanishing vector's own position is positive.
+    """
+
+    def __init__(self, vectors: Iterable = (), track: bool = False):
+        self.pivots: dict[int, tuple[Vector, Vector | None]] = {}
+        self.kernel: list[Vector] = []
+        self.track = track
+        self.added = 0
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, v: Vector, t: Vector | None) -> tuple[Vector, Vector | None]:
+        while v:
+            low = max(v)
+            hit = self.pivots.get(low)
+            if hit is None:
+                break
+            p, tp = hit
+            a, b = p[low], v[low]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            v = _combine(a, v, b, p)
+            if t is not None:
+                t = _combine(a, t, b, tp)
+            g = gcd(*v.values(), *(t.values() if t is not None else ()))
+            if g > 1:
+                v = {i: x // g for i, x in v.items()}
+                t = {i: x // g for i, x in t.items()} if t is not None else None
+        return v, t
+
+    def add(self, values) -> bool:
+        """Reduce a vector (mapping or dense sequence) and store it as a new
+        pivot unless it vanishes; returns whether the rank grew."""
+        v, scale = _cleared(values)
+        t = {self.added: scale} if self.track else None
+        self.added += 1
+        v, t = self._reduce(v, t)
+        if v:
+            self.pivots[max(v)] = (v, t)
+            return True
+        if t is not None:
+            self.kernel.append(t)
+        return False
+
+    def contains(self, values) -> bool:
+        """Whether a vector lies in the span of everything added."""
+        return not self._reduce(_cleared(values)[0], None)[0]
+
+
+def sparse_columns(m) -> list[Vector]:
+    """Columns of a matrix as sparse vectors, one per column.
+
+    Accepts a scipy sparse matrix, a dense array or list of rows, or a
+    sequence of mappings, which are taken to be the columns already.
+    """
+    if hasattr(m, "tocsc"):
+        c = m.tocsc()
+        ptr, idx, data = c.indptr.tolist(), c.indices.tolist(), c.data.tolist()
+        return [{i: x for i, x in zip(idx[s:e], data[s:e]) if x} for s, e in zip(ptr, ptr[1:])]
+    rows = m.tolist() if hasattr(m, "tolist") else list(m)
+    if rows and isinstance(rows[0], Mapping):
+        return rows
+    cols: list[Vector] = [{} for _ in range(len(rows[0]) if rows else 0)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def reduce_columns(m, track: bool = False) -> Reduction:
+    """The column reduction of a matrix (anything :func:`sparse_columns` takes)."""
+    return Reduction(sparse_columns(m), track=track)
 
 
 def rank(m) -> int:
-    """Exact rank via Bareiss fraction-free Gaussian elimination."""
-    a = to_integer_rows(m)
-    if not a or not a[0]:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Exact rank over Q."""
+    return reduce_columns(m).rank
 
 
-def rref(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot column list)."""
-    a = [[Fraction(x) for x in row] for row in _as_rows(m)]
-    if not a:
-        return [], []
-    n_rows, n_cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return a, pivots
+def kernel_basis(m) -> list[list[int]]:
+    """Basis of the right null space of ``m`` as dense integer columns.
+
+    The vector for each column that depends on earlier ones is supported on
+    that column (with a positive entry) and on the independent columns
+    before it: the reduced-echelon kernel basis, scaled to be primitive.
+    """
+    cols = sparse_columns(m)
+    return [[v.get(j, 0) for j in range(len(cols))]
+            for v in Reduction(cols, track=True).kernel]
 
 
-def kernel_basis(m) -> list[list[Fraction]]:
-    """Basis of the right null space of ``m`` as exact rational columns."""
-    rows = _as_rows(m)
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis
+def intersection_dim(u_cols: Sequence, w_cols: Sequence) -> int:
+    """dim(span U  ∩  span W) = dim U + dim W - dim(U + W), exactly.
 
-
-def nullity(m) -> int:
-    rows = _as_rows(m)
-    if not rows or not rows[0]:
-        return 0
-    return len(rows[0]) - rank(rows)
-
-
-def solve_consistent(m, v: Sequence) -> bool:
-    """Whether the system m x = v admits an exact rational solution."""
-    rows = _as_rows(m)
-    target = [Fraction(x) for x in v]
-    if not rows:
-        return all(x == 0 for x in target)
-    aug = [row + [t] for row, t in zip(rows, target)]
-    red, pivots = rref(aug)
-    n_cols = len(rows[0])
-    return n_cols not in pivots
-
-
-def hstack(*mats) -> list[list]:
-    """Column-concatenate row-major matrices (all same row count)."""
-    parts = [_as_rows(m) for m in mats if m is not None]
-    parts = [p for p in parts if p]
-    if not parts:
-        return []
-    if len({len(p) for p in parts}) > 1:
-        raise ValueError("row counts differ")
-    return [sum((p[i] for p in parts), []) for i in range(len(parts[0]))]
-
-
-def columns(m) -> list[list]:
-    rows = _as_rows(m)
-    if not rows:
-        return []
-    return [[row[j] for row in rows] for j in range(len(rows[0]))]
-
-
-def from_columns(cols: Sequence[Sequence]) -> list[list]:
-    cols = [list(c) for c in cols]
-    if not cols:
-        return []
-    return [[c[i] for c in cols] for i in range(len(cols[0]))]
-
-
-def intersection_dim(u_cols: Sequence[Sequence], w_cols: Sequence[Sequence]) -> int:
-    """dim(span U  ∩  span W) = dim U + dim W - dim(U + W), exactly."""
+    Each column is a mapping or a dense sequence; U is reduced once and then
+    extended by W.
+    """
     if not u_cols or not w_cols:
         return 0
-    u = from_columns(u_cols)
-    w = from_columns(w_cols)
-    du = rank(u)
-    dw = rank(w)
-    dsum = rank(hstack(u, w))
-    return du + dw - dsum
+    both = Reduction(u_cols)
+    du = both.rank
+    for w in w_cols:
+        both.add(w)
+    return du + Reduction(w_cols).rank - both.rank

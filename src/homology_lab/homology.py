@@ -27,9 +27,11 @@ from .errors import (
 from .operators import boundary_matrix
 from .spectra import (
     EstimatorParams,
+    _default_delta,
+    _rescaled,
     chebyshev_filter,
+    cycle_basis,
     exact_rank,
-    power_iteration_bound,
     stochastic_rank,
 )
 
@@ -114,70 +116,55 @@ def _require_cycle(k: SimplicialComplex, c: Chain) -> None:
         raise NotACycle("input chain has nonzero boundary")
 
 
-def _augmented(k: SimplicialComplex, c: Chain):
-    """Columns of the (r+1)-boundary with the chain appended, as exact rows."""
-    n = k.size(c.r)
-    dense = c.dense(n)
-    if k.size(c.r + 1) == 0:
-        return [[v] for v in dense]
-    d = exact.to_integer_rows(boundary_matrix(k, c.r + 1).toarray())
-    return [row + [dense[i]] for i, row in enumerate(d)]
+def _augmented(k: SimplicialComplex, *chains: Chain) -> list[exact.Vector]:
+    """Sparse columns of the (r+1)-boundary (none without (r+1)-simplices),
+    followed by the chains as rational columns."""
+    r = chains[0].r
+    d = exact.sparse_columns(boundary_matrix(k, r + 1).entries) if k.size(r + 1) else []
+    return d + [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
 
 
-def _stochastic_rank_units(matrix_rows, params: EstimatorParams) -> tuple[float, float, int]:
-    """Estimated absolute rank and its scale-adjusted standard error."""
-    m = np.array([[float(x) for x in row] for row in matrix_rows], dtype=float)
+def _stochastic_rank_units(columns, n_rows: int, params: EstimatorParams) -> tuple[float, float, int]:
+    """Estimated absolute rank of sparse columns and its scale-adjusted standard error."""
+    m = np.zeros((n_rows, len(columns)))
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            m[i, j] = float(x)
     n = m.shape[1]
     gram = (m.T @ m) / max(np.sum(m * m), 1.0)
-    rescaled, _ = _rescale_unit(gram)
-    rank_exact = exact_rank(matrix_rows)
+    rescaled, _ = _rescaled(gram)
+    rank_exact = exact_rank(columns)
     delta = params.delta
     if delta is None:
-        delta = _gap_delta(rescaled, rank_exact)
+        delta = _default_delta(rescaled, rank_exact, fallback=0.01)
     filt = chebyshev_filter(delta, params.degree)
     est = stochastic_rank(rescaled, filt, n_v=params.probes,
                           probe_kind=params.probe_kind, seed=params.seed)
     return est.normalized * n, est.stderr * n, n
 
 
-def _rescale_unit(a: np.ndarray) -> tuple[np.ndarray, float]:
-    bound = power_iteration_bound(a, iters=30) * 1.01
-    if bound <= 0.0:
-        return a, 1.0
-    return a / bound, bound
-
-
-def _gap_delta(a: np.ndarray, rank_value: int) -> float:
-    n = a.shape[0]
-    if 0 < rank_value <= n:
-        eigs = np.linalg.eigvalsh(a)
-        gap = float(eigs[n - rank_value])
-        if gap > 0:
-            return min(0.999, 0.9 * gap)
-    return 0.01
-
-
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
                  params: EstimatorParams | None = None) -> Verdict:
-    """Is the cycle a boundary?  Compares rank of the (r+1)-boundary with and
-    without the cycle appended as an extra column."""
+    """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
+    then a column-space membership test of the cycle.  Stochastically:
+    compares the estimated ranks of the boundary with and without the cycle
+    appended as an extra column."""
     _check_chain(k, c)
     _require_cycle(k, c)
     if k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
+    augmented = _augmented(k, c)
     if mode == "exact":
-        d = boundary_matrix(k, c.r + 1).toarray()
-        base = exact_rank(d)
-        augmented = exact_rank(_augmented(k, c))
-        return Verdict(answer=base == augmented, method="exact")
+        boundary = exact.reduce_columns(augmented[:-1])
+        return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
     if mode != "stochastic":
         from .errors import BadParameter
 
         raise BadParameter(f"unknown mode {mode!r}")
     params = params or EstimatorParams()
-    base_rows = exact.to_integer_rows(boundary_matrix(k, c.r + 1).toarray())
-    est_base, err_base, _ = _stochastic_rank_units(base_rows, params)
-    est_aug, err_aug, _ = _stochastic_rank_units(_augmented(k, c), params)
+    n = k.size(c.r)
+    est_base, err_base, _ = _stochastic_rank_units(augmented[:-1], n, params)
+    est_aug, err_aug, _ = _stochastic_rank_units(augmented, n, params)
     rank_base = round(est_base)
     rank_aug = round(est_aug)
     low = _near_rounding_boundary(est_base, err_base) or _near_rounding_boundary(est_aug, err_aug)
@@ -274,10 +261,7 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
     n = k.size(r)
     if n == 0:
         raise DimensionMismatch(f"complex has no simplices of dimension {r}")
-    if r == 0 or k.size(r - 1) == 0:
-        basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    else:
-        basis = exact.kernel_basis(boundary_matrix(k, r).toarray())
+    basis = cycle_basis(k, r)
     if not basis:
         raise TrivialKernel(f"the dimension-{r} boundary map has no kernel")
     rng = np.random.default_rng(seed)
@@ -286,8 +270,11 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
         coeffs = rng.integers(-2, 3, size=len(basis))
         if not np.any(coeffs):
             continue
-        vec = [sum(int(a) * b[i] for a, b in zip(coeffs, basis)) for i in range(n)]
-        chain = Chain.make(r, {i + 1: v for i, v in enumerate(vec) if v != 0})
+        vec: dict[int, int] = {}
+        for a, b in zip(coeffs.tolist(), basis):
+            for i, x in b.items():
+                vec[i] = vec.get(i, 0) + a * x
+        chain = Chain.make(r, {i + 1: v for i, v in sorted(vec.items()) if v})
         if chain.is_zero():
             continue
         out.append(chain)
@@ -322,21 +309,15 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
         reps.append(c)
     if not reps:
         return 0
-    n = k.size(r)
-    cols = [rep.dense(n) for rep in reps]
-    rep_matrix = exact.from_columns(cols)
-    if k.size(r + 1) == 0:
-        # boundary-free layer: class rank is plain chain-space rank
-        if mode == "exact":
-            return exact_rank(rep_matrix)
-        params = params or EstimatorParams()
-        est, _, _ = _stochastic_rank_units(rep_matrix, params)
-        return int(round(est))
-    d = exact.to_integer_rows(boundary_matrix(k, r + 1).toarray())
-    augmented = exact.hstack(d, rep_matrix)
+    augmented = _augmented(k, *reps)
+    d = augmented[:-len(reps)]
     if mode == "exact":
-        return exact_rank(augmented) - exact_rank(d)
+        # the representatives that extend the reduction of the boundary
+        boundary = exact.reduce_columns(d)
+        return sum(boundary.add(v) for v in augmented[len(d):])
     params = params or EstimatorParams()
-    est_aug, _, _ = _stochastic_rank_units(augmented, params)
-    est_base, _, _ = _stochastic_rank_units(d, params)
+    n = k.size(r)
+    est_aug, _, _ = _stochastic_rank_units(augmented, n, params)
+    # boundary-free layer: class rank is plain chain-space rank
+    est_base = _stochastic_rank_units(d, n, params)[0] if d else 0.0
     return max(0, int(round(est_aug)) - int(round(est_base)))

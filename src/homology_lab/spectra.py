@@ -1,6 +1,7 @@
 """Rank and Betti computation: exact rational oracles and stochastic estimators.
 
-The exact side reduces everything to fraction-free elimination.  The
+The exact side reduces everything to ranks and kernels of sparse boundary
+matrices, computed by the fraction-free reduction in :mod:`exact`.  The
 stochastic side follows the trace-estimation recipe: approximate the spectral
 step indicator by a degree-m Chebyshev polynomial and average probe
 quadratic forms, evaluated either by the three-term recurrence or through
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .operators import (
     boundary_matrix,
-    laplacian,
     laplacian_divisor,
     normalized_laplacian,
     persistent_laplacian,
@@ -44,24 +44,28 @@ KERNEL_EIG_RTOL = 1e-7  # relative eigenvalue cutoff for numeric kernel counting
 # ---------------------------------------------------------------------------
 
 def exact_rank(m) -> int:
-    """Exact rank of a rational matrix (fraction-free elimination)."""
+    """Exact rank of a rational matrix (sparse fraction-free reduction)."""
     return exact.rank(m)
 
 
+def _boundary_rank(k: SimplicialComplex, r: int) -> int:
+    """Exact rank of the r-boundary map; a map into or out of an empty layer is zero."""
+    return exact_rank(boundary_matrix(k, r).entries) if r >= 1 and k.size(r) and k.size(r - 1) else 0
+
+
 def exact_betti(k: SimplicialComplex, r: int) -> int:
-    """Betti number as the exact kernel dimension of the combinatorial Laplacian."""
+    """Betti number |S_r| - rank(boundary_r) - rank(boundary_{r+1}), exactly over Q."""
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    return k.size(r) - exact_rank(laplacian(k, r))
+    return k.size(r) - _boundary_rank(k, r) - _boundary_rank(k, r + 1)
 
 
-def _kernel_columns_k1(k1: SimplicialComplex, r: int, ambient: int) -> list[list[Fraction]]:
-    """Exact basis of ker(boundary_r of k1), zero-padded into k2's chain space."""
-    if r == 0 or k1.size(r - 1) == 0:
-        basis = [[Fraction(int(i == j)) for i in range(k1.size(r))] for j in range(k1.size(r))]
-    else:
-        basis = exact.kernel_basis(boundary_matrix(k1, r).toarray())
-    return [list(v) + [Fraction(0)] * (ambient - k1.size(r)) for v in basis]
+def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
+    """Exact sparse basis of the r-cycles, ker(boundary_r): all of C_r when
+    there is no (r-1)-layer."""
+    if r == 0 or k.size(r - 1) == 0:
+        return [{j: 1} for j in range(k.size(r))]
+    return exact.reduce_columns(boundary_matrix(k, r).entries, track=True).kernel
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int,
@@ -77,12 +81,12 @@ def exact_persistent_betti(pair: FiltrationPair, r: int,
     k1, k2 = pair.k1, pair.k2
     if k1.size(r) == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    kernel_cols = _kernel_columns_k1(k1, r, ambient=k2.size(r))
+    kernel_cols = cycle_basis(k1, r)  # k1's r-simplices are the prefix of k2's
     dim_kernel = len(kernel_cols)
     if k2.size(r + 1) == 0:
         route_a = dim_kernel
     else:
-        image_cols = exact.columns(boundary_matrix(k2, r + 1).toarray())
+        image_cols = exact.sparse_columns(boundary_matrix(k2, r + 1).entries)
         route_a = dim_kernel - exact.intersection_dim(image_cols, kernel_cols)
 
     lap = persistent_laplacian(pair, r)
@@ -390,7 +394,7 @@ def estimate_normalized_betti(k: SimplicialComplex, r: int,
     """Normalized Betti number via the Laplacian-rank pipeline."""
     op = normalized_laplacian(k, r)
     n = k.size(r)
-    rank_value = exact_rank(laplacian(k, r)) if n <= ORACLE_SIZE_GATE else None
+    rank_value = _boundary_rank(k, r) + _boundary_rank(k, r + 1) if n <= ORACLE_SIZE_GATE else None
     fallback = 1.0 / laplacian_divisor(k, r)
     return _estimate_from_operator(op, n, rank_value, fallback, params)
 

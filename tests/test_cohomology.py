@@ -138,6 +138,23 @@ def test_manual_cocycle_tetrahedron_verified_or_fails():
     assert outcomes["ok"] + outcomes["failed"] == 12
 
 
+def test_manual_cocycle_check_rejects_a_tampered_value():
+    from fractions import Fraction
+
+    from homology_lab.cohomology import _verify_cocycle
+    from homology_lab.exact import sparse_columns
+
+    k = build_complex([[0, 1, 2], [1, 2, 3]], autoclose=True)
+    columns = sparse_columns(boundary_matrix(k, 2).entries)
+    w = manual_cocycle(k, 1, seed=4)
+    values = {i: Fraction(x) for i, x in enumerate(w.values)}
+    _verify_cocycle(k, 1, columns, values)  # the constructed cocycle passes
+    values[0] += Fraction(1, 3)
+    with pytest.raises(ConstructionFailed) as failed:
+        _verify_cocycle(k, 1, columns, values)
+    assert failed.value.index == 1  # edge (0, 1) lies on the first triangle only
+
+
 def test_manual_cocycle_needs_both_layers(hollow_triangle):
     with pytest.raises(EmptyLayer):
         manual_cocycle(hollow_triangle, 1, seed=0)

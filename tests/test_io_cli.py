@@ -306,3 +306,55 @@ def test_cli_betti_sweep_circle_cloud(tmp_path, capsys):
     rows = csv_path.read_text().strip().splitlines()[1:]
     betti_by_threshold = [int(row.split(",")[2]) for row in rows]
     assert betti_by_threshold == [0, 1, 0]  # loop appears, then fills in
+
+
+REPLAY_FLAGS = {
+    "r": "--r", "mode": "--mode", "method": "--method", "delta": "--delta",
+    "degree": "--degree", "probes": "--probes", "probe_kind": "--probe-kind", "seed": "--seed",
+    "points": "--points", "thresholds": "--thresholds", "max_dim": "--max-dim",
+    "eta": "--eta", "witnesses": "--witnesses", "samples": "--samples",
+}
+
+
+def replay(capsys, out, input_flags):
+    """Run again from nothing but the config embedded in an output."""
+    config = json.loads(out)["config"]
+    argv = [config["subcommand"]]
+    if config["stages"]:
+        argv += ["--stages", *config["stages"]]
+    for flag, path in zip(input_flags, config["inputs"]):
+        argv += [flag, path]
+    for key, flag in REPLAY_FLAGS.items():
+        if config[key] is not None:
+            argv += [flag, str(config[key])]
+    return run_cli(capsys, *argv)
+
+
+def test_cli_track_replays_from_its_config(tmp_path, capsys):
+    k1 = generate("hollow_triangle")
+    save_complex(k1, tmp_path / "k1.jsonl")
+    save_complex(generate("filled_triangle"), tmp_path / "k2.jsonl")
+    loop = Chain.from_simplices(k1, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
+    save_chain(loop, tmp_path / "loop.json")
+    save_chain(Chain.make(1, {i: 2 * c for i, c in loop.coeffs.items()}), tmp_path / "twice.json")
+    code, out, _ = run_cli(
+        capsys, "track", "--stages", str(tmp_path / "k1.jsonl"), str(tmp_path / "k2.jsonl"),
+        "--chain", str(tmp_path / "loop.json"), "--chain2", str(tmp_path / "twice.json"),
+        "--mode", "stochastic", "--degree", "24", "--probes", "40", "--seed", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["stages"] == [str(tmp_path / f"k{i}.jsonl") for i in (1, 2)]
+    assert replay(capsys, out, ("--chain", "--chain2")) == (0, out, "")
+
+
+def test_cli_sweep_replays_from_its_config(tmp_path, capsys):
+    import numpy as np
+
+    angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    pts_path = tmp_path / "pts.json"
+    pts_path.write_text(json.dumps([[float(np.cos(a)), float(np.sin(a))] for a in angles]))
+    code, out, _ = run_cli(capsys, "betti", "--r", "1", "--points", str(pts_path),
+                           "--thresholds", "0.3,1.0,2.5", "--max-dim", "1")
+    assert code == 0
+    assert [row[2] for row in json.loads(out)["sweep"]] == [0, 1, 21]  # no 2-simplices
+    assert replay(capsys, out, ()) == (0, out, "")

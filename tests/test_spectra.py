@@ -42,6 +42,35 @@ def test_exact_betti_canonical_values():
         assert got == expected[name], name
 
 
+RP2_TRIANGLES = [  # 6-vertex real projective plane, f-vector (6, 15, 10)
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+
+def _gf2_rank(m) -> int:
+    rows = [int("".join(str(int(x) % 2) for x in row), 2) for row in np.asarray(m)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            top = pivot.bit_length() - 1
+            rows = [r ^ pivot if r >> top & 1 else r for r in rows]
+    return rank
+
+
+def test_exact_betti_is_rational_not_modular():
+    # The torsion of RP^2 shows over GF(2) (rank of boundary_2 drops to 9) but
+    # not over Q, where the Betti numbers are those of a point.
+    k = build_complex(RP2_TRIANGLES, autoclose=True)
+    assert [k.size(r) for r in range(3)] == [6, 15, 10]
+    d2 = boundary_matrix(k, 2).toarray()
+    assert exact_rank(boundary_matrix(k, 2).entries) == 10
+    assert _gf2_rank(d2) == 9
+    assert [exact_betti(k, r) for r in range(3)] == [1, 0, 0]
+
+
 def test_exact_betti_matches_definition_oracle():
     for name, k in canonical_complexes().items():
         for r in sorted(k.layers):
