@@ -325,7 +325,7 @@ def power_iteration_bound(a: np.ndarray, iters: int = 30, seed: int = 0) -> floa
 # Betti estimation endpoints
 # ---------------------------------------------------------------------------
 
-ORACLE_SIZE_GATE = 500  # exact eigen-gap thresholds are only derived below this
+ORACLE_GATE = 500  # largest |S_r| given exact answers: the estimator's gap delta, the CLI echo
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ def estimate_normalized_betti(k: SimplicialComplex, r: int,
     """Normalized Betti number via the Laplacian-rank pipeline."""
     op = normalized_laplacian(k, r)
     n = k.size(r)
-    rank_value = _boundary_rank(k, r) + _boundary_rank(k, r + 1) if n <= ORACLE_SIZE_GATE else None
+    rank_value = _boundary_rank(k, r) + _boundary_rank(k, r + 1) if n <= ORACLE_GATE else None
     fallback = 1.0 / laplacian_divisor(k, r)
     return _estimate_from_operator(op, n, rank_value, fallback, params)
 
@@ -405,7 +405,7 @@ def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
     lap = persistent_laplacian(pair, r)
     n = pair.k1.size(r)
     rank_value = None
-    if n <= ORACLE_SIZE_GATE:
+    if n <= ORACLE_GATE:
         rank_value = n - exact_persistent_betti(pair, r)
     divisor = laplacian_divisor(pair.k1, r)
     return _estimate_from_operator(lap / divisor, n, rank_value, 1.0 / divisor, params)

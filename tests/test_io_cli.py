@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homology_lab import Chain, build_complex, generate
@@ -245,7 +246,7 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     from homology_lab import cli as cli_module
     from homology_lab.errors import StructuralViolation
 
-    def boom(args, config):
+    def boom(args):
         raise StructuralViolation("induced for the exit-code contract")
 
     monkeypatch.setitem(cli_module._HANDLERS, "betti", boom)
@@ -291,8 +292,6 @@ def test_emit_plot_data_empty():
 
 
 def test_cli_betti_sweep_circle_cloud(tmp_path, capsys):
-    import numpy as np
-
     angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     pts = [[float(np.cos(a)), float(np.sin(a))] for a in angles]
     pts_path = tmp_path / "pts.json"
@@ -308,53 +307,111 @@ def test_cli_betti_sweep_circle_cloud(tmp_path, capsys):
     assert betti_by_threshold == [0, 1, 0]  # loop appears, then fills in
 
 
-REPLAY_FLAGS = {
-    "r": "--r", "mode": "--mode", "method": "--method", "delta": "--delta",
-    "degree": "--degree", "probes": "--probes", "probe_kind": "--probe-kind", "seed": "--seed",
-    "points": "--points", "thresholds": "--thresholds", "max_dim": "--max-dim",
-    "eta": "--eta", "witnesses": "--witnesses", "samples": "--samples",
-}
-
-
-def replay(capsys, out, input_flags):
+def replay(capsys, out):
     """Run again from nothing but the config embedded in an output."""
-    config = json.loads(out)["config"]
-    argv = [config["subcommand"]]
-    if config["stages"]:
-        argv += ["--stages", *config["stages"]]
-    for flag, path in zip(input_flags, config["inputs"]):
-        argv += [flag, path]
-    for key, flag in REPLAY_FLAGS.items():
-        if config[key] is not None:
-            argv += [flag, str(config[key])]
+    config = dict(json.loads(out)["config"])
+    argv = [config.pop("subcommand")]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value is not None and value is not False:
+            argv += [flag, str(value)]
     return run_cli(capsys, *argv)
 
 
-def test_cli_track_replays_from_its_config(tmp_path, capsys):
-    k1 = generate("hollow_triangle")
-    save_complex(k1, tmp_path / "k1.jsonl")
-    save_complex(generate("filled_triangle"), tmp_path / "k2.jsonl")
-    loop = Chain.from_simplices(k1, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
+@pytest.fixture
+def replay_files(tmp_path):
+    """Complexes, chains and a point cloud for one run of every subcommand."""
+    hollow = generate("hollow_triangle")
+    save_complex(hollow, tmp_path / "hollow.jsonl")
+    save_complex(generate("filled_triangle"), tmp_path / "filled.jsonl")
+    (tmp_path / "filt.json").write_text(json.dumps({"k1": "hollow.jsonl", "k2": "filled.jsonl"}))
+    loop = Chain.from_simplices(hollow, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
     save_chain(loop, tmp_path / "loop.json")
     save_chain(Chain.make(1, {i: 2 * c for i, c in loop.coeffs.items()}), tmp_path / "twice.json")
-    code, out, _ = run_cli(
-        capsys, "track", "--stages", str(tmp_path / "k1.jsonl"), str(tmp_path / "k2.jsonl"),
-        "--chain", str(tmp_path / "loop.json"), "--chain2", str(tmp_path / "twice.json"),
-        "--mode", "stochastic", "--degree", "24", "--probes", "40", "--seed", "3",
-    )
-    assert code == 0
-    assert json.loads(out)["config"]["stages"] == [str(tmp_path / f"k{i}.jsonl") for i in (1, 2)]
-    assert replay(capsys, out, ("--chain", "--chain2")) == (0, out, "")
-
-
-def test_cli_sweep_replays_from_its_config(tmp_path, capsys):
-    import numpy as np
-
+    save_chain(Chain.make(1, {1: Fraction(1)}), tmp_path / "edge.json")
+    save_complex(build_complex([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]], autoclose=True),
+                 tmp_path / "rings.jsonl")
+    save_chain(Chain.make(1, {1: 1, 2: -1, 3: 1}), tmp_path / "a.json")
+    save_chain(Chain.make(1, {4: 1, 5: -1, 6: 1}), tmp_path / "b.json")
     angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-    pts_path = tmp_path / "pts.json"
-    pts_path.write_text(json.dumps([[float(np.cos(a)), float(np.sin(a))] for a in angles]))
-    code, out, _ = run_cli(capsys, "betti", "--r", "1", "--points", str(pts_path),
-                           "--thresholds", "0.3,1.0,2.5", "--max-dim", "1")
-    assert code == 0
-    assert [row[2] for row in json.loads(out)["sweep"]] == [0, 1, 21]  # no 2-simplices
-    assert replay(capsys, out, ()) == (0, out, "")
+    (tmp_path / "pts.json").write_text(
+        json.dumps([[float(np.cos(a)), float(np.sin(a))] for a in angles]))
+    return tmp_path
+
+
+FAST = ("--degree", "24", "--probes", "40")
+REPLAY_CASES = {
+    "betti": (("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic",
+               "--no-oracle", *FAST), {}),
+    "sweep": (("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0,2.5",
+               "--max-dim", "1", "--plot-data", "profile.csv"),
+              {"sweep": [[0.3, 1, 0, "exact"], [1.0, 1, 1, "exact"],
+                         [2.5, 1, 21, "exact"]]}),  # no 2-simplices
+    "persistent-betti": (("persistent-betti", "--input", "filt.json", "--r", "1",
+                          "--mode", "stochastic", *FAST), {"exact_persistent_betti": 0}),
+    "test-trivial": (("test-trivial", "--input", "filled.jsonl", "--chain", "loop.json",
+                      "--mode", "stochastic", "--probe-kind", "hadamard_column", *FAST), {}),
+    "test-equiv": (("test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
+                    "--chain2", "b.json", "--method", "cohomology", "--witnesses", "4",
+                    "--seed", "1", "--dump-witness", "witness.json"), {"answer": False}),
+    "detect-cycle": (("detect-cycle", "--input", "hollow.jsonl", "--chain", "edge.json",
+                      "--eta", "0.01", "--seed", "0"), {"answer": "not_cycle"}),
+    "track": (("track", "--stages", "hollow.jsonl", "filled.jsonl", "--chain", "loop.json",
+               "--chain2", "twice.json", "--mode", "stochastic", "--seed", "3", *FAST), {}),
+    "betti-track": (("betti-track", "--input", "hollow.jsonl", "--r", "1", "--samples", "5"),
+                    {"betti_lower_bound": 1, "exact_betti": 1}),
+    "gen": (("gen", "--kind", "circle", "--m", "6", "--out", "c6.jsonl"),
+            {"sizes": {"0": 6, "1": 6}}),
+    "dump-operator": (("dump-operator", "--input", "filled.jsonl", "--r", "1",
+                       "--operator", "laplacian", "--dump-operator", "op.mtx"),
+                      {"shape": [3, 3]}),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_cli_replays_from_its_config(replay_files, capsys, monkeypatch, case):
+    monkeypatch.chdir(replay_files)
+    argv, expected = REPLAY_CASES[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert {key: result[key] for key in expected} == expected
+    given = {arg[2:].replace("-", "_") for arg in argv[1:] if arg.startswith("--")}
+    assert given <= set(result["config"])  # every flag given is on the record
+    assert replay(capsys, out) == (0, out, "")
+
+
+def test_cli_sweep_rejects_flags_it_would_ignore(replay_files, capsys, monkeypatch):
+    monkeypatch.chdir(replay_files)
+    sweep = ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0")
+    for extra in (("--mode", "stochastic"), ("--input", "hollow.jsonl")):
+        code, out, err = run_cli(capsys, *sweep, *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
+
+def test_cli_bad_thresholds_is_input_error(replay_files, capsys, monkeypatch):
+    monkeypatch.chdir(replay_files)
+    code, out, err = run_cli(capsys, "betti", "--r", "1", "--points", "pts.json",
+                             "--thresholds", "0.5,abc")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch):
+    monkeypatch.setenv("HOMOLOGY_LAB_SEED", "abc")
+    code, out, err = run_cli(capsys, "betti", "--input", str(replay_files / "hollow.jsonl"),
+                             "--r", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("subcommand", ["gen", "detect-cycle", "dump-operator"])
+def test_cli_estimator_flags_only_where_used(replay_files, capsys, monkeypatch, subcommand):
+    monkeypatch.chdir(replay_files)
+    argv = next(argv for argv, _ in REPLAY_CASES.values() if argv[0] == subcommand)
+    assert run_cli(capsys, *argv, "--degree", "9")[0] == 2
