@@ -86,6 +86,8 @@ def _cmd_betti(args) -> dict:
         return _cmd_betti_sweep(args)
     if not args.input:
         raise InputError("betti needs --input (or --points with --thresholds)")
+    if args.thresholds or args.plot_data:
+        raise InputError("--thresholds and --plot-data belong to a --points sweep")
     k = files.load_complex(args.input)
     result: dict = {"r": args.r, "layer_size": k.size(args.r)}
     if args.mode == "exact":
@@ -99,7 +101,7 @@ def _cmd_betti(args) -> dict:
         result["stderr"] = est.rank_estimate.stderr
         result["rescale"] = est.rescale
         if _echo_oracle(args, k.size(args.r)):
-            result["exact_betti"] = exact_betti(k, args.r)
+            result["exact_betti"] = est.exact
     return result
 
 
@@ -136,7 +138,7 @@ def _cmd_persistent_betti(args) -> dict:
         result["normalized"] = est.value
         result["stderr"] = est.rank_estimate.stderr
         if _echo_oracle(args, pair.k1.size(args.r)):
-            result["exact_persistent_betti"] = exact_persistent_betti(pair, args.r)
+            result["exact_persistent_betti"] = est.exact
     return result
 
 

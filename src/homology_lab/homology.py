@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import exact
 from .complexes import Chain, FiltrationPair, SimplicialComplex, validate_filtration
@@ -27,12 +28,9 @@ from .errors import (
 from .operators import boundary_matrix
 from .spectra import (
     EstimatorParams,
-    _default_delta,
-    _rescaled,
-    chebyshev_filter,
+    _estimate_from_operator,
     cycle_basis,
     exact_rank,
-    stochastic_rank,
 )
 
 
@@ -85,11 +83,10 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
     _check_chain(k, c)
     if is_cycle_exact(k, c):
         return "likely_cycle"
-    d = boundary_matrix(k, c.r).toarray().astype(float)
+    d = boundary_matrix(k, c.r).entries.astype(float)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     vec /= np.linalg.norm(vec)
-    gram = (d.T @ d) / ((c.r + 1) * k.size(c.r))
-    p = float(np.linalg.norm(gram @ vec) ** 2)
+    p = float(np.linalg.norm(d.T @ (d @ vec) / ((c.r + 1) * k.size(c.r))) ** 2)
     trials = math.ceil(1.0 / eta)
     rng = np.random.default_rng(seed)
     if np.any(rng.random(trials) < p):
@@ -126,20 +123,14 @@ def _augmented(k: SimplicialComplex, *chains: Chain) -> list[exact.Vector]:
 
 def _stochastic_rank_units(columns, n_rows: int, params: EstimatorParams) -> tuple[float, float, int]:
     """Estimated absolute rank of sparse columns and its scale-adjusted standard error."""
-    m = np.zeros((n_rows, len(columns)))
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            m[i, j] = float(x)
+    rows = [i for col in columns for i in col]
+    cols = [j for j, col in enumerate(columns) for _ in col]
+    vals = [float(x) for col in columns for x in col.values()]
+    m = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, len(columns)))
     n = m.shape[1]
-    gram = (m.T @ m) / max(np.sum(m * m), 1.0)
-    rescaled, _ = _rescaled(gram)
-    rank_exact = exact_rank(columns)
-    delta = params.delta
-    if delta is None:
-        delta = _default_delta(rescaled, rank_exact, fallback=0.01)
-    filt = chebyshev_filter(delta, params.degree)
-    est = stochastic_rank(rescaled, filt, n_v=params.probes,
-                          probe_kind=params.probe_kind, seed=params.seed)
+    gram = (m.T @ m) / max(float(m.data @ m.data), 1.0)
+    # the Gram matrix's kernel has dimension n - rank
+    est = _estimate_from_operator(gram, n, n - exact_rank(columns), 0.01, params).rank_estimate
     return est.normalized * n, est.stderr * n, n
 
 

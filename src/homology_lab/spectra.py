@@ -9,7 +9,9 @@ explicit power moments.
 
 Spectral coordinates: estimator inputs live in [0, 1]; internally the
 spectrum is mapped to the Chebyshev domain via y = 2x - 1 before filtering,
-so coefficients are for T_j(2x - 1).
+so coefficients are for T_j(2x - 1), computed by one DCT.  Operators stay
+sparse (CSR), so each degree costs O(nnz) per probe; only the oracle's
+threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``) uses a dense spectrum.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import exact
 from .complexes import FiltrationPair, SimplicialComplex
@@ -137,12 +140,15 @@ def chebyshev_filter(delta: float, m: int, quad_points: int = 2048) -> Chebyshev
         raise BadParameter("delta must lie strictly between 0 and 1")
     if m < 1:
         raise BadParameter("degree must be at least 1")
-    k = np.arange(quad_points)
-    theta = np.pi * (k + 0.5) / quad_points
-    y = np.cos(theta)
-    f = _smoothed_step(0.5 * (y + 1.0), delta)
-    j = np.arange(m + 1)
-    c = (2.0 / quad_points) * np.cos(np.outer(j, theta)) @ f
+    from scipy.fft import dct
+
+    theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
+    f = _smoothed_step(0.5 * (np.cos(theta) + 1.0), delta)
+    # (2/N) sum_k f_k cos(j theta_k) for j < N is one DCT-II; beyond that the
+    # cosines alias: c_N = 0, c_{2N-i} = -c_i and c_{j+2N} = -c_j.
+    head = dct(f, type=2) / quad_points
+    half = np.concatenate([head, [0.0], -head[:0:-1]])
+    c = np.concatenate([half, -half])[np.arange(m + 1) % (4 * quad_points)]
     c[0] *= 0.5
     return ChebyshevStepFilter(delta=float(delta), degree=int(m), coeffs=tuple(c))
 
@@ -202,8 +208,11 @@ def _probe_matrix(n: int, n_v: int, probe_kind: str, seed) -> tuple[np.ndarray, 
 
 
 def _prepare(a, n_v: int, probe_kind: str, seed):
-    a = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Checked CSR operator mapped to B = 2A - I (padded), probes, N, padded N."""
+    if n_v < 1:
+        raise BadParameter("need at least one probe")
+    a = sp.csr_matrix(a, dtype=float)
+    if a.shape[0] != a.shape[1]:
         raise BadParameter("estimator input must be a square matrix")
     n = a.shape[0]
     if n == 0:
@@ -212,11 +221,10 @@ def _prepare(a, n_v: int, probe_kind: str, seed):
     if bound > 1.0 + 1e-6:
         raise SpectralNormExceeded(f"power-iteration norm bound {bound:.6g} exceeds 1")
     v, n_pad = _probe_matrix(n, n_v, probe_kind, seed)
-    if n_pad != n:
-        padded = np.zeros((n_pad, n_pad))
-        padded[:n, :n] = a
-        a = padded
-    return a, v, n, n_pad
+    if n_pad != n:  # empty rows appended; the caller's arrays are shared, not resized
+        indptr = np.pad(a.indptr, (0, n_pad - n), mode="edge")
+        a = sp.csr_matrix((a.data, a.indices, indptr), shape=(n_pad, n_pad))
+    return 2.0 * a - sp.identity(n_pad, format="csr"), v, n, n_pad
 
 
 def _finalize(per_probe: np.ndarray, n: int, n_pad: int, filt: ChebyshevStepFilter,
@@ -243,10 +251,7 @@ def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     accumulated with the three-term recurrence; the mean over probes is the
     estimate.  Deterministic for a fixed seed.
     """
-    if n_v < 1:
-        raise BadParameter("need at least one probe")
-    a, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
-    b = 2.0 * a - np.eye(n_pad)
+    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
     c = filt.coeffs
     t_prev = v
     per_probe = c[0] * np.einsum("ij,ij->j", v, t_prev)
@@ -284,10 +289,7 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     """
     if filt.degree > MAX_MOMENT_DEGREE:
         raise DegreeTooHigh(f"power expansion is limited to degree {MAX_MOMENT_DEGREE}")
-    if n_v < 1:
-        raise BadParameter("need at least one probe")
-    a, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
-    b = 2.0 * a - np.eye(n_pad)
+    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
     moments = np.empty((filt.degree + 1, n_v))
     w = v
     moments[0] = np.einsum("ij,ij->j", v, w)
@@ -301,11 +303,11 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
 
 
-def power_iteration_bound(a: np.ndarray, iters: int = 30, seed: int = 0) -> float:
+def power_iteration_bound(a, iters: int = 30, seed: int = 0) -> float:
     """Rayleigh-quotient estimate of the spectral norm after ``iters`` steps."""
-    a = np.asarray(a, dtype=float)
+    a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
-    if n == 0 or not np.any(a):
+    if n == 0 or not a.count_nonzero():
         return 0.0
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -341,52 +343,55 @@ class EstimatorParams:
 
 @dataclass(frozen=True)
 class BettiEstimate:
-    """Normalized Betti estimate together with the underlying rank estimate."""
+    """Normalized Betti estimate with its rank estimate and the exact (persistent)
+    Betti number its oracle computed, None above ``ORACLE_GATE``."""
 
     value: float
     rank_estimate: RankEstimate
     rescale: float
     layer_size: int
+    exact: int | None = None
 
     def betti(self) -> float:
         return self.value * self.layer_size
 
 
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     bound = power_iteration_bound(a, iters=30) * 1.01
     if bound <= 0.0:
         return a, 1.0
     return a / bound, bound
 
 
-def _default_delta(a: np.ndarray, exact_rank_value: int | None, fallback: float) -> float:
+def _default_delta(a: sp.csr_matrix, exact_rank_value: int | None, fallback: float) -> float:
     """Threshold below the smallest nonzero eigenvalue.
 
-    With an exact rank available the eigen-gap is read off the spectrum
-    directly (test mode); otherwise fall back to the normalization-implied
+    With an exact rank available the eigen-gap is read off the dense
+    spectrum (test mode); otherwise fall back to the normalization-implied
     bound, which is an engineering default rather than a derived one.
     """
     n = a.shape[0]
     if exact_rank_value is not None and 0 < exact_rank_value <= n:
-        eigs = np.linalg.eigvalsh(a)
+        eigs = np.linalg.eigvalsh(a.toarray())
         smallest_nonzero = float(eigs[n - exact_rank_value])
         if smallest_nonzero > 0:
             return min(0.999, 0.9 * smallest_nonzero)
     return min(0.999, max(1e-6, fallback))
 
 
-def _estimate_from_operator(op, n: int, exact_rank_value: int | None,
+def _estimate_from_operator(op, n: int, exact_value: int | None,
                             fallback_delta: float, params: EstimatorParams) -> BettiEstimate:
-    dense = np.asarray(op.toarray() if hasattr(op, "toarray") else op, dtype=float)
-    rescaled, bound = _rescaled(dense)
+    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
     delta = params.delta
     if delta is None:
-        delta = _default_delta(rescaled, exact_rank_value, fallback_delta)
+        rank_value = None if exact_value is None else n - exact_value
+        delta = _default_delta(rescaled, rank_value, fallback_delta)
     filt = chebyshev_filter(delta, params.degree)
     est = stochastic_rank(rescaled, filt, n_v=params.probes,
                           probe_kind=params.probe_kind, seed=params.seed)
     value = float(min(1.0, max(0.0, 1.0 - est.normalized)))
-    return BettiEstimate(value=value, rank_estimate=est, rescale=bound, layer_size=n)
+    return BettiEstimate(value=value, rank_estimate=est, rescale=bound, layer_size=n,
+                         exact=exact_value)
 
 
 def estimate_normalized_betti(k: SimplicialComplex, r: int,
@@ -394,9 +399,8 @@ def estimate_normalized_betti(k: SimplicialComplex, r: int,
     """Normalized Betti number via the Laplacian-rank pipeline."""
     op = normalized_laplacian(k, r)
     n = k.size(r)
-    rank_value = _boundary_rank(k, r) + _boundary_rank(k, r + 1) if n <= ORACLE_GATE else None
-    fallback = 1.0 / laplacian_divisor(k, r)
-    return _estimate_from_operator(op, n, rank_value, fallback, params)
+    exact_value = exact_betti(k, r) if n <= ORACLE_GATE else None
+    return _estimate_from_operator(op, n, exact_value, 1.0 / laplacian_divisor(k, r), params)
 
 
 def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
@@ -404,8 +408,6 @@ def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
     """Normalized persistent Betti number via the persistent Laplacian."""
     lap = persistent_laplacian(pair, r)
     n = pair.k1.size(r)
-    rank_value = None
-    if n <= ORACLE_GATE:
-        rank_value = n - exact_persistent_betti(pair, r)
+    exact_value = exact_persistent_betti(pair, r) if n <= ORACLE_GATE else None
     divisor = laplacian_divisor(pair.k1, r)
-    return _estimate_from_operator(lap / divisor, n, rank_value, 1.0 / divisor, params)
+    return _estimate_from_operator(lap / divisor, n, exact_value, 1.0 / divisor, params)

@@ -415,3 +415,44 @@ def test_cli_estimator_flags_only_where_used(replay_files, capsys, monkeypatch, 
     monkeypatch.chdir(replay_files)
     argv = next(argv for argv, _ in REPLAY_CASES.values() if argv[0] == subcommand)
     assert run_cli(capsys, *argv, "--degree", "9")[0] == 2
+
+
+def test_cli_betti_rejects_sweep_flags_without_points(replay_files, capsys, monkeypatch):
+    monkeypatch.chdir(replay_files)
+    betti = ("betti", "--input", "hollow.jsonl", "--r", "1")
+    for extra in (("--thresholds", "0.5,abc"), ("--plot-data", "never.csv")):
+        code, out, err = run_cli(capsys, *betti, *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+    assert not (replay_files / "never.csv").exists()
+
+
+ORACLE_ONCE = {  # case: (counted oracle, echoed key and value)
+    "persistent-betti": ("exact_persistent_betti", {"exact_persistent_betti": 0}),
+    "betti": ("exact_rank", {"exact_betti": 1}),  # hollow triangle: only rank d_1
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_ONCE)
+def test_cli_stochastic_echo_runs_the_oracle_once(replay_files, capsys, monkeypatch, case):
+    # the echo is the exact value the estimator's oracle already computed
+    from homology_lab import cli, spectra
+
+    monkeypatch.chdir(replay_files)
+    oracle, echo = ORACLE_ONCE[case]
+    calls = []
+    real = getattr(spectra, oracle)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, oracle, counted)
+    if hasattr(cli, oracle):
+        monkeypatch.setattr(cli, oracle, counted)
+    argv = [a for a in REPLAY_CASES[case][0] if a != "--no-oracle"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)
+    assert {key: result[key] for key in echo} == echo
+    assert len(calls) == 1

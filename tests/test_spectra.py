@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from homology_lab import (
     validate_filtration,
 )
 from homology_lab.errors import BadParameter, DegreeTooHigh, SpectralNormExceeded
-from homology_lab.spectra import _power_expansion_coeffs
+from homology_lab.spectra import _power_expansion_coeffs, _smoothed_step
 
 from conftest import canonical_complexes, oracle_betti, random_rips, random_rips_filtration
 
@@ -172,6 +173,20 @@ def test_filter_reproducible():
     assert a.coeffs == b.coeffs
 
 
+@pytest.mark.parametrize("degree", [1, 64, 2047, 2048, 2 * 2048 + 5])
+def test_filter_coefficients_match_the_cosine_sum(degree):
+    # c_j = (2/N) sum_k f(x_k) cos(j theta_k), c_0 halved, at every degree,
+    # including those past the N = 2048 quadrature points where cosines alias
+    n = 2048
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    f = _smoothed_step(0.5 * (np.cos(theta) + 1.0), 0.05)
+    want = (2.0 / n) * np.cos(np.outer(np.arange(degree + 1), theta)) @ f
+    want[0] *= 0.5
+    got = np.array(chebyshev_filter(0.05, degree).coeffs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_filter_rejects_bad_parameters():
     with pytest.raises(BadParameter):
         chebyshev_filter(0.01, 0)
@@ -236,6 +251,44 @@ def test_hadamard_probes_pad_to_power_of_two():
     est = stochastic_rank(a, chebyshev_filter(0.01, 64), n_v=400,
                           probe_kind="hadamard_column", seed=5)
     assert abs(est.normalized - 0.5) <= 0.05
+
+
+@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+@pytest.mark.parametrize("estimator", [stochastic_rank, power_moments_rank])
+def test_estimate_is_the_same_for_dense_and_csr_input(estimator, probe_kind):
+    # n = 40 is not a power of two: Hadamard probes pad the CSR operator,
+    # which must leave the caller's matrix as it was
+    rng = np.random.default_rng(3)
+    a, _ = _random_psd(rng, 40)
+    a[np.abs(a) < 0.02] = 0.0
+    a /= np.abs(a).sum(axis=1).max()  # row-sum bound: spectrum inside [-1, 1]
+    csr = sp.csr_matrix(a)
+    before = (csr.shape, csr.data.copy(), csr.indices.copy(), csr.indptr.copy())
+    filt = chebyshev_filter(0.05, 16)
+    dense_est = estimator(a, filt, n_v=24, probe_kind=probe_kind, seed=8)
+    sparse_est = estimator(csr, filt, n_v=24, probe_kind=probe_kind, seed=8)
+    assert sparse_est.raw == pytest.approx(dense_est.raw, rel=1e-12)
+    assert sparse_est.stderr == pytest.approx(dense_est.stderr, rel=1e-12)
+    after = (csr.shape, csr.data, csr.indices, csr.indptr)
+    assert before[0] == after[0]
+    assert all(np.array_equal(x, y) for x, y in zip(before[1:], after[1:]))
+
+
+def test_estimate_normalized_betti_never_densifies_a_large_layer():
+    import tracemalloc
+
+    pts = np.random.default_rng(0).random((200, 2)).tolist()
+    k = generate("vietoris_rips", points=pts, threshold=0.2, max_dim=2)
+    n = k.size(1)
+    assert n >= 2000
+    tracemalloc.start()
+    try:
+        est = estimate_normalized_betti(k, 1, EstimatorParams(degree=8, probes=4, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one dense |S_1| x |S_1| float64 matrix
+    assert est.exact is None  # above the oracle gate
 
 
 # --- power-moment evaluation ----------------------------------------------------------
