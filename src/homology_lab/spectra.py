@@ -4,14 +4,16 @@ The exact side reduces everything to ranks and kernels of sparse boundary
 matrices, computed by the fraction-free reduction in :mod:`exact`.  The
 stochastic side follows the trace-estimation recipe: approximate the spectral
 step indicator by a degree-m Chebyshev polynomial and average probe
-quadratic forms, evaluated either by the three-term recurrence or through
-explicit power moments.
+quadratic forms, evaluated either by the three-term recurrence with the
+doubling identities T_2k = 2 T_k^2 - T_0, T_2k+1 = 2 T_k T_k+1 - T_1, or
+through explicit power moments.
 
 Spectral coordinates: estimator inputs live in [0, 1]; internally the
 spectrum is mapped to the Chebyshev domain via y = 2x - 1 before filtering,
 so coefficients are for T_j(2x - 1), computed by one DCT.  Operators stay
-sparse (CSR), so each degree costs O(nnz) per probe; only the oracle's
-threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``) uses a dense spectrum.
+sparse (CSR), and degree m costs ceil(m/2) sparse products, O(nnz) per probe
+each; only the oracle's threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``)
+uses a dense spectrum.
 """
 
 from __future__ import annotations
@@ -71,15 +73,16 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     return exact.reduce_columns(boundary_matrix(k, r).entries, track=True).kernel
 
 
-def exact_persistent_betti(pair: FiltrationPair, r: int,
-                           eig_rtol: float = KERNEL_EIG_RTOL) -> int:
+def exact_persistent_betti(pair: FiltrationPair, r: int, eig_rtol: float = KERNEL_EIG_RTOL,
+                           *, lap: np.ndarray | None = None) -> int:
     """Persistent Betti number, computed by two independent routes.
 
     Route A is the quotient definition: dim ker of k1's boundary minus the
     dimension of its intersection with the image of k2's (r+1)-boundary,
     all in exact rational arithmetic.  Route B counts near-zero eigenvalues
     of the persistent Laplacian.  The value of route A is returned;
-    disagreement raises :class:`RouteDisagreement`.
+    disagreement raises :class:`RouteDisagreement`.  ``lap`` is the persistent
+    Laplacian when the caller has already built it.
     """
     k1, k2 = pair.k1, pair.k2
     if k1.size(r) == 0:
@@ -92,7 +95,8 @@ def exact_persistent_betti(pair: FiltrationPair, r: int,
         image_cols = exact.sparse_columns(boundary_matrix(k2, r + 1).entries)
         route_a = dim_kernel - exact.intersection_dim(image_cols, kernel_cols)
 
-    lap = persistent_laplacian(pair, r)
+    if lap is None:
+        lap = persistent_laplacian(pair, r)
     eigs = np.linalg.eigvalsh(lap)
     cutoff = eig_rtol * max(1.0, float(eigs[-1])) if eigs.size else 0.0
     route_b = int(np.count_nonzero(eigs < cutoff))
@@ -192,18 +196,10 @@ def _probe_matrix(n: int, n_v: int, probe_kind: str, seed) -> tuple[np.ndarray, 
         return v / math.sqrt(n), n
     if probe_kind == "hadamard_column":
         n_pad = 1 << max(0, (n - 1).bit_length())
-        idx = np.arange(n_pad, dtype=np.uint64)
-        v = np.empty((n_pad, n_v))
-        for l, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            col = np.uint64(rng.integers(0, n_pad))
-            bits = idx & col
-            parity = np.zeros_like(bits)
-            while bits.any():
-                parity ^= bits & np.uint64(1)
-                bits >>= np.uint64(1)
-            v[:, l] = 1.0 - 2.0 * parity.astype(float)
-        return v / math.sqrt(n_pad), n_pad
+        cols = np.array([np.random.default_rng(child).integers(0, n_pad) for child in children],
+                        dtype=np.uint64)
+        parity = np.bitwise_count(np.arange(n_pad, dtype=np.uint64)[:, None] & cols) & 1
+        return (1.0 - 2.0 * parity) / math.sqrt(n_pad), n_pad
     raise BadParameter(f"unknown probe kind {probe_kind!r}")
 
 
@@ -247,20 +243,27 @@ def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
                     probe_kind: str = "rademacher", seed=None) -> RankEstimate:
     """Estimate rank(A)/N for a symmetric PSD matrix with spectrum in [0, 1].
 
-    Per probe v the filtered quadratic form sum_j c_j v^T T_j(2A - 1) v is
-    accumulated with the three-term recurrence; the mean over probes is the
-    estimate.  Deterministic for a fixed seed.
+    Per probe v the filtered quadratic form sum_j c_j v^T T_j(B) v, B = 2A - 1,
+    is the estimate; the mean over probes is returned.  The forms come from
+    the doubling identities T_2k = 2 T_k^2 - T_0 and T_2k+1 = 2 T_k T_k+1 - T_1,
+    so only T_0 v ... T_ceil(m/2) v are built by the three-term recurrence and
+    degree m costs ceil(m/2) sparse products.  Deterministic for a fixed seed.
     """
     b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
-    c = filt.coeffs
-    t_prev = v
-    per_probe = c[0] * np.einsum("ij,ij->j", v, t_prev)
-    if filt.degree >= 1:
-        t_cur = b @ v
-        per_probe += c[1] * np.einsum("ij,ij->j", v, t_cur)
-        for j in range(2, filt.degree + 1):
-            t_prev, t_cur = t_cur, 2.0 * (b @ t_cur) - t_prev
-            per_probe += c[j] * np.einsum("ij,ij->j", v, t_cur)
+    half = (filt.degree + 1) // 2
+    forms = np.empty((2 * half + 2, n_v))  # forms[j] = v^T T_j(B) v, a spare row for degree 0
+    t_prev, t_cur = v, b @ v
+    forms[0] = np.einsum("ij,ij->j", v, v)
+    forms[1] = np.einsum("ij,ij->j", v, t_cur)
+    b2 = 2.0 * b
+    for k in range(1, half + 1):  # t_prev, t_cur = T_k-1 v, T_k v
+        forms[2 * k] = 2.0 * np.einsum("ij,ij->j", t_cur, t_cur) - forms[0]
+        if k < half:
+            t_next = b2 @ t_cur
+            t_next -= t_prev
+            forms[2 * k + 1] = 2.0 * np.einsum("ij,ij->j", t_cur, t_next) - forms[1]
+            t_prev, t_cur = t_cur, t_next
+    per_probe = np.asarray(filt.coeffs) @ forms[: filt.degree + 1]
     return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
 
 
@@ -408,6 +411,6 @@ def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
     """Normalized persistent Betti number via the persistent Laplacian."""
     lap = persistent_laplacian(pair, r)
     n = pair.k1.size(r)
-    exact_value = exact_persistent_betti(pair, r) if n <= ORACLE_GATE else None
+    exact_value = exact_persistent_betti(pair, r, lap=lap) if n <= ORACLE_GATE else None
     divisor = laplacian_divisor(pair.k1, r)
     return _estimate_from_operator(lap / divisor, n, exact_value, 1.0 / divisor, params)

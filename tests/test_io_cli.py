@@ -456,3 +456,23 @@ def test_cli_stochastic_echo_runs_the_oracle_once(replay_files, capsys, monkeypa
     result = json.loads(out)
     assert {key: result[key] for key in echo} == echo
     assert len(calls) == 1
+
+
+def test_cli_stochastic_persistent_betti_builds_the_laplacian_once(replay_files, capsys,
+                                                                   monkeypatch):
+    # the oracle's route B reads the persistent Laplacian the estimator built
+    from homology_lab import spectra
+
+    monkeypatch.chdir(replay_files)
+    builds = []
+    real = spectra.persistent_laplacian
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "persistent_laplacian", counted)
+    code, out, _ = run_cli(capsys, *REPLAY_CASES["persistent-betti"][0])
+    assert code == 0
+    assert json.loads(out)["exact_persistent_betti"] == 0
+    assert len(builds) == 1

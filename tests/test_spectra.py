@@ -253,6 +253,110 @@ def test_hadamard_probes_pad_to_power_of_two():
     assert abs(est.normalized - 0.5) <= 0.05
 
 
+@pytest.mark.parametrize("n", [1, 5, 16, 540])
+def test_hadamard_probes_match_the_per_column_parity(n):
+    # column l is the Walsh-Hadamard column drawn from probe l's child seed:
+    # entry i is (-1)^popcount(i & col) / sqrt(n_pad)
+    from homology_lab.spectra import _probe_matrix
+
+    n_v = 200
+    got, n_pad = _probe_matrix(n, n_v, "hadamard_column", seed=7)
+    assert n_pad == 1 << max(0, (n - 1).bit_length())
+    want = np.empty((n_pad, n_v))
+    for l, child in enumerate(np.random.SeedSequence(7).spawn(n_v)):
+        col = int(np.random.default_rng(child).integers(0, n_pad))
+        want[:, l] = [-1.0 if bin(i & col).count("1") % 2 else 1.0 for i in range(n_pad)]
+    assert np.array_equal(got, want / np.sqrt(n_pad))
+
+
+def _recurrence_reference(a, filt, n_v, probe_kind, seed):
+    """Mean over probes of sum_j c_j v^T T_j(2A - 1) v, with T_j v built by the
+    three-term recurrence one probe column at a time, on the padded dense B."""
+    from homology_lab.spectra import _probe_matrix
+
+    a = sp.csr_matrix(a).toarray()
+    n = a.shape[0]
+    v, n_pad = _probe_matrix(n, n_v, probe_kind, seed)
+    b = -np.eye(n_pad)
+    b[:n, :n] += 2.0 * a
+    per_probe = []
+    for x in v.T:
+        t_prev, t_cur = x, b @ x
+        total = filt.coeffs[0] * (x @ t_prev) + filt.coeffs[1] * (x @ t_cur)
+        for c in filt.coeffs[2:]:
+            t_prev, t_cur = t_cur, 2.0 * (b @ t_cur) - t_prev
+            total += c * (x @ t_cur)
+        per_probe.append(total * n_pad / n)
+    return float(np.mean(per_probe))
+
+
+def _spectrum_past_one(n=40):
+    """Symmetric matrix with top eigenvalue 1.05 that the norm guard passes:
+    the 1.05 direction is orthogonal to the power iteration's start vector,
+    so the guard sees 1.0, as when the rescaling underestimates the norm."""
+    rng = np.random.default_rng(4)
+    start = np.random.default_rng(0).standard_normal(n)  # power_iteration_bound's seed
+    q, _ = np.linalg.qr(np.column_stack([start, rng.standard_normal((n, n - 1))]))
+    eigs = np.concatenate([[1.0, 1.05], rng.uniform(0.1, 1.0, n // 2 - 2), np.zeros(n - n // 2)])
+    a = (q * eigs) @ q.T
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
+@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+@pytest.mark.parametrize("spectrum", ["unit", "past_one"])
+def test_stochastic_rank_matches_the_three_term_recurrence(degree, probe_kind, fmt, spectrum):
+    # the doubling identities give the same forms v^T T_j v as the recurrence,
+    # also where T_j grows because the spectrum leaves [0, 1]
+    from homology_lab.spectra import power_iteration_bound
+
+    if spectrum == "unit":
+        a, _ = _random_psd(np.random.default_rng(6), 40)
+    else:
+        a = _spectrum_past_one()
+        assert np.linalg.eigvalsh(a)[-1] == pytest.approx(1.05)
+        assert power_iteration_bound(a) <= 1.0 + 1e-6
+    filt = chebyshev_filter(0.05, degree)
+    got = stochastic_rank(a if fmt == "dense" else sp.csr_matrix(a), filt, n_v=12,
+                          probe_kind=probe_kind, seed=2)
+    want = _recurrence_reference(a, filt, 12, probe_kind, 2)
+    assert got.raw == pytest.approx(want, rel=1e-10)
+
+
+class _CountingOperator:
+    """Stands in for the operator ``_prepare`` returns; counts its products."""
+
+    def __init__(self, m, products):
+        self.m, self.products = m, products
+
+    def __matmul__(self, x):
+        self.products.append(x.shape)
+        return self.m @ x
+
+    def __mul__(self, scalar):
+        return _CountingOperator(self.m * scalar, self.products)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
+def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
+    from homology_lab import spectra
+
+    products = []
+    prepare = spectra._prepare
+
+    def counting(*args):
+        b, v, n, n_pad = prepare(*args)
+        return _CountingOperator(b, products), v, n, n_pad
+
+    monkeypatch.setattr(spectra, "_prepare", counting)
+    stochastic_rank(np.diag([0.9] * 8 + [0.0] * 8), chebyshev_filter(0.05, degree),
+                    n_v=8, seed=0)
+    assert len(products) == -(-degree // 2)  # ceil(m / 2)
+
+
 @pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
 @pytest.mark.parametrize("estimator", [stochastic_rank, power_moments_rank])
 def test_estimate_is_the_same_for_dense_and_csr_input(estimator, probe_kind):
