@@ -160,9 +160,7 @@ def _cmd_test_equiv(args) -> dict:
                "confidence": "high" if not verdict.equivalent else "probabilistic",
                "witnesses_used": verdict.witnesses_used}
         if args.dump_witness and verdict.witness is not None:
-            Path(args.dump_witness).write_text(
-                json.dumps([float(x) for x in verdict.witness.values])
-            )
+            Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
         return out
     v = test_equivalent(k, c1, c2, mode=args.mode, params=_params(args))
     return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}

@@ -1,9 +1,10 @@
 """Cochains, cocycle construction, and the functional homology-equivalence test.
 
-A cocycle evaluates homologous cycles identically, so random cocycle
-witnesses can separate homology classes: any witness disagreeing on two
-cycles certifies they are inequivalent, while agreement across witnesses is
-probabilistic evidence of equivalence.
+Two cycles are homologous exactly when every cocycle agrees on them.  The
+witnesses here are random small-integer combinations of an exact integer
+cocycle basis, evaluated in rational arithmetic: a witness that tells two
+cycles apart certifies that they are inequivalent, while one that does not
+has missed a difference with probability at most 1/5 (Schwartz-Zippel).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from . import exact
 from .complexes import Chain, SimplicialComplex
 from .errors import (
+    BadParameter,
     ConstructionFailed,
     DimensionMismatch,
     EmptyLayer,
@@ -23,10 +25,8 @@ from .errors import (
     NotFound,
     TrivialCocycleSpace,
 )
-from .homology import is_cycle_exact
+from .homology import _random_combinations, is_cycle_exact
 from .operators import PINV_RTOL, boundary_matrix
-
-COCYCLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,12 @@ class Cochain:
     """Linear functional on one chain layer, stored densely.
 
     ``cocycle`` marks functionals verified (or constructed) to vanish under
-    the coboundary map; ``degenerate`` marks a projection that collapsed
-    because the input lay almost entirely outside the cocycle space.
+    the coboundary map.
     """
 
     r: int
     values: np.ndarray
     cocycle: bool = False
-    degenerate: bool = False
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -85,27 +83,29 @@ def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain,
     return Cochain(r=r, values=projected, cocycle=True)
 
 
-def random_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
-    """Unit-norm cocycle from a projected Gaussian cochain.
-
-    Raises :class:`TrivialCocycleSpace` when the coboundary map has no
-    kernel; flags the result degenerate when the projection norm collapses
-    below 1e-6.
-    """
-    n = k.size(r)
-    if n == 0:
+def cocycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
+    """Exact sparse integer basis of the r-cocycles, ker of the transposed
+    (r+1)-boundary (all of C^r when there is no (r+1)-layer); raises
+    :class:`TrivialCocycleSpace` when it is empty."""
+    if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    if k.size(r + 1) > 0:
-        if n - exact.rank(boundary_matrix(k, r + 1).entries) == 0:
-            raise TrivialCocycleSpace(f"the degree-{r} cocycle space is zero")
-    rng = np.random.default_rng(seed)
-    w = Cochain(r=r, values=rng.standard_normal(n))
-    w = Cochain(r=r, values=w.values / np.linalg.norm(w.values))
-    proj = project_to_cocycle(k, r, w)
-    norm = proj.norm()
-    if norm < 1e-6:
-        return Cochain(r=r, values=proj.values, cocycle=True, degenerate=True)
-    return Cochain(r=r, values=proj.values / norm, cocycle=True)
+    if k.size(r + 1) == 0:
+        return [{j: 1} for j in range(k.size(r))]
+    basis = exact.reduce_columns(boundary_matrix(k, r + 1).entries.T, track=True).kernel
+    if not basis:
+        raise TrivialCocycleSpace(f"the degree-{r} cocycle space is zero")
+    return basis
+
+
+def random_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
+    """Unit-norm cocycle: one random small-integer combination of the exact
+    cocycle basis, scaled to unit norm.
+
+    Raises :class:`TrivialCocycleSpace` when the coboundary map has no kernel.
+    """
+    w = next(_random_combinations(cocycle_basis(k, r), np.random.default_rng(seed)))
+    values = np.array([w.get(i, 0) for i in range(k.size(r))], dtype=float)
+    return Cochain(r=r, values=values / np.linalg.norm(values), cocycle=True)
 
 
 def manual_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
@@ -181,8 +181,9 @@ def pair_cocycle(k: SimplicialComplex, r: int) -> Cochain:
 
 @dataclass(frozen=True)
 class CohomologyVerdict:
-    """``equivalent`` is one-sided: a distinguishing witness certifies
-    inequivalence up to tolerance, while agreement may err."""
+    """``equivalent`` is one-sided: ``witness``, an integer cocycle with
+    different exact values on the two cycles, certifies inequivalence, while
+    agreement on k witnesses is wrong with probability at most 5^-k."""
 
     equivalent: bool
     witness: Cochain | None
@@ -190,30 +191,32 @@ class CohomologyVerdict:
 
 
 def test_equivalent_cohomological(k: SimplicialComplex, c1: Chain, c2: Chain,
-                                  witnesses: int = 8, tol: float = COCYCLE_TOL,
-                                  seed=None) -> CohomologyVerdict:
-    """Probe homology equivalence with random cocycle functionals.
+                                  witnesses: int = 8, seed=None) -> CohomologyVerdict:
+    """Probe homology equivalence with exact integer cocycle witnesses.
 
-    Any witness whose evaluations on the two cycles differ by more than
-    tol * (1 + ||c1|| + ||c2||) separates the classes.  A trivial cocycle
-    space distinguishes nothing and reads as equivalent.
+    Reduces the transposed (r+1)-boundary once for a cocycle basis, then
+    draws up to ``witnesses`` combinations of it from one generator and
+    evaluates each on c1 - c2 in rational arithmetic.  The first nonzero
+    value separates the classes.  A trivial cocycle space distinguishes
+    nothing and reads as equivalent.
     """
+    if witnesses < 1:
+        raise BadParameter("need at least one witness")
     if c1.r != c2.r:
         raise DimensionMismatch("cycle dimensions differ")
     for c in (c1, c2):
         if not is_cycle_exact(k, c):
             raise NotACycle("input chain has nonzero boundary")
-    scale = tol * (1.0 + c1.norm() + c2.norm())
-    children = np.random.SeedSequence(seed).spawn(witnesses)
-    used = 0
-    for child in children:
-        try:
-            w = random_cocycle(k, c1.r, seed=child)
-        except TrivialCocycleSpace:
-            return CohomologyVerdict(equivalent=True, witness=None, witnesses_used=used)
-        if w.degenerate:
-            continue
-        used += 1
-        if abs(evaluate(k, w, c1) - evaluate(k, w, c2)) > scale:
-            return CohomologyVerdict(equivalent=False, witness=w, witnesses_used=used)
-    return CohomologyVerdict(equivalent=True, witness=None, witnesses_used=used)
+    try:
+        basis = cocycle_basis(k, c1.r)
+    except TrivialCocycleSpace:
+        return CohomologyVerdict(equivalent=True, witness=None, witnesses_used=0)
+    diff = (c1 - c2).coeffs
+    draws = _random_combinations(basis, np.random.default_rng(seed))
+    for used in range(1, witnesses + 1):
+        w = next(draws)
+        if sum(w.get(i - 1, 0) * x for i, x in diff.items()):
+            values = np.array([w.get(i, 0) for i in range(k.size(c1.r))])
+            witness = Cochain(r=c1.r, values=values, cocycle=True)
+            return CohomologyVerdict(equivalent=False, witness=witness, witnesses_used=used)
+    return CohomologyVerdict(equivalent=True, witness=None, witnesses_used=witnesses)

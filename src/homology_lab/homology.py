@@ -239,6 +239,19 @@ def track_classes(stages, cycles, mode: str = "exact",
     return ClassReport(kind=kind, stages=tuple(verdicts))
 
 
+def _random_combinations(basis: list[exact.Vector], rng):
+    """Endless index-sorted combinations of independent sparse integer
+    vectors, coefficients uniform in [-2, 2]; an all-zero draw is skipped."""
+    while True:
+        vec: dict[int, int] = {}
+        for a, b in zip(rng.integers(-2, 3, size=len(basis)).tolist(), basis):
+            for i, x in b.items():
+                vec[i] = vec.get(i, 0) + a * x
+        vec = {i: v for i, v in sorted(vec.items()) if v}
+        if vec:
+            yield vec
+
+
 def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain]:
     """Random small-integer combinations of an exact kernel basis.
 
@@ -255,47 +268,31 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
     basis = cycle_basis(k, r)
     if not basis:
         raise TrivialKernel(f"the dimension-{r} boundary map has no kernel")
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < s:
-        coeffs = rng.integers(-2, 3, size=len(basis))
-        if not np.any(coeffs):
-            continue
-        vec: dict[int, int] = {}
-        for a, b in zip(coeffs.tolist(), basis):
-            for i, x in b.items():
-                vec[i] = vec.get(i, 0) + a * x
-        chain = Chain.make(r, {i + 1: v for i, v in sorted(vec.items()) if v})
-        if chain.is_zero():
-            continue
-        out.append(chain)
-    return out
+    draws = _random_combinations(basis, np.random.default_rng(seed))
+    return [Chain.make(r, {i + 1: v for i, v in next(draws).items()}) for _ in range(s)]
 
 
 def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact",
                        params: EstimatorParams | None = None) -> int:
-    """Betti lower bound from sampled cycles.
+    """Betti lower bound from sampled cycles: the rank of the cycles modulo
+    the boundary space B.
 
-    Deduplicates the cycles by homology equivalence, drops the trivial class
-    (it contributes nothing to the Betti number), stacks one representative
-    per class into a matrix, and returns the rank of that matrix modulo
-    boundaries.  Nontrivial, pairwise non-homologous representatives can
-    still differ by boundary directions, so the plain chain-space rank would
-    overcount; ranking relative to the boundary image counts independent
-    classes and keeps the result a true lower bound on the Betti number.
-    First-seen representatives win, so the result is deterministic in the
-    input order.
+    Exactly: one reduction of the (r+1)-boundary, extended by every cycle;
+    the rank increases count dim(B + span(cycles)) - dim B.  Stochastically:
+    the cycles are first deduplicated by homology equivalence, with the
+    trivial class dropped and first-seen representatives winning, and the
+    estimated ranks of the boundary with and without the representatives
+    are compared.  Ranking relative to B, not in the chain space, keeps the
+    result a true lower bound on the Betti number.
     """
-    cycles = list(cycles)
     reps: list[Chain] = []
     for c in cycles:
         _check_chain(k, c)
         _require_cycle(k, c)
         if c.r != r:
             raise DimensionMismatch("cycle dimension differs from requested r")
-        if test_trivial(k, c, mode=mode, params=params).answer:
-            continue
-        if any(test_equivalent(k, c, rep, mode=mode, params=params).answer for rep in reps):
+        if mode != "exact" and (test_trivial(k, c, mode=mode, params=params).answer or any(
+                test_equivalent(k, c, rep, mode=mode, params=params).answer for rep in reps)):
             continue
         reps.append(c)
     if not reps:
@@ -303,7 +300,6 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
     augmented = _augmented(k, *reps)
     d = augmented[:-len(reps)]
     if mode == "exact":
-        # the representatives that extend the reduction of the boundary
         boundary = exact.reduce_columns(d)
         return sum(boundary.add(v) for v in augmented[len(d):])
     params = params or EstimatorParams()

@@ -16,10 +16,13 @@ from homology_lab import (
     project_to_cocycle,
     random_cocycle,
     sample_cycles,
+    vietoris_rips,
 )
+from homology_lab import exact
 from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab.errors import (
+    BadParameter,
     ConstructionFailed,
     DimensionMismatch,
     EmptyLayer,
@@ -214,6 +217,77 @@ def test_cohomological_rejects_non_cycle(filled_square):
     good = Chain.from_simplices(filled_square, [([0, 1], 1), ([1, 2], 1), ([0, 2], -1)])
     with pytest.raises(NotACycle):
         check_cohomological(filled_square, bad, good)
+
+
+def test_cohomological_needs_a_witness(two_hollow_triangles):
+    k = two_hollow_triangles
+    a = Chain.from_simplices(k, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
+    b = Chain.from_simplices(k, [([4, 5], 1), ([3, 5], -1), ([3, 4], 1)])
+    for witnesses in (0, -1):
+        with pytest.raises(BadParameter):
+            check_cohomological(k, a, b, witnesses=witnesses, seed=0)
+
+
+def two_rings(seed):
+    """Rips complex of 25-40 jittered points on two disjoint unit circles (beta_1 = 2)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(25, 41))
+    m = n // 2
+    angles = np.r_[np.linspace(0, 2 * np.pi, m, endpoint=False),
+                   np.linspace(0, 2 * np.pi, n - m, endpoint=False)] + rng.uniform(-0.1, 0.1, n)
+    radii = 1 + rng.uniform(-0.05, 0.05, n)
+    centres = np.where(np.arange(n) < m, 0.0, 3.0)
+    points = np.c_[centres + radii * np.cos(angles), radii * np.sin(angles)]
+    return vietoris_rips(points.tolist(), threshold=0.8, max_dim=2)
+
+
+def plus_boundary(k, c, rng):
+    """c plus the boundary of a random integer 2-chain: a homologous cycle."""
+    d = boundary_matrix(k, 2).toarray() @ rng.integers(-2, 3, size=k.size(2))
+    return c - Chain.make(1, {i + 1: -int(x) for i, x in enumerate(d)})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cohomological_matches_exact_on_two_rings(seed):
+    k = two_rings(seed)
+    rng = np.random.default_rng(seed)
+    c1, c2 = sample_cycles(k, 1, s=2, seed=seed)
+    pairs = [(c1, c2), (c1, plus_boundary(k, c1, rng)), (c2, plus_boundary(k, c1, rng))]
+    assert check_equivalent(k, *pairs[1], mode="exact").answer
+    delta = coboundary_matrix(k, 1)
+    for a, b in pairs:
+        want = check_equivalent(k, a, b, mode="exact").answer
+        verdict = check_cohomological(k, a, b, witnesses=8, seed=seed)
+        assert verdict.equivalent == want
+        if not verdict.equivalent:
+            # the witness is an exact integer cocycle that tells the cycles apart
+            w = verdict.witness
+            assert np.issubdtype(w.values.dtype, np.integer)
+            assert not (delta @ w.values).any()
+            assert sum(int(w.values[i - 1]) * x for i, x in (a - b).coeffs.items()) != 0
+
+
+def test_cohomological_query_reduces_once_without_pinv_or_rank(monkeypatch):
+    k = two_rings(0)
+    c1, c2 = sample_cycles(k, 1, s=2, seed=0)
+    calls = {"reduce_columns": 0, "rank": 0, "pinv": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(exact, "reduce_columns")
+    counted(exact, "rank")
+    counted(np.linalg, "pinv")
+    assert not check_cohomological(k, c1, c2, witnesses=8, seed=0).equivalent
+    assert calls == {"reduce_columns": 1, "rank": 0, "pinv": 0}
+    random_cocycle(k, 1, seed=0)
+    assert calls == {"reduce_columns": 2, "rank": 0, "pinv": 0}
 
 
 # --- structural invariants ----------------------------------------------------------------

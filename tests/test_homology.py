@@ -285,6 +285,24 @@ def test_betti_via_tracking_bounded_despite_boundary_directions():
         assert got <= exact_betti(k, 1) == 2
 
 
+def test_betti_via_tracking_reduces_the_boundary_once(monkeypatch):
+    from homology_lab import exact
+
+    k = generate("torus")
+    cycles = sample_cycles(k, 1, s=10, seed=3)
+    assert exact_betti(k, 1) == 2
+    reductions = []
+    real = exact.reduce_columns
+
+    def counted(*args, **kwargs):
+        reductions.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "reduce_columns", counted)
+    assert betti_via_tracking(k, 1, cycles, mode="exact") == 2
+    assert len(reductions) == 1
+
+
 def test_betti_via_tracking_reaches_betti_on_canonical_generators():
     cases = [
         (generate("hollow_triangle"), 1),

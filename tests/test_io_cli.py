@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homology_lab import Chain, build_complex, generate
+from homology_lab import Chain, build_complex, coboundary_matrix, generate
 from homology_lab.cli import emit_plot_data, run
 from homology_lab.errors import BadParameter, MissingFace
 from homology_lab.io import (
@@ -258,21 +258,41 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_dump_witness(tmp_path, capsys):
-    k = build_complex([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]], autoclose=True)
-    save_complex(k, tmp_path / "k.jsonl")
-    a = Chain.make(1, {1: 1, 2: -1, 3: 1})
-    b = Chain.make(1, {4: 1, 5: -1, 6: 1})
-    save_chain(a, tmp_path / "a.json")
-    save_chain(b, tmp_path / "b.json")
-    witness_path = tmp_path / "witness.json"
-    code, out, _ = run_cli(
-        capsys, "test-equiv", "--input", str(tmp_path / "k.jsonl"),
-        "--chain", str(tmp_path / "a.json"), "--chain2", str(tmp_path / "b.json"),
-        "--method", "cohomology", "--seed", "1", "--dump-witness", str(witness_path),
-    )
-    assert code == 0
-    assert json.loads(out)["answer"] is False
-    assert len(json.loads(witness_path.read_text())) == k.size(1)
+    rings = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
+    # the second complex glues a filled triangle onto the first loop, so the
+    # cocycle condition constrains the witness
+    for simplices in (rings, rings + [[0, 1, 6]]):
+        k = build_complex(simplices, autoclose=True)
+        save_complex(k, tmp_path / "k.jsonl")
+        a = Chain.from_simplices(k, [([0, 1], 1), ([0, 2], -1), ([1, 2], 1)])
+        b = Chain.from_simplices(k, [([3, 4], 1), ([3, 5], -1), ([4, 5], 1)])
+        save_chain(a, tmp_path / "a.json")
+        save_chain(b, tmp_path / "b.json")
+        witness_path = tmp_path / "witness.json"
+        code, out, _ = run_cli(
+            capsys, "test-equiv", "--input", str(tmp_path / "k.jsonl"),
+            "--chain", str(tmp_path / "a.json"), "--chain2", str(tmp_path / "b.json"),
+            "--method", "cohomology", "--seed", "1", "--dump-witness", str(witness_path),
+        )
+        assert code == 0
+        assert json.loads(out)["answer"] is False
+        witness = json.loads(witness_path.read_text())
+        assert len(witness) == k.size(1)
+        # an exact integer cocycle
+        assert all(type(x) is int for x in witness)
+        if k.size(2):
+            assert not (coboundary_matrix(k, 1) @ np.array(witness)).any()
+
+
+@pytest.mark.parametrize("witnesses", ["0", "-1"])
+def test_cli_cohomology_rejects_fewer_than_one_witness(replay_files, capsys, monkeypatch,
+                                                       witnesses):
+    monkeypatch.chdir(replay_files)
+    code, out, err = run_cli(capsys, "test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
+                             "--chain2", "b.json", "--method", "cohomology",
+                             "--witnesses", witnesses)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameter"
 
 
 # --- plot data -----------------------------------------------------------------------
