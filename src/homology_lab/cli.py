@@ -45,6 +45,8 @@ from .spectra import (
     exact_persistent_betti,
 )
 
+WITNESSES = 8  # default number of cocycle witnesses of a cohomological test-equiv
+
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
@@ -154,6 +156,8 @@ def _cmd_test_equiv(args) -> dict:
     c1 = files.load_chain(args.chain)
     c2 = files.load_chain(args.chain2)
     if args.method == "cohomology":
+        if args.mode != "exact" or _params(args) != EstimatorParams(seed=args.seed):
+            raise InputError("--method cohomology takes no estimator flags (--mode, --delta, ...)")
         verdict = test_equivalent_cohomological(k, c1, c2, witnesses=args.witnesses,
                                                 seed=args.seed)
         out = {"answer": verdict.equivalent, "method": "cohomology",
@@ -162,6 +166,8 @@ def _cmd_test_equiv(args) -> dict:
         if args.dump_witness and verdict.witness is not None:
             Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
         return out
+    if args.witnesses != WITNESSES or args.dump_witness:
+        raise InputError("--witnesses and --dump-witness belong to --method cohomology")
     v = test_equivalent(k, c1, c2, mode=args.mode, params=_params(args))
     return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}
 
@@ -210,7 +216,7 @@ def _cmd_gen(args) -> dict:
     k = generate(args.kind, seed=args.seed, **kwargs)
     files.save_complex(k, args.out)
     return {"kind": args.kind, "out": args.out,
-            "sizes": {str(r): k.size(r) for r in sorted(k.layers)}}
+            "sizes": {str(r): k.size(r) for r in range(k.dim() + 1)}}
 
 
 def _cmd_dump_operator(args) -> dict:
@@ -265,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     p.add_argument("--chain2", required=True)
     p.add_argument("--method", choices=["homology", "cohomology"], default="homology")
-    p.add_argument("--witnesses", type=int, default=8)
+    p.add_argument("--witnesses", type=int, default=WITNESSES)
     p.add_argument("--dump-witness")
 
     p = add("detect-cycle", "is a chain a cycle? (one-sided test)", seeded)

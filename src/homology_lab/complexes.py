@@ -1,20 +1,25 @@
 """Simplicial complexes, their incidence descriptions, and filtration pairs.
 
-A simplex is a strictly increasing tuple of non-negative vertex ids.  A
-complex stores one ordered layer of simplices per dimension and guarantees
-face closure: every face of a stored simplex is stored one layer below.
-Simplices carry 1-based per-layer indices; all matrix-facing code in the
-package addresses simplices through these indices.
+A simplex is a strictly increasing tuple of non-negative integer vertex ids.
+A complex stores each layer as an (|S_r|, r+1) int64 array of vertex rows in
+the caller's order, and guarantees face closure: every face of a stored
+simplex is stored one layer below.  Simplices carry 1-based per-layer
+indices; all matrix-facing code in the package addresses simplices through
+these indices.  Closure, face lookup and filtration reordering sort and search
+order-preserving int64 row keys (base-n digits, or ranks where n^(r+1) overflows).
 
 Complexes are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     BadParameter,
@@ -40,58 +45,76 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def simplex_faces(s: Simplex) -> list[Simplex]:
-    """All (dim-1)-faces of ``s``, ordered by omitted-vertex position."""
-    return [s[:i] + s[i + 1 :] for i in range(len(s))]
+def _keys(n: int, *blocks: np.ndarray) -> list[np.ndarray]:
+    """Order-preserving int64 keys of equal-width rows in 0..n-1, shared by all ``blocks``."""
+    width = blocks[0].shape[1]
+    if n**width < 2**63:
+        digits = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        return [b @ digits for b in blocks]
+    _, ranks = np.unique(np.concatenate(blocks), axis=0, return_inverse=True)
+    return np.split(ranks.ravel(), np.cumsum([len(b) for b in blocks])[:-1])
 
 
-@dataclass(frozen=True)
+def _faces(rows: np.ndarray) -> np.ndarray:
+    """The faces of each row, in row order and then by omitted position."""
+    w = rows.shape[1]
+    return rows[:, np.nonzero(~np.eye(w, dtype=bool))[1]].reshape(-1, w - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Face-closed complex with ordered, 1-indexed simplex layers."""
 
     n: int
-    layers: Mapping[int, tuple[Simplex, ...]]
-    _index: Mapping[tuple[int, Simplex], int] = field(repr=False)
+    _rows: Mapping[int, np.ndarray]  # r -> (|S_r|, r+1) int64 rows, ascending r, none empty
+
+    def __post_init__(self):
+        for rows in self._rows.values():
+            rows.flags.writeable = False
+
+    @property
+    def layers(self) -> dict[int, tuple[Simplex, ...]]:
+        return {r: self.layer(r) for r in self._rows}
 
     def dim(self) -> int:
-        dims = [r for r, layer in self.layers.items() if layer]
-        return max(dims) if dims else -1
+        return max(self._rows, default=-1)
 
     def layer(self, r: int) -> tuple[Simplex, ...]:
-        return self.layers.get(r, ())
+        return tuple(map(tuple, self._rows[r].tolist())) if r in self._rows else ()
 
     def size(self, r: int) -> int:
-        return len(self.layer(r))
+        return len(self._rows[r]) if r in self._rows else 0
 
     def index_of(self, r: int, s: Simplex) -> int:
         """1-based index of ``s`` in layer ``r`` (KeyError if absent)."""
-        return self._index[(r, s)]
+        if len(s) != r + 1 or (i := int(self._find(r, [s])[0])) < 0:
+            raise KeyError((r, s))
+        return i + 1
 
     def contains(self, s: Simplex) -> bool:
-        return (len(s) - 1, s) in self._index
+        return bool(self._find(len(s) - 1, [s])[0] >= 0)
+
+    def _find(self, r: int, queries) -> np.ndarray:
+        """0-based positions of the vertex rows ``queries`` in layer r, -1 where absent."""
+        q = np.asarray(queries)
+        if r not in self._rows or q.dtype.kind not in "iu":
+            return np.full(len(q), -1)
+        ok = ((q >= 0) & (q < self.n)).all(axis=1)
+        table, keys = _keys(self.n, self._rows[r], np.where(ok[:, None], q, 0).astype(np.int64))
+        order = np.argsort(table)
+        pos = order[np.searchsorted(table, keys, sorter=order).clip(max=len(table) - 1)]
+        return np.where(ok & (table[pos] == keys), pos, -1)
 
     def simplices(self) -> list[Simplex]:
         """All simplices, layers ascending, layer order preserved."""
-        out: list[Simplex] = []
-        for r in sorted(self.layers):
-            out.extend(self.layers[r])
-        return out
+        return list(chain.from_iterable(self.layers.values()))
 
     def total_size(self) -> int:
-        return sum(len(layer) for layer in self.layers.values())
-
-
-def _make_complex(n: int, layers: dict[int, list[Simplex]]) -> SimplicialComplex:
-    frozen = {r: tuple(layer) for r, layer in layers.items() if layer}
-    index: dict[tuple[int, Simplex], int] = {}
-    for r, layer in frozen.items():
-        for i, s in enumerate(layer, start=1):
-            index[(r, s)] = i
-    return SimplicialComplex(n=n, layers=frozen, _index=index)
+        return sum(map(len, self._rows.values()))
 
 
 def build_complex(simplices: Iterable[Iterable[int]], autoclose: bool = True) -> SimplicialComplex:
-    """Assemble a complex from a simplex list.
+    """Assemble a complex from a simplex list of integer vertex ids.
 
     Explicitly listed simplices keep their input order within each layer.
     With ``autoclose`` enabled, missing faces are appended after them in
@@ -101,34 +124,40 @@ def build_complex(simplices: Iterable[Iterable[int]], autoclose: bool = True) ->
     Raises :class:`DuplicateSimplex` on repeated input, :class:`EmptyInput`
     on an empty list.
     """
-    listed: dict[int, list[Simplex]] = {}
-    seen: set[Simplex] = set()
-    for raw in simplices:
-        s = as_simplex(raw)
-        if s in seen:
-            raise DuplicateSimplex(f"simplex {s} listed twice")
-        seen.add(s)
-        listed.setdefault(len(s) - 1, []).append(s)
-    if not seen:
+    seqs = list(map(tuple, simplices))
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
+    if not len(lengths):
         raise EmptyInput("no simplices given")
+    if lengths.min() == 0:
+        raise BadParameter("a simplex needs at least one vertex")
+    n = int(flat.max()) + 1
+    starts = np.cumsum(lengths) - lengths
+    layers, repeats = {}, []
+    for w in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = np.flatnonzero(lengths == w)
+        rows = np.sort(flat[starts[at, None] + np.arange(w)], axis=1)
+        bad = (rows[:, 0] < 0) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if bad.any():
+            raise BadParameter(f"negative or repeated vertex in {tuple(rows[bad][0].tolist())}")
+        keys = _keys(n, rows)[0]
+        order = np.argsort(keys, kind="stable")
+        for i in np.sort(order[1:][np.diff(keys[order]) == 0])[:1]:  # the layer's first repeat
+            repeats.append((at[i], tuple(rows[i].tolist())))
+        layers[w - 1] = rows
+    if repeats:
+        raise DuplicateSimplex(f"simplex {min(repeats)[1]} listed twice")
 
-    max_dim = max(listed)
-    layers: dict[int, list[Simplex]] = {r: list(listed.get(r, [])) for r in range(max_dim + 1)}
-    present: set[Simplex] = set(seen)
-    for r in range(max_dim, 0, -1):
-        missing: set[Simplex] = set()
-        for s in layers[r]:
-            for f in simplex_faces(s):
-                if f not in present:
-                    missing.add(f)
-        if missing and not autoclose:
-            raise MissingFace(f"face {min(missing)} required but not listed")
-        for f in sorted(missing):
-            layers[r - 1].append(f)
-            present.add(f)
-
-    n = max(s[-1] for s in present) + 1
-    return _make_complex(n, layers)
+    layers = {r: layers.get(r, np.empty((0, r + 1), dtype=np.int64)) for r in range(max(layers) + 1)}
+    for r in range(len(layers) - 1, 0, -1):
+        faces = _faces(layers[r])
+        face_keys, present = _keys(n, faces, layers[r - 1])
+        absent = ~np.isin(face_keys, present)
+        missing = faces[absent][np.unique(face_keys[absent], return_index=True)[1]]
+        if len(missing) and not autoclose:
+            raise MissingFace(f"face {tuple(missing[0].tolist())} required but not listed")
+        layers[r - 1] = np.concatenate([layers[r - 1], missing])
+    return SimplicialComplex(n, layers)
 
 
 @dataclass(frozen=True)
@@ -147,22 +176,23 @@ class SpecMatrix:
         return self.entries.shape
 
 
+def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
+    """CSC matrix between layers r-1 and r, with ``signs[i]`` at the face of each
+    r-simplex that omits its i-th vertex; row indices sorted in each column."""
+    where = k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1)
+    order = np.argsort(where, axis=1)
+    return sp.csc_matrix((signs[order].ravel(), np.take_along_axis(where, order, axis=1).ravel(),
+                          np.arange(0, where.size + 1, r + 1)),
+                         shape=(k.size(r - 1), k.size(r)))
+
+
 def spec_matrix(k: SimplicialComplex, r: int) -> SpecMatrix:
     """Face-incidence matrix between layers r-1 and r."""
-    import scipy.sparse as sp
-
     if r < 1:
         raise BadParameter("incidence matrices start at dimension 1")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(k.layer(r)):
-        for f in simplex_faces(s):
-            rows.append(k.index_of(r - 1, f) - 1)
-            cols.append(j)
-            vals.append(1)
-    m = sp.csc_matrix((vals, (rows, cols)), shape=(k.size(r - 1), k.size(r)), dtype=int)
-    return SpecMatrix(r=r, entries=m)
+    return SpecMatrix(r=r, entries=_incidence(k, r, np.ones(r + 1, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -184,19 +214,16 @@ class FiltrationPair:
 
 def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> FiltrationPair:
     """Check k1 <= k2 and reorder k2 so k1's simplices form each layer prefix."""
-    for r in sorted(k1.layers):
-        for s in k1.layer(r):
-            if not k2.contains(s):
-                raise NotASubcomplex(s)
-
-    layers: dict[int, list[Simplex]] = {}
-    for r in sorted(k2.layers):
-        old = list(k1.layer(r))
-        in_k1 = set(old)
-        layers[r] = old + [s for s in k2.layer(r) if s not in in_k1]
-    reordered = _make_complex(k2.n, layers)
-    embed = {r: tuple(range(1, k1.size(r) + 1)) for r in sorted(k1.layers)}
-    return FiltrationPair(k1=k1, k2=reordered, embed=embed)
+    layers = dict(k2._rows)
+    for r, rows in k1._rows.items():
+        where = k2._find(r, rows)
+        if (where < 0).any():
+            raise NotASubcomplex(rows[np.argmax(where < 0)].tolist())
+        new = np.ones(len(layers[r]), dtype=bool)
+        new[where] = False
+        layers[r] = np.concatenate([rows, layers[r][new]])
+    embed = {r: tuple(range(1, len(rows) + 1)) for r, rows in k1._rows.items()}
+    return FiltrationPair(k1=k1, k2=SimplicialComplex(k2.n, layers), embed=embed)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +299,6 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
     Every clique of at most max_dim+1 points whose pairwise Euclidean
     distances are all < threshold becomes a simplex.
     """
-    import numpy as np
-
     if max_dim < 0 or max_dim > 3:
         raise BadParameter("max_dim must be between 0 and 3 at desk scale")
     if threshold <= 0:
@@ -283,22 +308,17 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
         raise BadParameter("points must be a nonempty 2-d array")
     n = pts.shape[0]
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    close = d2 < threshold**2
+    later = np.triu(d2 < threshold**2, 1)  # later[u, v]: v > u and the edge uv is short
 
-    simplices: list[Simplex] = [(i,) for i in range(n)]
-    cliques: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    for _ in range(max_dim):
-        nxt = []
-        for cl in cliques:
-            last = cl[-1]
-            for v in range(last + 1, n):
-                if all(close[u, v] for u in cl):
-                    nxt.append(cl + (v,))
-        simplices.extend(nxt)
-        cliques = nxt
-        if not cliques:
+    # An r-clique extends by the later vertices adjacent to all its members;
+    # listing each clique's extensions in turn keeps every layer lexicographic.
+    layers = {0: np.arange(n, dtype=np.int64)[:, None]}
+    for r in range(1, max_dim + 1):
+        parent, v = np.nonzero(np.logical_and.reduce(later[layers[r - 1]], axis=1))
+        if not len(v):
             break
-    return build_complex(simplices, autoclose=True)
+        layers[r] = np.column_stack([layers[r - 1][parent], v])
+    return SimplicialComplex(n, layers)
 
 
 def generate(kind: str, *, m: int | None = None,

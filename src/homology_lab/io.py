@@ -2,15 +2,17 @@
 MatrixMarket operator dumps.
 
 A complex file starts with a header object ``{"n": <int>, "vertex_map":
-optional}`` followed by one ``{"s": [v0, ..., vr]}`` object per simplex.
-Files are declarations of record, so loading never autocloses; sparse
-external vertex ids are remapped to dense ids through the header map.
+optional}`` followed by one ``{"s": [v0, ..., vr]}`` object per line, with
+integer vertex ids.  Files are declarations of record, so loading never
+autocloses; sparse external vertex ids are remapped to dense ids through the
+header map.  All simplex lines are parsed as one JSON array.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 from .complexes import Chain, FiltrationPair, SimplicialComplex, build_complex, validate_filtration
@@ -18,15 +20,15 @@ from .errors import BadParameter
 
 
 def save_complex(k: SimplicialComplex, path) -> None:
-    lines = [json.dumps({"n": k.n}, sort_keys=True)]
-    for s in k.simplices():
-        lines.append(json.dumps({"s": list(s)}))
-    Path(path).write_text("\n".join(lines) + "\n")
+    parts = [json.dumps({"n": k.n}, sort_keys=True) + "\n"]
+    for r, layer in k.layers.items():
+        line = '{"s": [' + ", ".join(["%d"] * (r + 1)) + ']}\n'
+        parts.append(line * len(layer) % tuple(chain.from_iterable(layer)))
+    Path(path).write_text("".join(parts))
 
 
 def load_complex(path) -> SimplicialComplex:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, Path(path).read_text().splitlines()))
     if not lines:
         raise BadParameter(f"{path}: empty complex file")
     header = json.loads(lines[0])
@@ -34,13 +36,17 @@ def load_complex(path) -> SimplicialComplex:
         raise BadParameter(f"{path}: header must carry a vertex count 'n'")
     n = int(header["n"])
     vertex_map = {int(kk): int(v) for kk, v in (header.get("vertex_map") or {}).items()}
-    simplices = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        verts = [vertex_map.get(v, v) for v in obj["s"]]
-        if any(v >= n for v in verts):
-            raise BadParameter(f"{path}: vertex id {max(verts)} outside 0..{n - 1}")
-        simplices.append(verts)
+    body = json.loads("[" + ",".join(lines[1:]) + "]")
+    objects = len(body) == len(lines) - 1 and set(map(type, body)) <= {dict}  # one per line
+    simplices = list(map(dict.get, body, repeat("s"))) if objects else [None]
+    verts = list(chain.from_iterable(simplices)) if set(map(type, simplices)) <= {list} else [None]
+    if not set(map(type, verts)) <= {int}:
+        raise BadParameter(f'{path}: every simplex line must be {{"s": [<integer vertex ids>]}}')
+    if vertex_map:  # vertex_map.get(v, v) for every vertex
+        simplices = list(map(list, map(map, repeat(vertex_map.get), simplices, simplices)))
+        verts = list(map(vertex_map.get, verts, verts))
+    if verts and not 0 <= min(verts) <= max(verts) < min(n, 2**63):
+        raise BadParameter(f"{path}: vertex ids must lie in 0..{n - 1}")
     return build_complex(simplices, autoclose=False)
 
 

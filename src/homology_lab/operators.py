@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import FiltrationPair, SimplicialComplex, simplex_faces, spec_matrix
+from .complexes import FiltrationPair, SimplicialComplex, _incidence
 from .errors import BadParameter, EmptyLayer, StructuralViolation
 
 PINV_RTOL = 1e-10  # singular values <= rtol * sigma_max are treated as zero
@@ -40,14 +40,7 @@ def boundary_matrix(k: SimplicialComplex, r: int) -> BoundaryMatrix:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(k.layer(r)):
-        for i, f in enumerate(simplex_faces(s)):
-            rows.append(k.index_of(r - 1, f) - 1)
-            cols.append(j)
-            vals.append(1 if i % 2 == 0 else -1)
-    m = sp.csc_matrix((vals, (rows, cols)), shape=(k.size(r - 1), k.size(r)), dtype=int)
-    return BoundaryMatrix(r=r, entries=m)
+    return BoundaryMatrix(r=r, entries=_incidence(k, r, (-1) ** np.arange(r + 1)))
 
 
 def coboundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:

@@ -3,16 +3,21 @@
 The oracles here deliberately avoid the library's elimination code: rank and
 solvability are recomputed with a plain Fraction Gauss-Jordan so that every
 DERIVED expectation in the suite is checked against a second implementation.
+The complex-handling references below are the per-simplex loop versions of
+the library's array code (closure, face lookup, Rips cliques, filtration
+reordering), kept so the array code can be compared against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from homology_lab import build_complex, generate
+from homology_lab.errors import BadParameter, DuplicateSimplex, EmptyInput, MissingFace, NotASubcomplex
 from homology_lab.operators import boundary_matrix
 
 
@@ -72,6 +77,86 @@ def oracle_betti(k, r) -> int:
     else:
         rank_up = oracle_rank(boundary_matrix(k, r + 1).toarray())
     return dim_kernel - rank_up
+
+
+# --- loop references for the array-backed complex code -----------------------
+
+def simplex_faces(s):
+    """All (dim-1)-faces of ``s``, ordered by omitted-vertex position."""
+    return [s[:i] + s[i + 1:] for i in range(len(s))]
+
+
+def reference_build(simplices, autoclose=True):
+    """(n, layers) of the complex ``build_complex`` builds, one simplex at a time."""
+    listed, seen = {}, set()
+    for raw in simplices:
+        s = tuple(sorted(int(v) for v in raw))
+        if not s:
+            raise BadParameter("a simplex needs at least one vertex")
+        if s[0] < 0:
+            raise BadParameter(f"negative vertex id in {s}")
+        if len(set(s)) != len(s):
+            raise BadParameter(f"repeated vertex in {s}")
+        if s in seen:
+            raise DuplicateSimplex(f"simplex {s} listed twice")
+        seen.add(s)
+        listed.setdefault(len(s) - 1, []).append(s)
+    if not seen:
+        raise EmptyInput("no simplices given")
+    layers = {r: list(listed.get(r, [])) for r in range(max(listed) + 1)}
+    present = set(seen)
+    for r in range(max(listed), 0, -1):
+        missing = {f for s in layers[r] for f in simplex_faces(s) if f not in present}
+        if missing and not autoclose:
+            raise MissingFace(f"face {min(missing)} required but not listed")
+        layers[r - 1] += sorted(missing)
+        present |= missing
+    return max(s[-1] for s in present) + 1, {r: tuple(v) for r, v in layers.items() if v}
+
+
+def reference_incidence(layers, r, signed):
+    """Boundary (``signed``) or face-incidence matrix by one dict lookup per face."""
+    import scipy.sparse as sp
+
+    index = {s: i for i, s in enumerate(layers[r - 1])}
+    rows, cols, vals = [], [], []
+    for j, s in enumerate(layers[r]):
+        for i, f in enumerate(simplex_faces(s)):
+            rows.append(index[f])
+            cols.append(j)
+            vals.append(-1 if signed and i % 2 else 1)
+    return sp.csc_matrix((vals, (rows, cols)), shape=(len(layers[r - 1]), len(layers[r])),
+                         dtype=int)
+
+
+def reference_rips(points, threshold, max_dim):
+    """Vietoris-Rips simplices, one clique check per candidate, in build order."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) < threshold**2
+    simplices = cliques = [(i,) for i in range(n)]
+    for _ in range(max_dim):
+        cliques = [cl + (v,) for cl in cliques for v in range(cl[-1] + 1, n)
+                   if all(close[u, v] for u in cl)]
+        simplices = simplices + cliques
+        if not cliques:
+            break
+    return simplices
+
+
+def reference_filtration_layers(k1, k2):
+    """k2's layers reordered so k1's simplices come first, by set membership."""
+    for r in sorted(k1.layers):
+        in_k2 = set(k2.layer(r))
+        for s in k1.layer(r):
+            if s not in in_k2:
+                raise NotASubcomplex(s)
+    layers = {}
+    for r in sorted(k2.layers):
+        old = k1.layer(r)
+        in_k1 = set(old)
+        layers[r] = old + tuple(s for s in k2.layer(r) if s not in in_k1)
+    return layers
 
 
 def random_point_cloud(rng, n_points, dim=2, spread=1.0):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import build_complex, generate, spec_matrix, validate_filtration
-from homology_lab.complexes import simplex_faces
+from homology_lab import boundary_matrix, build_complex, generate, spec_matrix, validate_filtration
 from homology_lab.errors import (
     BadParameter,
     DuplicateSimplex,
@@ -14,7 +13,15 @@ from homology_lab.errors import (
     NotASubcomplex,
 )
 
-from conftest import random_rips
+from conftest import (
+    random_point_cloud,
+    random_rips,
+    reference_build,
+    reference_filtration_layers,
+    reference_incidence,
+    reference_rips,
+    simplex_faces,
+)
 
 
 def test_build_hollow_triangle_counts():
@@ -186,3 +193,98 @@ def test_identity_filtration_property(seed):
     assert pair.k2.layers == k.layers
     for r, emb in pair.embed.items():
         assert emb == tuple(range(1, k.size(r) + 1))
+
+
+# --- array code against the loop references ---------------------------------------
+
+def assert_matches_reference(k, n, layers):
+    """Same vertex count, layers, indices and incidence matrices as the loop code."""
+    assert (k.n, k.layers) == (n, layers)
+    for r, layer in layers.items():
+        assert [k.index_of(r, s) for s in layer] == list(range(1, len(layer) + 1))
+        if r == 0:
+            continue
+        for got, want in ((boundary_matrix(k, r).entries, reference_incidence(layers, r, True)),
+                          (spec_matrix(k, r).entries, reference_incidence(layers, r, False))):
+            assert got.format == "csc" and got.has_sorted_indices
+            assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def assert_builds_like_reference(simplices, autoclose):
+    try:
+        want = reference_build(simplices, autoclose)
+    except (MissingFace, DuplicateSimplex) as exc:
+        with pytest.raises(type(exc)) as err:
+            build_complex(simplices, autoclose=autoclose)
+        assert str(err.value) == str(exc)  # names the same face or repeat
+        return
+    assert_matches_reference(build_complex(simplices, autoclose=autoclose), *want)
+
+
+@pytest.mark.parametrize("seed,n_points,threshold",
+                         [(0, 10, 0.5), (1, 40, 0.3), (2, 120, 0.15), (3, 200, 0.1)])
+@pytest.mark.parametrize("max_dim", range(4))
+def test_rips_matches_loop_reference(seed, n_points, threshold, max_dim):
+    pts = random_point_cloud(np.random.default_rng(seed), n_points)
+    k = generate("vietoris_rips", points=pts, threshold=threshold, max_dim=max_dim)
+    assert_matches_reference(k, *reference_build(reference_rips(pts, threshold, max_dim)))
+
+
+def shuffled_simplices(seed, keep=1.0, repeats=0, vertex=lambda v: v):
+    """A 3-dimensional Rips complex's simplices with vertex ids mapped by
+    ``vertex``, each vertex list permuted and the list shuffled; a ``keep``
+    share of the lower simplices is kept (all top ones are) and ``repeats``
+    random simplices are listed twice more."""
+    rng = np.random.default_rng(seed)
+    k = random_rips(seed, n_points=12, threshold=0.5, max_dim=3)
+    top = k.dim()
+    out = [[vertex(v) for v in rng.permutation(s).tolist()] for s in k.simplices()
+           if len(s) == top + 1 or rng.random() < keep]
+    out += [list(reversed(out[i])) for i in rng.integers(len(out), size=repeats)]
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("autoclose", [True, False])
+@pytest.mark.parametrize("keep,repeats", [(1.0, 0), (0.6, 0), (1.0, 3)])
+def test_build_matches_loop_reference_on_shuffled_input(seed, autoclose, keep, repeats):
+    assert_builds_like_reference(shuffled_simplices(seed, keep, repeats), autoclose)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("keep,repeats", [(1.0, 0), (0.6, 0), (1.0, 2)])
+def test_build_matches_loop_reference_beyond_int64_keys(seed, keep, repeats):
+    # vertex ids from 2^40 to 2^62: n^(r+1) overflows int64 from the edges up
+    simplices = shuffled_simplices(seed, keep, repeats, vertex=lambda v: 2**40 + v * 2**58)
+    assert_builds_like_reference(simplices, autoclose=True)
+    if not repeats:
+        k = build_complex(simplices)
+        assert k.n == max(map(max, simplices)) + 1
+        assert not k.contains((2**40 + 1, 2**40)) and not k.contains((-1, 2**40))
+        pair = validate_filtration(k, k)
+        assert pair.k2.layers == k.layers
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_filtration_reorder_matches_loop_reference(seed):
+    pts = random_point_cloud(np.random.default_rng(seed), 14)
+    k1, k2 = (generate("vietoris_rips", points=pts, threshold=t, max_dim=2) for t in (0.3, 0.5))
+    assert validate_filtration(k1, k2).k2.layers == reference_filtration_layers(k1, k2)
+    if k2.total_size() > k1.total_size():
+        with pytest.raises(NotASubcomplex) as err:
+            validate_filtration(k2, k1)
+        with pytest.raises(NotASubcomplex) as want:
+            reference_filtration_layers(k2, k1)
+        assert err.value.simplex == want.value.simplex
+
+
+def test_lookup_rejects_absent_unsorted_and_out_of_range_rows(filled_square):
+    assert filled_square.index_of(1, (0, 2)) == 5
+    for s in ((2, 0), (1, 3), (0, 9), (-1, 0), (0.0, 2.0), (), (0, 1, 2, 3)):
+        assert not filled_square.contains(s)
+        with pytest.raises(KeyError):
+            filled_square.index_of(len(s) - 1, s)
+    with pytest.raises(KeyError):
+        filled_square.index_of(2, (0, 2))  # an edge looked up among the triangles

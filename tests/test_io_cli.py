@@ -45,6 +45,33 @@ def test_load_applies_vertex_map(tmp_path):
     assert k.layer(1) == ((0, 1),)
 
 
+def test_save_load_save_is_byte_identical_on_a_rips_file(tmp_path):
+    pts = np.random.default_rng(140).random((140, 2)).tolist()
+    k = generate("vietoris_rips", points=pts, threshold=0.15, max_dim=2)
+    assert k.size(2) > 0
+    save_complex(k, tmp_path / "a.jsonl")
+    save_complex(load_complex(tmp_path / "a.jsonl"), tmp_path / "b.jsonl")
+    written = (tmp_path / "a.jsonl").read_text()
+    assert (tmp_path / "b.jsonl").read_text() == written
+    # one json.dumps line per simplex, the format's canonical form
+    lines = [json.dumps({"n": k.n})] + [json.dumps({"s": list(s)}) for s in k.simplices()]
+    assert written == "\n".join(lines) + "\n"
+
+
+def test_load_parses_the_file_with_two_json_loads(tmp_path, monkeypatch):
+    save_complex(generate("torus"), tmp_path / "torus.jsonl")
+    calls = []
+    real = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert load_complex(tmp_path / "torus.jsonl").size(2) == 14
+    assert len(calls) == 2  # the header, then every simplex line at once
+
+
 def test_load_rejects_out_of_range_vertex(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n": 2}\n{"s": [5]}\n')
@@ -293,6 +320,33 @@ def test_cli_cohomology_rejects_fewer_than_one_witness(replay_files, capsys, mon
                              "--witnesses", witnesses)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "BadParameter"
+
+
+@pytest.mark.parametrize("line", ['{"t": [0]}', '{"s": 3}', '{"s": ["a"]}', '{"s": [0.5]}',
+                                  '{"s": [true]}', '{"s": null}', '{"s": [[0]]}', '[0]',
+                                  '{"s": [1]}, {"s": [0, 1]}'])
+def test_cli_rejects_malformed_simplex_lines(tmp_path, capsys, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 2}\n{"s": [0]}\n' + line + "\n")
+    code, out, err = run_cli(capsys, "betti", "--input", str(path), "--r", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameter"
+
+
+@pytest.mark.parametrize("method,extra", [
+    ("homology", ("--witnesses", "0", "--dump-witness", "w.json")),
+    ("homology", ("--dump-witness", "w.json")),
+    ("cohomology", ("--mode", "stochastic", "--probes", "7")),
+    ("cohomology", ("--degree", "9")),
+])
+def test_cli_test_equiv_rejects_flags_its_method_ignores(replay_files, capsys, monkeypatch,
+                                                         method, extra):
+    monkeypatch.chdir(replay_files)
+    code, out, err = run_cli(capsys, "test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
+                             "--chain2", "b.json", "--method", method, *extra)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+    assert not (replay_files / "w.json").exists()
 
 
 # --- plot data -----------------------------------------------------------------------
