@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from . import exact
 from .complexes import Chain, FiltrationPair, SimplicialComplex, validate_filtration
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     NotACycle,
     NotAFiltrationChain,
@@ -39,8 +40,8 @@ def _check_chain(k: SimplicialComplex, c: Chain) -> None:
     if size == 0:
         raise DimensionMismatch(f"complex has no simplices of dimension {c.r}")
     for i in c.coeffs:
-        if i > size:
-            raise DimensionMismatch(f"chain index {i} exceeds layer size {size}")
+        if not 1 <= i <= size:
+            raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
 
 
 def boundary_of(k: SimplicialComplex, c: Chain) -> list[Fraction]:
@@ -48,14 +49,12 @@ def boundary_of(k: SimplicialComplex, c: Chain) -> list[Fraction]:
     _check_chain(k, c)
     if c.r == 0:
         return []
-    rows = k.size(c.r - 1)
-    out = [Fraction(0)] * rows
-    d = boundary_matrix(k, c.r).entries.tocoo()
-    coeffs = c.coeffs
-    for i, j, v in zip(d.row, d.col, d.data):
-        cj = coeffs.get(j + 1)
-        if cj is not None:
-            out[i] += int(v) * cj
+    out = [Fraction(0)] * k.size(c.r - 1)
+    d = boundary_matrix(k, c.r).entries  # CSC: column j - 1 holds simplex j's faces
+    for j, cj in c.coeffs.items():
+        lo, hi = d.indptr[j - 1], d.indptr[j]
+        for i, v in zip(d.indices[lo:hi].tolist(), d.data[lo:hi].tolist()):
+            out[i] += v * cj
     return out
 
 
@@ -75,8 +74,6 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
     Returns "likely_cycle" or "not_cycle".
     """
     if not (0.0 < eta < 1.0):
-        from .errors import BadParameter
-
         raise BadParameter("eta must lie strictly between 0 and 1")
     if c.is_zero():
         raise ZeroChain("cannot test the zero chain")
@@ -149,8 +146,6 @@ def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
         boundary = exact.reduce_columns(augmented[:-1])
         return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
     if mode != "stochastic":
-        from .errors import BadParameter
-
         raise BadParameter(f"unknown mode {mode!r}")
     params = params or EstimatorParams()
     n = k.size(c.r)
@@ -211,8 +206,6 @@ def track_classes(stages, cycles, mode: str = "exact",
         raise NotAFiltrationChain("need at least one stage")
     cycles = list(cycles)
     if len(cycles) not in (1, 2):
-        from .errors import BadParameter
-
         raise BadParameter("track one cycle (triviality) or two (equivalence)")
 
     ordered = [stages[0]]

@@ -32,10 +32,12 @@ def load_complex(path) -> SimplicialComplex:
     if not lines:
         raise BadParameter(f"{path}: empty complex file")
     header = json.loads(lines[0])
-    if "n" not in header:
-        raise BadParameter(f"{path}: header must carry a vertex count 'n'")
-    n = int(header["n"])
-    vertex_map = {int(kk): int(v) for kk, v in (header.get("vertex_map") or {}).items()}
+    try:
+        n, vertex_map = header["n"], {int(kk): v for kk, v in (header.get("vertex_map") or {}).items()}
+    except (TypeError, KeyError, AttributeError, ValueError):
+        n = vertex_map = None
+    if vertex_map is None or not set(map(type, [n, *vertex_map.values()])) <= {int}:
+        raise BadParameter(f'{path}: header must be {{"n": <int>, "vertex_map": {{"<int>": <int>}}}}')
     body = json.loads("[" + ",".join(lines[1:]) + "]")
     objects = len(body) == len(lines) - 1 and set(map(type, body)) <= {dict}  # one per line
     simplices = list(map(dict.get, body, repeat("s"))) if objects else [None]
@@ -54,9 +56,8 @@ def load_filtration(manifest_path) -> FiltrationPair:
     """Manifest ``{"k1": path, "k2": path}`` with paths relative to the manifest."""
     manifest_path = Path(manifest_path)
     obj = json.loads(manifest_path.read_text())
-    for key in ("k1", "k2"):
-        if key not in obj:
-            raise BadParameter(f"{manifest_path}: manifest missing {key!r}")
+    if not (isinstance(obj, dict) and isinstance(obj.get("k1"), str) and isinstance(obj.get("k2"), str)):
+        raise BadParameter(f'{manifest_path}: manifest must be {{"k1": <path>, "k2": <path>}}')
     base = manifest_path.parent
     k1 = load_complex(base / obj["k1"])
     k2 = load_complex(base / obj["k2"])
@@ -70,10 +71,14 @@ def save_chain(c: Chain, path) -> None:
 
 def load_chain(path) -> Chain:
     obj = json.loads(Path(path).read_text())
-    if "r" not in obj or "coeffs" not in obj:
-        raise BadParameter(f"{path}: chain file needs 'r' and 'coeffs'")
-    coeffs = {int(i): Fraction(int(num), int(den)) for i, num, den in obj["coeffs"]}
-    return Chain.make(int(obj["r"]), coeffs)
+    try:
+        r, rows = obj["r"], obj["coeffs"]
+        coeffs = {i: Fraction(num, den) for i, num, den in rows}
+    except (TypeError, KeyError, ValueError, ZeroDivisionError):
+        r = coeffs = None
+    if coeffs is None or not set(map(type, [r, *chain.from_iterable(rows)])) <= {int}:
+        raise BadParameter(f'{path}: chain file must be {{"r": <int>, "coeffs": [[<i>, <num>, <den>], ...]}}')
+    return Chain.make(r, coeffs)
 
 
 def dump_operator(matrix, path) -> None:

@@ -184,21 +184,21 @@ class RankEstimate:
 def _probe_matrix(n: int, n_v: int, probe_kind: str, seed) -> tuple[np.ndarray, int]:
     """Stack n_v probe columns; returns (V, padded dimension).
 
-    Probes are drawn from per-probe child seeds so that any evaluation order
-    reproduces the sequential result.
+    One Generator seeded with ``seed`` draws the probes in order, so column l
+    is probe l and a larger batch starts with the smaller one.  Entries are
+    +-1/sqrt(n), or the Walsh-Hadamard column of a uniformly drawn index.
     """
-    children = np.random.SeedSequence(seed).spawn(n_v)
-    if probe_kind == "rademacher":
-        v = np.empty((n, n_v))
-        for l, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            v[:, l] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        return v / math.sqrt(n), n
+    rng = np.random.default_rng(seed)
+    if probe_kind == "rademacher":  # probe-major bits, transposed as bytes
+        v = rng.integers(0, 2, size=(n_v, n)).astype(np.int8).T.astype(float, order="C")
+        scale = 1.0 / math.sqrt(n)
+        v *= 2.0 * scale
+        v -= scale  # bits 0, 1 -> -scale, +scale exactly
+        return v, n
     if probe_kind == "hadamard_column":
         n_pad = 1 << max(0, (n - 1).bit_length())
-        cols = np.array([np.random.default_rng(child).integers(0, n_pad) for child in children],
-                        dtype=np.uint64)
-        parity = np.bitwise_count(np.arange(n_pad, dtype=np.uint64)[:, None] & cols) & 1
+        cols = rng.integers(0, n_pad, size=n_v)
+        parity = np.bitwise_count(np.arange(n_pad)[:, None] & cols) & 1
         return (1.0 - 2.0 * parity) / math.sqrt(n_pad), n_pad
     raise BadParameter(f"unknown probe kind {probe_kind!r}")
 

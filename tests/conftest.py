@@ -5,7 +5,8 @@ solvability are recomputed with a plain Fraction Gauss-Jordan so that every
 DERIVED expectation in the suite is checked against a second implementation.
 The complex-handling references below are the per-simplex loop versions of
 the library's array code (closure, face lookup, Rips cliques, filtration
-reordering), kept so the array code can be compared against them.
+reordering, chain boundaries), kept so the array code can be compared against
+them.
 """
 
 from __future__ import annotations
@@ -157,6 +158,19 @@ def reference_filtration_layers(k1, k2):
         in_k1 = set(old)
         layers[r] = old + tuple(s for s in k2.layer(r) if s not in in_k1)
     return layers
+
+
+def reference_boundary_of(k, c):
+    """Boundary of a chain by one pass over every nonzero of the boundary matrix."""
+    if c.r == 0:
+        return []
+    out = [Fraction(0)] * k.size(c.r - 1)
+    d = boundary_matrix(k, c.r).entries.tocoo()
+    for i, j, v in zip(d.row, d.col, d.data):
+        cj = c.coeffs.get(j + 1)
+        if cj is not None:
+            out[i] += int(v) * cj
+    return out
 
 
 def random_point_cloud(rng, n_points, dim=2, spread=1.0):

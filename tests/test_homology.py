@@ -26,7 +26,7 @@ from homology_lab.errors import (
     ZeroChain,
 )
 
-from conftest import oracle_solvable
+from conftest import oracle_solvable, random_rips, reference_boundary_of
 
 
 def loop_chain(k):
@@ -35,6 +35,32 @@ def loop_chain(k):
 
 
 # --- cycles -------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_of_matches_the_loop_over_every_nonzero(seed):
+    from homology_lab.homology import boundary_of
+
+    k = random_rips(seed, n_points=14, threshold=0.5, max_dim=3)
+    rng = np.random.default_rng(seed)
+    for r in range(1, max(k.layers) + 1):
+        for rational in (False, True):
+            support = rng.choice(k.size(r), size=min(k.size(r), 1 + 5 * seed), replace=False) + 1
+            nums = rng.integers(-5, 6, size=support.size)
+            dens = rng.integers(1, 7, size=support.size) if rational else np.ones_like(nums)
+            c = Chain.make(r, {int(j): Fraction(int(a), int(b))
+                               for j, a, b in zip(support, nums, dens)})
+            got = boundary_of(k, c)
+            assert got == reference_boundary_of(k, c)
+            assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("index", [0, -1, 4])
+def test_boundary_of_rejects_an_index_outside_the_layer(hollow_triangle, index):
+    from homology_lab.homology import boundary_of
+
+    with pytest.raises(DimensionMismatch):
+        boundary_of(hollow_triangle, Chain(r=1, coeffs={index: Fraction(1)}))
+
 
 def test_triangle_loop_is_cycle(hollow_triangle):
     assert is_cycle_exact(hollow_triangle, loop_chain(hollow_triangle))

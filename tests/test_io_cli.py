@@ -333,6 +333,31 @@ def test_cli_rejects_malformed_simplex_lines(tmp_path, capsys, line):
     assert json.loads(err)["error"] == "BadParameter"
 
 
+@pytest.mark.parametrize("name,text,argv", [
+    ("bad.jsonl", '{"n": "abc"}\n{"s": [0]}\n', ("betti", "--input", "bad.jsonl", "--r", "0")),
+    ("bad.jsonl", '{"n": 1, "vertex_map": {"x": 0}}\n{"s": [0]}\n',
+     ("betti", "--input", "bad.jsonl", "--r", "0")),
+    ("bad.jsonl", '5\n{"s": [0]}\n', ("betti", "--input", "bad.jsonl", "--r", "0")),
+    ("bad.json", '{"r": 1, "coeffs": [[1, 1]]}',
+     ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
+    ("bad.json", '{"r": 1, "coeffs": [[1, 1, 0]]}',
+     ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
+    ("bad.json", '{"r": 1, "coeffs": 3}',
+     ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
+    ("bad.json", '{"r": "x", "coeffs": [[1, 1, 1]]}',
+     ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
+    ("bad.json", "5", ("persistent-betti", "--input", "bad.json", "--r", "1")),
+], ids=["n-not-int", "vertex-map-key", "header-not-object", "coeff-pair", "zero-denominator",
+        "coeffs-not-list", "r-not-int", "manifest-not-object"])
+def test_cli_rejects_malformed_headers_chains_and_manifests(replay_files, capsys, monkeypatch,
+                                                            name, text, argv):
+    monkeypatch.chdir(replay_files)
+    (replay_files / name).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameter"
+
+
 @pytest.mark.parametrize("method,extra", [
     ("homology", ("--witnesses", "0", "--dump-witness", "w.json")),
     ("homology", ("--dump-witness", "w.json")),

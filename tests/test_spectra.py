@@ -237,13 +237,53 @@ def test_stochastic_rank_deterministic_for_seed():
 
 
 def test_probe_sequence_is_prefix_stable():
-    # per-probe child seeds: a larger batch starts with the smaller batch,
-    # so parallel or chunked evaluation reproduces the sequential result
+    # probes are drawn one after another from one generator: a larger batch
+    # starts with the smaller batch, so chunked evaluation reproduces it
     from homology_lab.spectra import _probe_matrix
 
-    small, _ = _probe_matrix(16, 4, "rademacher", seed=42)
-    large, _ = _probe_matrix(16, 12, "rademacher", seed=42)
-    assert np.array_equal(small, large[:, :4])
+    for probe_kind in ("rademacher", "hadamard_column"):
+        small, _ = _probe_matrix(16, 4, probe_kind, seed=42)
+        large, _ = _probe_matrix(16, 12, probe_kind, seed=42)
+        assert np.array_equal(small, large[:, :4]), probe_kind
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 540])
+def test_rademacher_entries_are_exactly_plus_or_minus_one_over_root_n(n):
+    from homology_lab.spectra import _probe_matrix
+
+    v, n_pad = _probe_matrix(n, 200, "rademacher", seed=3)
+    assert (v.shape, n_pad) == ((n, 200), n)
+    assert v.flags.c_contiguous
+    assert np.all(np.abs(v) == 1.0 / np.sqrt(n))
+    assert np.any(v > 0) and np.any(v < 0)
+
+
+@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+def test_probe_matrix_builds_one_generator_and_spawns_no_seeds(monkeypatch, probe_kind):
+    from homology_lab.spectra import _probe_matrix
+
+    made, spawned = [], []
+    default_rng = np.random.default_rng
+
+    def counting_default_rng(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    class CountingGenerator(np.random.Generator):
+        def __init__(self, bit_generator):
+            made.append(bit_generator)
+            super().__init__(bit_generator)
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    _probe_matrix(40, 200, probe_kind, seed=9)
+    assert (len(made), spawned) == (1, [])
 
 
 def test_hadamard_probes_pad_to_power_of_two():
@@ -255,16 +295,15 @@ def test_hadamard_probes_pad_to_power_of_two():
 
 @pytest.mark.parametrize("n", [1, 5, 16, 540])
 def test_hadamard_probes_match_the_per_column_parity(n):
-    # column l is the Walsh-Hadamard column drawn from probe l's child seed:
-    # entry i is (-1)^popcount(i & col) / sqrt(n_pad)
+    # column l is the Walsh-Hadamard column of the l-th index drawn from the
+    # seed's generator: entry i is (-1)^popcount(i & col) / sqrt(n_pad)
     from homology_lab.spectra import _probe_matrix
 
     n_v = 200
     got, n_pad = _probe_matrix(n, n_v, "hadamard_column", seed=7)
     assert n_pad == 1 << max(0, (n - 1).bit_length())
     want = np.empty((n_pad, n_v))
-    for l, child in enumerate(np.random.SeedSequence(7).spawn(n_v)):
-        col = int(np.random.default_rng(child).integers(0, n_pad))
+    for l, col in enumerate(np.random.default_rng(7).integers(0, n_pad, size=n_v).tolist()):
         want[:, l] = [-1.0 if bin(i & col).count("1") % 2 else 1.0 for i in range(n_pad)]
     assert np.array_equal(got, want / np.sqrt(n_pad))
 
@@ -456,6 +495,26 @@ def test_stochastic_rank_accuracy_sweep():
         if abs(est.normalized - true_rank / n) <= 0.05:
             hits += 1
     assert hits >= int(0.95 * trials)
+
+
+def test_default_betti_estimate_on_rips_misses_only_where_rescaling_passes_one():
+    # 30-point Rips complexes: each default estimate of beta_1 lands within
+    # 0.5 of the exact value, or the rescaled operator's top eigenvalue is
+    # above 1, where the Chebyshev filter blows up (the power-iteration bound
+    # underestimates the norm).  With a guaranteed bound all 30 must land.
+    from homology_lab.operators import normalized_laplacian
+    from homology_lab.spectra import _rescaled
+
+    missed = []
+    for seed in range(30):
+        pts = np.random.default_rng(seed).random((30, 2)).tolist()
+        k = generate("vietoris_rips", points=pts, threshold=0.3)
+        est = estimate_normalized_betti(k, 1, EstimatorParams(seed=seed))
+        if abs(est.betti() - exact_betti(k, 1)) > 0.5:
+            rescaled, _ = _rescaled(sp.csr_matrix(normalized_laplacian(k, 1), dtype=float))
+            assert np.linalg.eigvalsh(rescaled.toarray())[-1] > 1.0, seed
+            missed.append(seed)
+    assert len(missed) == 6, missed
 
 
 def test_estimate_normalized_betti_canonical():
