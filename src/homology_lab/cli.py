@@ -5,10 +5,11 @@ record: ``run`` writes the resolved seed back into it, and every result JSON
 on stdout embeds it as ``config``, one key per flag (dashes become
 underscores) plus ``subcommand``.  So every output replays from its own
 JSON.  ``--seed`` is taken by every subcommand; the estimator flags
-(``--mode``, ``--delta``, ``--degree``, ``--probes``, ``--probe-kind``, with
-the defaults of ``EstimatorParams``) only by those that build estimator
-parameters.  Diagnostics go to stderr; exit codes: 0 success, 2 input
-error, 3 internal invariant violation.
+(``--mode``, ``--delta``, ``--degree``, with the defaults of
+``EstimatorParams``) by those that build estimator parameters, and the probe
+flags (``--probes``, ``--probe-kind``) only by ``betti`` and
+``persistent-betti``.  Diagnostics go to stderr; exit codes: 0 success, 2
+input error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import io as _io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +63,9 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _params(args) -> EstimatorParams:
-    return EstimatorParams(delta=args.delta, degree=args.degree, probes=args.probes,
-                           probe_kind=args.probe_kind, seed=args.seed)
+    given = vars(args)  # flags a subcommand does not take keep their defaults
+    return EstimatorParams(**{f.name: given[f.name] for f in fields(EstimatorParams)
+                              if f.name in given})
 
 
 def _echo_oracle(args, layer_size: int) -> bool:
@@ -238,9 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     estimator.add_argument("--mode", choices=["exact", "stochastic"], default="exact")
     estimator.add_argument("--delta", type=float, default=defaults.delta)
     estimator.add_argument("--degree", type=int, default=defaults.degree)
-    estimator.add_argument("--probes", type=int, default=defaults.probes)
-    estimator.add_argument("--probe-kind", default=defaults.probe_kind,
-                           choices=["rademacher", "hadamard_column"])
+    probed = argparse.ArgumentParser(add_help=False, parents=[estimator])
+    probed.add_argument("--probes", type=int, default=defaults.probes)
+    probed.add_argument("--probe-kind", default=defaults.probe_kind,
+                        choices=["rademacher", "hadamard_column"])
 
     parser = argparse.ArgumentParser(prog="homology-lab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -248,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, summary, parent=estimator):
         return sub.add_parser(name, help=summary, parents=[parent])
 
-    p = add("betti", "Betti number of a complex (exact or estimated)")
+    p = add("betti", "Betti number of a complex (exact or estimated)", probed)
     p.add_argument("--input", help="complex file (JSON lines)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")
@@ -257,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=2)
     p.add_argument("--plot-data", help="write sweep CSV here")
 
-    p = add("persistent-betti", "persistent Betti number of a filtration")
+    p = add("persistent-betti", "persistent Betti number of a filtration", probed)
     p.add_argument("--input", required=True, help="filtration manifest")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")

@@ -1,9 +1,9 @@
 """Cycle detection, triviality and equivalence testing, and class tracking.
 
-The exact paths run entirely over the rationals.  Stochastic paths compare
-rank estimates obtained with matched probe seeds and carry an explicit
-low-confidence flag instead of pretending certainty near rounding
-boundaries.
+The exact paths run entirely over the rationals.  The stochastic paths draw
+no probes: a cycle c is a boundary exactly when its projection onto ker L,
+L the up-Laplacian, vanishes, and c^T (1 - step)(L) c with the Chebyshev
+step filter of :mod:`spectra` gives that projection's weight to within eps.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.chebyshev import chebval
 
 from . import exact
 from .complexes import Chain, FiltrationPair, SimplicialComplex, validate_filtration
@@ -28,8 +29,12 @@ from .errors import (
 )
 from .operators import boundary_matrix
 from .spectra import (
+    ORACLE_GATE,
     EstimatorParams,
-    _estimate_from_operator,
+    _default_delta,
+    _filtered_forms,
+    _rescaled,
+    chebyshev_filter,
     cycle_basis,
     exact_rank,
 )
@@ -95,9 +100,10 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
 class Verdict:
     """Outcome of a triviality or equivalence test.
 
-    ``low_confidence`` is only meaningful for stochastic tests: it is set when
-    either rank estimate sits within two standard errors of a rounding
-    boundary, i.e. when the comparison could flip within noise.
+    ``low_confidence`` is only meaningful for stochastic tests, which call a
+    cycle trivial iff its harmonic weight, within eps of the true one when
+    delta is below the gap, is at most 2 eps; it is set within eps of that
+    cut.  A nontrivial weight below 3 eps can therefore read as trivial.
     """
 
     answer: bool
@@ -105,7 +111,7 @@ class Verdict:
     low_confidence: bool = False
 
 
-def _require_cycle(k: SimplicialComplex, c: Chain) -> None:
+def _require_cycle(k: SimplicialComplex, c: Chain) -> None:  # checks the chain's indices too
     if not is_cycle_exact(k, c):
         raise NotACycle("input chain has nonzero boundary")
 
@@ -118,57 +124,58 @@ def _augmented(k: SimplicialComplex, *chains: Chain) -> list[exact.Vector]:
     return d + [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
 
 
-def _stochastic_rank_units(columns, n_rows: int, params: EstimatorParams) -> tuple[float, float, int]:
-    """Estimated absolute rank of sparse columns and its scale-adjusted standard error."""
-    rows = [i for col in columns for i in col]
-    cols = [j for j, col in enumerate(columns) for _ in col]
-    vals = [float(x) for col in columns for x in col.values()]
-    m = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, len(columns)))
-    n = m.shape[1]
-    gram = (m.T @ m) / max(float(m.data @ m.data), 1.0)
-    # the Gram matrix's kernel has dimension n - rank
-    est = _estimate_from_operator(gram, n, n - exact_rank(columns), 0.01, params).rank_estimate
-    return est.normalized * n, est.stderr * n, n
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "stochastic"):
+        raise BadParameter(f"unknown mode {mode!r}")
+
+
+def _harmonic_forms(k: SimplicialComplex, r: int, chains: np.ndarray,
+                    params: EstimatorParams) -> tuple[np.ndarray, float]:
+    """c^T (1 - step)(L) c for every column c, L = d_{r+1} d_{r+1}^T over its
+    infinity norm, and eps, the filter's largest error against 1{x >= delta}
+    on {0} and [delta, 1]: on cycles, 1 - step(L) is the projection onto ker L
+    to within eps when delta lies below L's gap."""
+    n = k.size(r)
+    d = boundary_matrix(k, r + 1).entries if k.size(r + 1) else None
+    lap, _ = _rescaled(sp.csr_matrix(d @ d.T if d is not None else (n, n), dtype=float))
+    delta = params.delta
+    if delta is None:
+        rank = exact_rank(d) if d is not None and n <= ORACLE_GATE else None
+        delta = _default_delta(lap, rank, 0.01)
+    filt = chebyshev_filter(delta, params.degree)
+    x = np.concatenate([[0.0], np.linspace(delta, 1.0, 4097)])
+    eps = float(np.abs(chebval(2.0 * x - 1.0, filt.coeffs) - (x >= delta)).max())
+    step = _filtered_forms(2.0 * lap - sp.identity(n, format="csr"), chains, filt.coeffs)
+    return np.einsum("ij,ij->j", chains, chains) - step, eps
 
 
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
                  params: EstimatorParams | None = None) -> Verdict:
     """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
-    then a column-space membership test of the cycle.  Stochastically:
-    compares the estimated ranks of the boundary with and without the cycle
-    appended as an extra column."""
-    _check_chain(k, c)
+    then a column-space membership test of the cycle.  Stochastically: its
+    harmonic weight w = c^T (1 - step)(L) c / |c|^2 is cut at twice the
+    filter's error (see :class:`Verdict`)."""
+    _check_mode(mode)
     _require_cycle(k, c)
-    if k.size(c.r + 1) == 0:
+    if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
-    augmented = _augmented(k, c)
     if mode == "exact":
+        augmented = _augmented(k, c)
         boundary = exact.reduce_columns(augmented[:-1])
         return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
-    if mode != "stochastic":
-        raise BadParameter(f"unknown mode {mode!r}")
-    params = params or EstimatorParams()
-    n = k.size(c.r)
-    est_base, err_base, _ = _stochastic_rank_units(augmented[:-1], n, params)
-    est_aug, err_aug, _ = _stochastic_rank_units(augmented, n, params)
-    rank_base = round(est_base)
-    rank_aug = round(est_aug)
-    low = _near_rounding_boundary(est_base, err_base) or _near_rounding_boundary(est_aug, err_aug)
-    return Verdict(answer=rank_base == rank_aug, method="stochastic", low_confidence=low)
-
-
-def _near_rounding_boundary(value: float, stderr: float) -> bool:
-    distance = abs(value - math.floor(value) - 0.5)
-    return distance < 2.0 * max(stderr, 1e-12)
+    vec = np.array([[float(x)] for x in c.dense(k.size(c.r))])
+    weight, eps = _harmonic_forms(k, c.r, vec / np.linalg.norm(vec), params or EstimatorParams())
+    w = float(weight[0])
+    return Verdict(answer=w <= 2.0 * eps, method="stochastic",
+                   low_confidence=abs(w - 2.0 * eps) <= eps)
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
     """Are two cycles homologous?  Reduces to triviality of their difference."""
+    _check_mode(mode)
     if c1.r != c2.r:
         raise DimensionMismatch("cycle dimensions differ")
-    _check_chain(k, c1)
-    _check_chain(k, c2)
     _require_cycle(k, c1)
     _require_cycle(k, c2)
     diff = c1 - c2
@@ -201,6 +208,7 @@ def track_classes(stages, cycles, mode: str = "exact",
     their indices through every stage because each validation step reorders
     the larger complex onto the shared prefix.
     """
+    _check_mode(mode)
     stages = list(stages)
     if len(stages) < 1:
         raise NotAFiltrationChain("need at least one stage")
@@ -217,7 +225,6 @@ def track_classes(stages, cycles, mode: str = "exact",
         ordered.append(pair.k2)
 
     for c in cycles:
-        _check_chain(ordered[0], c)
         _require_cycle(ordered[0], c)
 
     verdicts = []
@@ -251,8 +258,6 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
     Every returned chain is a genuine cycle by construction; a trivial kernel
     raises :class:`TrivialKernel`.
     """
-    from .errors import BadParameter
-
     if s < 1:
         raise BadParameter("need at least one sample")
     n = k.size(r)
@@ -272,32 +277,32 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
 
     Exactly: one reduction of the (r+1)-boundary, extended by every cycle;
     the rank increases count dim(B + span(cycles)) - dim B.  Stochastically:
-    the cycles are first deduplicated by homology equivalence, with the
-    trivial class dropped and first-seen representatives winning, and the
-    estimated ranks of the boundary with and without the representatives
-    are compared.  Ranking relative to B, not in the chain space, keeps the
-    result a true lower bound on the Betti number.
+    the k x k matrix G = C^T (1 - step)(L) C of the unit cycles, built by
+    polarization from the forms of c_i and c_i - c_j, is within
+    eps * lambda_max(C^T C) of C^T P_H C, whose rank is the exact count; so by
+    Weyl's inequality counting G's eigenvalues above that margin keeps the
+    result a lower bound whenever delta lies below L's gap.
     """
+    _check_mode(mode)
     reps: list[Chain] = []
     for c in cycles:
-        _check_chain(k, c)
         _require_cycle(k, c)
         if c.r != r:
             raise DimensionMismatch("cycle dimension differs from requested r")
-        if mode != "exact" and (test_trivial(k, c, mode=mode, params=params).answer or any(
-                test_equivalent(k, c, rep, mode=mode, params=params).answer for rep in reps)):
-            continue
-        reps.append(c)
+        if not c.is_zero():
+            reps.append(c)
     if not reps:
         return 0
-    augmented = _augmented(k, *reps)
-    d = augmented[:-len(reps)]
     if mode == "exact":
-        boundary = exact.reduce_columns(d)
-        return sum(boundary.add(v) for v in augmented[len(d):])
-    params = params or EstimatorParams()
-    n = k.size(r)
-    est_aug, _, _ = _stochastic_rank_units(augmented, n, params)
-    # boundary-free layer: class rank is plain chain-space rank
-    est_base = _stochastic_rank_units(d, n, params)[0] if d else 0.0
-    return max(0, int(round(est_aug)) - int(round(est_base)))
+        augmented = _augmented(k, *reps)
+        boundary = exact.reduce_columns(augmented[:-len(reps)])
+        return sum(boundary.add(v) for v in augmented[-len(reps):])
+    unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
+    unit /= np.linalg.norm(unit, axis=0)
+    i, j = np.triu_indices(len(reps), 1)
+    forms, eps = _harmonic_forms(k, r, np.hstack([unit, unit[:, i] - unit[:, j]]),
+                                 params or EstimatorParams())
+    g = np.diag(forms[:len(reps)])
+    g[i, j] = g[j, i] = (forms[i] + forms[j] - forms[len(reps):]) / 2.0
+    margin = eps * np.linalg.eigvalsh(unit.T @ unit)[-1]
+    return int(np.count_nonzero(np.linalg.eigvalsh(g) > margin))

@@ -19,6 +19,7 @@ from homology_lab import (
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab import test_trivial as check_trivial
 from homology_lab.errors import (
+    BadParameter,
     DimensionMismatch,
     NotACycle,
     NotAFiltrationChain,
@@ -155,7 +156,70 @@ def test_trivial_stochastic_matches_exact(filled_square, hollow_triangle):
         for c in sample_cycles(k, 1, s=4, seed=1):
             exact = check_trivial(k, c, mode="exact").answer
             sto = check_trivial(k, c, mode="stochastic", params=params)
-            assert sto.answer == exact or sto.low_confidence
+            assert sto.answer == exact and not sto.low_confidence
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_harmonic_weight_is_within_the_filter_error_of_the_projection(seed):
+    # c^T (1 - step)(L) c / |c|^2 against |P_H c|^2 / |c|^2 from a dense
+    # least-squares projection onto the boundary space
+    from homology_lab.homology import _harmonic_forms
+
+    k = generate("vietoris_rips", points=np.random.default_rng(seed).random((30, 2)).tolist(),
+                 threshold=0.3)
+    chains = np.array([[float(x) for x in c.dense(k.size(1))]
+                       for c in sample_cycles(k, 1, s=6, seed=seed)]).T
+    weights, eps = _harmonic_forms(k, 1, chains, EstimatorParams())
+    d2 = boundary_matrix(k, 2).toarray().astype(float)
+    for c, w in zip(chains.T, weights):
+        harmonic = c - d2 @ np.linalg.lstsq(d2, c, rcond=None)[0]
+        assert abs(w - harmonic @ harmonic) <= eps * (c @ c) + 1e-9
+    assert 0.0 < eps < 0.1
+
+
+def test_stochastic_verdicts_on_rips_are_right_and_confident_once_the_filter_resolves_the_gap():
+    # at degree 256 the filter's error on these complexes is about 1e-4, far
+    # below the harmonic weight of their nontrivial cycles (0.005 and up)
+    params = EstimatorParams(degree=256)
+    for seed in range(5):
+        k = generate("vietoris_rips", points=np.random.default_rng(seed).random((30, 2)).tolist(),
+                     threshold=0.3)
+        for c in sample_cycles(k, 1, s=10, seed=1):
+            verdict = check_trivial(k, c, mode="stochastic", params=params)
+            assert verdict.answer == check_trivial(k, c).answer and not verdict.low_confidence
+
+
+def test_stochastic_verdict_draws_no_probes_and_runs_one_exact_rank(monkeypatch, filled_square):
+    from homology_lab import exact, spectra
+
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("stochastic_rank", "_probe_matrix", "power_iteration_bound"):
+        count(spectra, name)
+    count(exact, "rank")
+    c = sample_cycles(filled_square, 1, s=1, seed=0)[0]
+    check_trivial(filled_square, c, mode="stochastic")
+    assert calls == {"rank": 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda k, c: check_trivial(k, c, mode="bogus"),
+    lambda k, c: check_equivalent(k, c, c, mode="bogus"),
+    lambda k, c: track_classes([k], [c], mode="bogus"),
+    lambda k, c: betti_via_tracking(k, 1, [c], mode="bogus"),
+], ids=["test_trivial", "test_equivalent", "track_classes", "betti_via_tracking"])
+def test_class_functions_reject_an_unknown_mode(hollow_triangle, call):
+    with pytest.raises(BadParameter):
+        call(hollow_triangle, loop_chain(hollow_triangle))
 
 
 # --- equivalence -------------------------------------------------------------------
@@ -347,3 +411,18 @@ def test_betti_via_tracking_reaches_betti_on_canonical_generators():
             assert got <= beta
             hits += got == beta
         assert hits >= 9
+
+
+def test_stochastic_betti_via_tracking_is_a_lower_bound():
+    canonical = [generate("hollow_triangle"), generate("torus"), generate("sphere2"),
+                 generate("tetrahedron_boundary"), generate("circle", m=7)]
+    rips = [generate("vietoris_rips", points=np.random.default_rng(seed).random((30, 2)).tolist(),
+                     threshold=0.3) for seed in range(20)]
+    hits = []
+    for k in canonical + rips:
+        cycles = sample_cycles(k, 1, s=10, seed=1)
+        got = betti_via_tracking(k, 1, cycles, mode="stochastic")
+        assert got <= exact_betti(k, 1)
+        hits.append(got == betti_via_tracking(k, 1, cycles, mode="exact"))
+    assert all(hits[:len(canonical)])
+    assert sum(hits[len(canonical):]) >= 15

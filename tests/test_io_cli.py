@@ -361,7 +361,7 @@ def test_cli_rejects_malformed_headers_chains_and_manifests(replay_files, capsys
 @pytest.mark.parametrize("method,extra", [
     ("homology", ("--witnesses", "0", "--dump-witness", "w.json")),
     ("homology", ("--dump-witness", "w.json")),
-    ("cohomology", ("--mode", "stochastic", "--probes", "7")),
+    ("cohomology", ("--delta", "0.1")),
     ("cohomology", ("--degree", "9")),
 ])
 def test_cli_test_equiv_rejects_flags_its_method_ignores(replay_files, capsys, monkeypatch,
@@ -443,6 +443,7 @@ def replay_files(tmp_path):
 
 
 FAST = ("--degree", "24", "--probes", "40")
+FAST_CLASS = ("--degree", "24")  # class verdicts draw no probes
 REPLAY_CASES = {
     "betti": (("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic",
                "--no-oracle", *FAST), {}),
@@ -453,14 +454,14 @@ REPLAY_CASES = {
     "persistent-betti": (("persistent-betti", "--input", "filt.json", "--r", "1",
                           "--mode", "stochastic", *FAST), {"exact_persistent_betti": 0}),
     "test-trivial": (("test-trivial", "--input", "filled.jsonl", "--chain", "loop.json",
-                      "--mode", "stochastic", "--probe-kind", "hadamard_column", *FAST), {}),
+                      "--mode", "stochastic", *FAST_CLASS), {"answer": True}),
     "test-equiv": (("test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
                     "--chain2", "b.json", "--method", "cohomology", "--witnesses", "4",
                     "--seed", "1", "--dump-witness", "witness.json"), {"answer": False}),
     "detect-cycle": (("detect-cycle", "--input", "hollow.jsonl", "--chain", "edge.json",
                       "--eta", "0.01", "--seed", "0"), {"answer": "not_cycle"}),
     "track": (("track", "--stages", "hollow.jsonl", "filled.jsonl", "--chain", "loop.json",
-               "--chain2", "twice.json", "--mode", "stochastic", "--seed", "3", *FAST), {}),
+               "--chain2", "twice.json", "--mode", "stochastic", "--seed", "3", *FAST_CLASS), {}),
     "betti-track": (("betti-track", "--input", "hollow.jsonl", "--r", "1", "--samples", "5"),
                     {"betti_lower_bound": 1, "exact_betti": 1}),
     "gen": (("gen", "--kind", "circle", "--m", "6", "--out", "c6.jsonl"),
