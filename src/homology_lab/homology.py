@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial.chebyshev import chebval
 
 from . import exact
 from .complexes import Chain, FiltrationPair, SimplicialComplex, validate_filtration
@@ -29,12 +28,11 @@ from .errors import (
 )
 from .operators import boundary_matrix
 from .spectra import (
-    ORACLE_GATE,
+    _STEP_ERROR_TARGET,
     EstimatorParams,
-    _default_delta,
     _filtered_forms,
-    _rescaled,
-    chebyshev_filter,
+    _rescaled_filter,
+    _resolved_filter,
     cycle_basis,
     exact_rank,
 )
@@ -103,7 +101,8 @@ class Verdict:
     ``low_confidence`` is only meaningful for stochastic tests, which call a
     cycle trivial iff its harmonic weight, within eps of the true one when
     delta is below the gap, is at most 2 eps; it is set within eps of that
-    cut.  A nontrivial weight below 3 eps can therefore read as trivial.
+    cut, and on a trivial answer whose eps misses the filter's target.  A
+    confident trivial answer thus means a weight below 2 eps <= 0.002.
     """
 
     answer: bool
@@ -132,19 +131,13 @@ def _check_mode(mode: str) -> None:
 def _harmonic_forms(k: SimplicialComplex, r: int, chains: np.ndarray,
                     params: EstimatorParams) -> tuple[np.ndarray, float]:
     """c^T (1 - step)(L) c for every column c, L = d_{r+1} d_{r+1}^T over its
-    infinity norm, and eps, the filter's largest error against 1{x >= delta}
-    on {0} and [delta, 1]: on cycles, 1 - step(L) is the projection onto ker L
-    to within eps when delta lies below L's gap."""
+    infinity norm, and the filter's step error eps: on cycles, 1 - step(L) is
+    the projection onto ker L to within eps when delta lies below L's gap, as
+    the default delta does, set from the exact rank of d_{r+1}."""
     n = k.size(r)
-    d = boundary_matrix(k, r + 1).entries if k.size(r + 1) else None
-    lap, _ = _rescaled(sp.csr_matrix(d @ d.T if d is not None else (n, n), dtype=float))
-    delta = params.delta
-    if delta is None:
-        rank = exact_rank(d) if d is not None and n <= ORACLE_GATE else None
-        delta = _default_delta(lap, rank, 0.01)
-    filt = chebyshev_filter(delta, params.degree)
-    x = np.concatenate([[0.0], np.linspace(delta, 1.0, 4097)])
-    eps = float(np.abs(chebval(2.0 * x - 1.0, filt.coeffs) - (x >= delta)).max())
+    d = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((n, 0), dtype=int)
+    lap, _, filt = _rescaled_filter(d @ d.T, exact_rank(d), 0.01, params)
+    filt, eps = _resolved_filter(filt)
     step = _filtered_forms(2.0 * lap - sp.identity(n, format="csr"), chains, filt.coeffs)
     return np.einsum("ij,ij->j", chains, chains) - step, eps
 
@@ -165,9 +158,9 @@ def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
         return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
     vec = np.array([[float(x)] for x in c.dense(k.size(c.r))])
     weight, eps = _harmonic_forms(k, c.r, vec / np.linalg.norm(vec), params or EstimatorParams())
-    w = float(weight[0])
-    return Verdict(answer=w <= 2.0 * eps, method="stochastic",
-                   low_confidence=abs(w - 2.0 * eps) <= eps)
+    answer = float(weight[0]) <= 2.0 * eps
+    low = abs(float(weight[0]) - 2.0 * eps) <= eps or (answer and eps > _STEP_ERROR_TARGET)
+    return Verdict(answer=answer, method="stochastic", low_confidence=low)
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",

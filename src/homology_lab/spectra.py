@@ -12,8 +12,8 @@ Spectral coordinates: estimator inputs live in [0, 1]; internally the
 spectrum is mapped to the Chebyshev domain via y = 2x - 1 before filtering,
 so coefficients are for T_j(2x - 1), computed by one DCT.  Operators stay
 sparse (CSR), and degree m costs ceil(m/2) sparse products, O(nnz) per probe
-each; only the oracle's threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``)
-uses a dense spectrum.
+each; only the oracle's threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``,
+and at every size for a class verdict) uses a dense spectrum.
 """
 
 from __future__ import annotations
@@ -155,6 +155,27 @@ def chebyshev_filter(delta: float, m: int, quad_points: int = 2048) -> Chebyshev
     c = np.concatenate([half, -half])[np.arange(m + 1) % (4 * quad_points)]
     c[0] *= 0.5
     return ChebyshevStepFilter(delta=float(delta), degree=int(m), coeffs=tuple(c))
+
+
+_STEP_ERROR_TARGET = 1e-3  # class verdicts double the degree until the step error is this small
+_MAX_STEP_DEGREE = 1024  # ... or the degree reaches this
+
+
+def _resolved_filter(filt: ChebyshevStepFilter) -> tuple[ChebyshevStepFilter, float]:
+    """The filter, its degree doubled until its largest error eps against
+    1{x >= delta} on {0} and [delta, 1] meets the target or the cap, and eps:
+    taken at x = delta and, by one DCT-I, at (1 + cos(pi i / 16m)) / 2, i <= 16m."""
+    from scipy.fft import dct
+
+    while True:
+        n = 16 * filt.degree
+        x = np.append(0.5 * (1.0 + np.cos(np.pi * np.arange(n + 1) / n)), filt.delta)
+        half = np.pad(np.asarray(filt.coeffs) / 2.0, (0, n - filt.degree))
+        err = np.abs(np.append(dct(half, type=1) + half[0], filt(filt.delta)) - (x >= filt.delta))
+        eps = float(err[(x >= filt.delta) | (x == 0.0)].max())
+        if eps <= _STEP_ERROR_TARGET or filt.degree >= _MAX_STEP_DEGREE:
+            return filt, eps
+        filt = chebyshev_filter(filt.delta, 2 * filt.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +359,9 @@ ORACLE_GATE = 500  # largest |S_r| given exact answers: the estimator's gap delt
 @dataclass(frozen=True)
 class EstimatorParams:
     """Stochastic estimator configuration, mirrored by the CLI flags.  ``delta``
-    and ``degree`` set every stochastic path's filter; ``probes``, ``probe_kind``
-    and ``seed`` only the Betti estimates, as class verdicts draw no probes."""
+    and ``degree`` set every stochastic path's filter (class verdicts double
+    the degree as needed); ``probes``, ``probe_kind`` and ``seed`` only the
+    Betti estimates, as class verdicts draw no probes."""
 
     delta: float | None = None
     degree: int = 64
@@ -388,14 +410,18 @@ def _default_delta(a: sp.csr_matrix, exact_rank_value: int | None, fallback: flo
     return min(0.999, max(1e-6, fallback))
 
 
+def _rescaled_filter(op, rank: int | None, fallback_delta: float, params: EstimatorParams):
+    """op over its infinity norm, that norm, and the step filter of ``params``,
+    its delta by default from :func:`_default_delta`."""
+    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
+    delta = _default_delta(rescaled, rank, fallback_delta) if params.delta is None else params.delta
+    return rescaled, bound, chebyshev_filter(delta, params.degree)
+
+
 def _estimate_from_operator(op, n: int, exact_value: int | None,
                             fallback_delta: float, params: EstimatorParams) -> BettiEstimate:
-    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
-    delta = params.delta
-    if delta is None:
-        rank_value = None if exact_value is None else n - exact_value
-        delta = _default_delta(rescaled, rank_value, fallback_delta)
-    filt = chebyshev_filter(delta, params.degree)
+    rank_value = None if exact_value is None else n - exact_value
+    rescaled, bound, filt = _rescaled_filter(op, rank_value, fallback_delta, params)
     est = stochastic_rank(rescaled, filt, n_v=params.probes,
                           probe_kind=params.probe_kind, seed=params.seed)
     value = float(min(1.0, max(0.0, 1.0 - est.normalized)))

@@ -177,16 +177,48 @@ def test_harmonic_weight_is_within_the_filter_error_of_the_projection(seed):
     assert 0.0 < eps < 0.1
 
 
-def test_stochastic_verdicts_on_rips_are_right_and_confident_once_the_filter_resolves_the_gap():
-    # at degree 256 the filter's error on these complexes is about 1e-4, far
-    # below the harmonic weight of their nontrivial cycles (0.005 and up)
-    params = EstimatorParams(degree=256)
-    for seed in range(5):
+@pytest.mark.parametrize("params", [EstimatorParams(), EstimatorParams(degree=24)],
+                         ids=["default", "degree24"])
+def test_stochastic_verdicts_on_rips_are_right_and_confident(params):
+    # delta sits below a rescaled gap of 0.02-0.07 here, and the sampled
+    # nontrivial cycles have harmonic weights from 0.002 up: a filter kept at
+    # degree 64 errs by up to 0.06 and calls 73 of these 200 cycles trivial
+    # with high confidence, so the degree is raised until the error is 1e-3
+    for seed in range(20):
         k = generate("vietoris_rips", points=np.random.default_rng(seed).random((30, 2)).tolist(),
                      threshold=0.3)
         for c in sample_cycles(k, 1, s=10, seed=1):
             verdict = check_trivial(k, c, mode="stochastic", params=params)
             assert verdict.answer == check_trivial(k, c).answer and not verdict.low_confidence
+
+
+def test_stochastic_verdicts_above_the_oracle_gate_take_delta_from_the_gap():
+    # 713 edges, rescaled gap 0.0055: a delta of 0.01 lies above it and calls
+    # boundaries nontrivial with high confidence
+    k = generate("vietoris_rips", points=np.random.default_rng(0).random((150, 2)).tolist(),
+                 threshold=0.16)
+    assert k.size(1) > 500
+    d2 = boundary_matrix(k, 2).toarray()
+    rng = np.random.default_rng(0)
+    boundaries = [Chain.make(1, {i + 1: int(x) for i, x in enumerate(d2 @ rng.integers(-2, 3, k.size(2)))
+                                 if x}) for _ in range(4)]
+    for c in boundaries + sample_cycles(k, 1, s=2, seed=1):
+        verdict = check_trivial(k, c, mode="stochastic")
+        assert verdict.answer == check_trivial(k, c).answer and not verdict.low_confidence
+    assert all(check_trivial(k, c).answer for c in boundaries)
+
+
+def test_stochastic_trivial_verdicts_are_low_confidence_when_the_filter_misses_its_target():
+    # at delta = 1e-4 even degree 1024 errs by far more than 1e-3
+    for seed in range(3):
+        k = generate("vietoris_rips", points=np.random.default_rng(seed).random((30, 2)).tolist(),
+                     threshold=0.3)
+        d2 = boundary_matrix(k, 2).toarray()
+        boundary = Chain.make(1, {i + 1: int(x) for i, x in enumerate(d2 @ np.arange(k.size(2))) if x})
+        for c in sample_cycles(k, 1, s=4, seed=1) + [boundary]:
+            verdict = check_trivial(k, c, mode="stochastic", params=EstimatorParams(delta=1e-4))
+            assert verdict.low_confidence or (verdict.answer == check_trivial(k, c).answer
+                                              and not verdict.answer)
 
 
 def test_stochastic_verdict_draws_no_probes_and_runs_one_exact_rank(monkeypatch, filled_square):

@@ -446,7 +446,7 @@ FAST = ("--degree", "24", "--probes", "40")
 FAST_CLASS = ("--degree", "24")  # class verdicts draw no probes
 REPLAY_CASES = {
     "betti": (("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic",
-               "--no-oracle", *FAST), {}),
+               "--no-oracle", "--probe-kind", "hadamard_column", *FAST), {}),
     "sweep": (("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0,2.5",
                "--max-dim", "1", "--plot-data", "profile.csv"),
               {"sweep": [[0.3, 1, 0, "exact"], [1.0, 1, 1, "exact"],
