@@ -191,9 +191,9 @@ def _cmd_track(args) -> dict:
     return {
         "kind": report.kind,
         "stages": [
-            {"stage": s.stage, "answer": s.answer, "method": s.method,
+            {"stage": i, "answer": s.answer, "method": s.method,
              "confidence": "low" if s.low_confidence else "high"}
-            for s in report.stages
+            for i, s in enumerate(report.stages, start=1)
         ],
     }
 

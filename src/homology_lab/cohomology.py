@@ -21,11 +21,10 @@ from .errors import (
     ConstructionFailed,
     DimensionMismatch,
     EmptyLayer,
-    NotACycle,
     NotFound,
     TrivialCocycleSpace,
 )
-from .homology import _random_combinations, is_cycle_exact
+from .homology import _random_combinations, _require_cycles
 from .operators import PINV_RTOL, boundary_matrix
 
 
@@ -66,8 +65,7 @@ def _delta_matrix(k: SimplicialComplex, r: int) -> np.ndarray | None:
     return boundary_matrix(k, r + 1).toarray().astype(float).T
 
 
-def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain,
-                       rtol: float = PINV_RTOL) -> Cochain:
+def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain) -> Cochain:
     """Orthogonal projection onto the kernel of the coboundary map.
 
     Uses a thresholded pseudoinverse of delta delta^T; with no (r+1)-simplices
@@ -77,7 +75,7 @@ def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain,
     if delta is None:
         return Cochain(r=r, values=np.array(w.values, dtype=float), cocycle=True)
     gram = delta @ delta.T
-    pinv = np.linalg.pinv(gram, rcond=rtol, hermitian=True)
+    pinv = np.linalg.pinv(gram, rcond=PINV_RTOL, hermitian=True)
     values = np.asarray(w.values, dtype=float)
     projected = values - delta.T @ (pinv @ (delta @ values))
     return Cochain(r=r, values=projected, cocycle=True)
@@ -202,11 +200,7 @@ def test_equivalent_cohomological(k: SimplicialComplex, c1: Chain, c2: Chain,
     """
     if witnesses < 1:
         raise BadParameter("need at least one witness")
-    if c1.r != c2.r:
-        raise DimensionMismatch("cycle dimensions differ")
-    for c in (c1, c2):
-        if not is_cycle_exact(k, c):
-            raise NotACycle("input chain has nonzero boundary")
+    _require_cycles(k, c1.r, [c1, c2])
     try:
         basis = cocycle_basis(k, c1.r)
     except TrivialCocycleSpace:

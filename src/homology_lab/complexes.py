@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .errors import (
     BadParameter,
+    DimensionMismatch,
     DuplicateSimplex,
     EmptyInput,
     EmptyLayer,
@@ -270,8 +271,6 @@ class Chain:
         return not self.coeffs
 
     def dense(self, length: int) -> list[Fraction]:
-        from .errors import DimensionMismatch
-
         out = [Fraction(0)] * length
         for i, c in self.coeffs.items():
             if i > length:
@@ -281,8 +280,6 @@ class Chain:
 
     def __sub__(self, other: "Chain") -> "Chain":
         if self.r != other.r:
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch("chain dimensions differ")
         coeffs = dict(self.coeffs)
         for i, c in other.coeffs.items():

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import exact
-from .complexes import Chain, FiltrationPair, SimplicialComplex, validate_filtration
+from .complexes import Chain, SimplicialComplex, validate_filtration
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -38,32 +38,48 @@ from .spectra import (
 )
 
 
-def _check_chain(k: SimplicialComplex, c: Chain) -> None:
-    size = k.size(c.r)
-    if size == 0:
-        raise DimensionMismatch(f"complex has no simplices of dimension {c.r}")
-    for i in c.coeffs:
-        if not 1 <= i <= size:
-            raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
+def _boundaries(k: SimplicialComplex, r: int, chains) -> tuple[sp.csc_matrix | None, list]:
+    """The r-boundary of k (None at r = 0 or without chains) and each
+    r-chain's exact boundary through it as a dense rational vector, from one
+    build; raises :class:`DimensionMismatch` on a chain of another dimension
+    or with an index outside the layer."""
+    size = k.size(r)
+    for c in chains:
+        if c.r != r:
+            raise DimensionMismatch(f"chain dimension {c.r} differs from {r}")
+        if size == 0:
+            raise DimensionMismatch(f"complex has no simplices of dimension {r}")
+        for i in c.coeffs:
+            if not 1 <= i <= size:
+                raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
+    if r == 0 or not chains:
+        return None, [[] for _ in chains]
+    d = boundary_matrix(k, r).entries  # CSC: column j - 1 holds simplex j's faces
+    out = [[Fraction(0)] * k.size(r - 1) for _ in chains]
+    for b, c in zip(out, chains):
+        for j, cj in c.coeffs.items():
+            lo, hi = d.indptr[j - 1], d.indptr[j]
+            for i, v in zip(d.indices[lo:hi].tolist(), d.data[lo:hi].tolist()):
+                b[i] += v * cj
+    return d, out
 
 
 def boundary_of(k: SimplicialComplex, c: Chain) -> list[Fraction]:
     """Exact boundary of a chain as a dense rational vector (one layer down)."""
-    _check_chain(k, c)
-    if c.r == 0:
-        return []
-    out = [Fraction(0)] * k.size(c.r - 1)
-    d = boundary_matrix(k, c.r).entries  # CSC: column j - 1 holds simplex j's faces
-    for j, cj in c.coeffs.items():
-        lo, hi = d.indptr[j - 1], d.indptr[j]
-        for i, v in zip(d.indices[lo:hi].tolist(), d.data[lo:hi].tolist()):
-            out[i] += v * cj
-    return out
+    return _boundaries(k, c.r, [c])[1][0]
 
 
 def is_cycle_exact(k: SimplicialComplex, c: Chain) -> bool:
     """Whether the chain's boundary vanishes identically (0-chains always do)."""
-    return all(x == 0 for x in boundary_of(k, c))
+    return not any(boundary_of(k, c))
+
+
+def _require_cycles(k: SimplicialComplex, r: int, chains) -> None:
+    """Raise unless every chain is an r-cycle of k, building the r-boundary
+    once: :class:`DimensionMismatch` as in :func:`_boundaries`, then
+    :class:`NotACycle`."""
+    if any(map(any, _boundaries(k, r, chains)[1])):
+        raise NotACycle("input chain has nonzero boundary")
 
 
 def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=None) -> str:
@@ -80,10 +96,9 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
         raise BadParameter("eta must lie strictly between 0 and 1")
     if c.is_zero():
         raise ZeroChain("cannot test the zero chain")
-    _check_chain(k, c)
-    if is_cycle_exact(k, c):
+    d, (b,) = _boundaries(k, c.r, [c])
+    if not any(b):
         return "likely_cycle"
-    d = boundary_matrix(k, c.r).entries.astype(float)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     vec /= np.linalg.norm(vec)
     p = float(np.linalg.norm(d.T @ (d @ vec) / ((c.r + 1) * k.size(c.r))) ** 2)
@@ -108,11 +123,6 @@ class Verdict:
     answer: bool
     method: str
     low_confidence: bool = False
-
-
-def _require_cycle(k: SimplicialComplex, c: Chain) -> None:  # checks the chain's indices too
-    if not is_cycle_exact(k, c):
-        raise NotACycle("input chain has nonzero boundary")
 
 
 def _augmented(k: SimplicialComplex, *chains: Chain) -> list[exact.Vector]:
@@ -142,14 +152,8 @@ def _harmonic_forms(k: SimplicialComplex, r: int, chains: np.ndarray,
     return np.einsum("ij,ij->j", chains, chains) - step, eps
 
 
-def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
-                 params: EstimatorParams | None = None) -> Verdict:
-    """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
-    then a column-space membership test of the cycle.  Stochastically: its
-    harmonic weight w = c^T (1 - step)(L) c / |c|^2 is cut at twice the
-    filter's error (see :class:`Verdict`)."""
-    _check_mode(mode)
-    _require_cycle(k, c)
+def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None) -> Verdict:
+    """:func:`test_trivial` on a checked cycle."""
     if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
     if mode == "exact":
@@ -163,43 +167,41 @@ def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
     return Verdict(answer=answer, method="stochastic", low_confidence=low)
 
 
+def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
+                 params: EstimatorParams | None = None) -> Verdict:
+    """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
+    then a column-space membership test of the cycle.  Stochastically: its
+    harmonic weight w = c^T (1 - step)(L) c / |c|^2 is cut at twice the
+    filter's error (see :class:`Verdict`)."""
+    _check_mode(mode)
+    _require_cycles(k, c.r, [c])
+    return _trivial(k, c, mode, params)
+
+
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
     """Are two cycles homologous?  Reduces to triviality of their difference."""
     _check_mode(mode)
-    if c1.r != c2.r:
-        raise DimensionMismatch("cycle dimensions differ")
-    _require_cycle(k, c1)
-    _require_cycle(k, c2)
-    diff = c1 - c2
-    if diff.is_zero():
-        return Verdict(answer=True, method=mode)
-    return test_trivial(k, diff, mode=mode, params=params)
-
-
-@dataclass(frozen=True)
-class StageVerdict:
-    stage: int
-    answer: bool
-    method: str
-    low_confidence: bool = False
+    _require_cycles(k, c1.r, [c1, c2])
+    return _trivial(k, c1 - c2, mode, params)
 
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Per-stage triviality (one cycle) or equivalence (two cycles) flags."""
+    """Per-stage triviality (one cycle) or equivalence (two cycles) verdicts,
+    stage i + 1 at position i."""
 
     kind: str  # "trivial" or "equivalent"
-    stages: tuple[StageVerdict, ...]
+    stages: tuple[Verdict, ...]
 
 
 def track_classes(stages, cycles, mode: str = "exact",
                   params: EstimatorParams | None = None) -> ClassReport:
     """Follow one or two cycles through a filtration chain.
 
-    Consecutive stages must nest; the cycles live in the first stage and keep
-    their indices through every stage because each validation step reorders
-    the larger complex onto the shared prefix.
+    Consecutive stages must nest.  Each stage is reordered onto its
+    predecessor's prefix, so the cycles, checked once on the first stage,
+    keep their indices and stay cycles through every stage.
     """
     _check_mode(mode)
     stages = list(stages)
@@ -217,19 +219,10 @@ def track_classes(stages, cycles, mode: str = "exact",
             raise NotAFiltrationChain(f"stage {len(ordered)} is not included in its successor: {exc}") from exc
         ordered.append(pair.k2)
 
-    for c in cycles:
-        _require_cycle(ordered[0], c)
-
-    verdicts = []
-    for idx, complex_ in enumerate(ordered, start=1):
-        if len(cycles) == 1:
-            v = test_trivial(complex_, cycles[0], mode=mode, params=params)
-        else:
-            v = test_equivalent(complex_, cycles[0], cycles[1], mode=mode, params=params)
-        verdicts.append(StageVerdict(stage=idx, answer=v.answer, method=v.method,
-                                     low_confidence=v.low_confidence))
+    _require_cycles(ordered[0], cycles[0].r, cycles)
+    target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
     kind = "trivial" if len(cycles) == 1 else "equivalent"
-    return ClassReport(kind=kind, stages=tuple(verdicts))
+    return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params) for k in ordered))
 
 
 def _random_combinations(basis: list[exact.Vector], rng):
@@ -277,13 +270,9 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
     result a lower bound whenever delta lies below L's gap.
     """
     _check_mode(mode)
-    reps: list[Chain] = []
-    for c in cycles:
-        _require_cycle(k, c)
-        if c.r != r:
-            raise DimensionMismatch("cycle dimension differs from requested r")
-        if not c.is_zero():
-            reps.append(c)
+    cycles = list(cycles)
+    _require_cycles(k, r, cycles)
+    reps = [c for c in cycles if not c.is_zero()]
     if not reps:
         return 0
     if mode == "exact":

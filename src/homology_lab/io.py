@@ -78,6 +78,8 @@ def load_chain(path) -> Chain:
         r = coeffs = None
     if coeffs is None or not set(map(type, [r, *chain.from_iterable(rows)])) <= {int}:
         raise BadParameter(f'{path}: chain file must be {{"r": <int>, "coeffs": [[<i>, <num>, <den>], ...]}}')
+    if len(coeffs) != len(rows):
+        raise BadParameter(f"{path}: chain indices must be distinct")
     return Chain.make(r, coeffs)
 
 

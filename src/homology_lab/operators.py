@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .complexes import FiltrationPair, SimplicialComplex, _incidence
 from .errors import BadParameter, EmptyLayer, StructuralViolation
 
-PINV_RTOL = 1e-10  # singular values <= rtol * sigma_max are treated as zero
+PINV_RTOL = 1e-10  # singular values <= PINV_RTOL * sigma_max are treated as zero
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,13 @@ def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
     return PersistentBlocks(r=r, b=b.tocsc(), r_block=r_blk.tocsc(), g=g.tocsc())
 
 
-def _pinv_sym(m: np.ndarray, rtol: float) -> np.ndarray:
+def _pinv_sym(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return m.copy()
-    return np.linalg.pinv(m, rcond=rtol, hermitian=True)
+    return np.linalg.pinv(m, rcond=PINV_RTOL, hermitian=True)
 
 
-def schur_complement(m: np.ndarray, index_set, rtol: float = PINV_RTOL) -> np.ndarray:
+def schur_complement(m: np.ndarray, index_set) -> np.ndarray:
     """Eliminate the 1-based rows/columns in ``index_set`` from a symmetric matrix.
 
     Returns M(comp, comp) - M(comp, I) M(I, I)^+ M(I, comp) with a
@@ -151,10 +151,10 @@ def schur_complement(m: np.ndarray, index_set, rtol: float = PINV_RTOL) -> np.nd
     m_ii = m[np.ix_(inner, inner)]
     if keep.size == 0:
         return np.zeros((0, 0))
-    return m_kk - m_ki @ _pinv_sym(m_ii, rtol) @ m_ki.T
+    return m_kk - m_ki @ _pinv_sym(m_ii) @ m_ki.T
 
 
-def persistent_up_laplacian(pair: FiltrationPair, r: int, rtol: float = PINV_RTOL) -> np.ndarray:
+def persistent_up_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:
     """Up-part of the persistent Laplacian from the block formula.
 
     B B^T + R R^T - R G^T (G G^T)^+ G R^T, acting on k1's r-simplices.
@@ -166,17 +166,17 @@ def persistent_up_laplacian(pair: FiltrationPair, r: int, rtol: float = PINV_RTO
     up = b @ b.T + rr @ rr.T
     if g.shape[0] > 0 and g.shape[1] > 0:
         ggt = g @ g.T
-        up = up - rr @ g.T @ _pinv_sym(ggt, rtol) @ g @ rr.T
+        up = up - rr @ g.T @ _pinv_sym(ggt) @ g @ rr.T
     return up
 
 
-def persistent_laplacian(pair: FiltrationPair, r: int, rtol: float = PINV_RTOL) -> np.ndarray:
+def persistent_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:
     """Persistent Laplacian on k1's r-simplices; its kernel dimension is the
     persistent Betti number."""
     k1 = pair.k1
     if k1.size(r) == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    total = persistent_up_laplacian(pair, r, rtol)
+    total = persistent_up_laplacian(pair, r)
     if r >= 1 and k1.size(r - 1) > 0:
         d = boundary_matrix(k1, r).toarray().astype(float)
         total = total + d.T @ d

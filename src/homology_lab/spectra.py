@@ -73,8 +73,7 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     return exact.reduce_columns(boundary_matrix(k, r).entries, track=True).kernel
 
 
-def exact_persistent_betti(pair: FiltrationPair, r: int, eig_rtol: float = KERNEL_EIG_RTOL,
-                           *, lap: np.ndarray | None = None) -> int:
+def exact_persistent_betti(pair: FiltrationPair, r: int, *, lap: np.ndarray | None = None) -> int:
     """Persistent Betti number, computed by two independent routes.
 
     Route A is the quotient definition: dim ker of k1's boundary minus the
@@ -98,7 +97,7 @@ def exact_persistent_betti(pair: FiltrationPair, r: int, eig_rtol: float = KERNE
     if lap is None:
         lap = persistent_laplacian(pair, r)
     eigs = np.linalg.eigvalsh(lap)
-    cutoff = eig_rtol * max(1.0, float(eigs[-1])) if eigs.size else 0.0
+    cutoff = KERNEL_EIG_RTOL * max(1.0, float(eigs[-1])) if eigs.size else 0.0
     route_b = int(np.count_nonzero(eigs < cutoff))
     if route_a != route_b:
         raise RouteDisagreement(route_a, route_b)
@@ -138,7 +137,10 @@ def _smoothed_step(x: np.ndarray, delta: float) -> np.ndarray:
     return 0.5 * (1.0 + erf(2.6 * (x - center) / halfwidth))
 
 
-def chebyshev_filter(delta: float, m: int, quad_points: int = 2048) -> ChebyshevStepFilter:
+QUAD_POINTS = 2048  # cosine quadrature nodes of the filter coefficients
+
+
+def chebyshev_filter(delta: float, m: int) -> ChebyshevStepFilter:
     """Chebyshev coefficients of the smoothed step at threshold ``delta``."""
     if not (0.0 < delta < 1.0):
         raise BadParameter("delta must lie strictly between 0 and 1")
@@ -146,13 +148,13 @@ def chebyshev_filter(delta: float, m: int, quad_points: int = 2048) -> Chebyshev
         raise BadParameter("degree must be at least 1")
     from scipy.fft import dct
 
-    theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
+    theta = np.pi * (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS
     f = _smoothed_step(0.5 * (np.cos(theta) + 1.0), delta)
     # (2/N) sum_k f_k cos(j theta_k) for j < N is one DCT-II; beyond that the
     # cosines alias: c_N = 0, c_{2N-i} = -c_i and c_{j+2N} = -c_j.
-    head = dct(f, type=2) / quad_points
+    head = dct(f, type=2) / QUAD_POINTS
     half = np.concatenate([head, [0.0], -head[:0:-1]])
-    c = np.concatenate([half, -half])[np.arange(m + 1) % (4 * quad_points)]
+    c = np.concatenate([half, -half])[np.arange(m + 1) % (4 * QUAD_POINTS)]
     c[0] *= 0.5
     return ChebyshevStepFilter(delta=float(delta), degree=int(m), coeffs=tuple(c))
 
@@ -234,7 +236,7 @@ def _prepare(a, n_v: int, probe_kind: str, seed):
     n = a.shape[0]
     if n == 0:
         raise BadParameter("empty matrix")
-    bound = power_iteration_bound(a, iters=30)
+    bound = power_iteration_bound(a)
     if bound > 1.0 + 1e-6:
         raise SpectralNormExceeded(f"power-iteration norm bound {bound:.6g} exceeds 1")
     v, n_pad = _probe_matrix(n, n_v, probe_kind, seed)
@@ -329,17 +331,17 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
 
 
-def power_iteration_bound(a, iters: int = 30, seed: int = 0) -> float:
-    """Rayleigh-quotient estimate of the spectral norm after ``iters`` steps."""
+def power_iteration_bound(a) -> float:
+    """Rayleigh-quotient estimate of the spectral norm after 30 steps from a
+    fixed random start (``default_rng(0)``)."""
     a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
     if n == 0 or not a.count_nonzero():
         return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         y = a @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:

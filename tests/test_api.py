@@ -1,8 +1,9 @@
-"""The public API in ``homology_lab.__all__`` and the CLI's options are part
-of the behavioural contract: adding or removing a name or a flag must change
-these lists on purpose."""
+"""The public API in ``homology_lab.__all__``, its functions' parameters and
+the CLI's options are part of the behavioural contract: adding or removing a
+name, a parameter or a flag must change these lists on purpose."""
 
 import argparse
+import inspect
 
 import homology_lab
 from homology_lab.cli import PARSER
@@ -54,3 +55,49 @@ def test_cli_options_are_pinned():
            for name, p in sub.choices.items()}
     assert got == OPTIONS
     assert sum(map(len, OPTIONS.values())) == 69
+
+
+PARAMETERS = {
+    "betti_via_tracking": ["cycles", "k", "mode", "params", "r"],
+    "boundary_matrix": ["k", "r"],
+    "build_complex": ["autoclose", "simplices"],
+    "chebyshev_filter": ["delta", "m"],
+    "coboundary_matrix": ["k", "r"],
+    "detect_cycle_stochastic": ["c", "eta", "k", "seed"],
+    "estimate_normalized_betti": ["k", "params", "r"],
+    "estimate_normalized_persistent_betti": ["pair", "params", "r"],
+    "evaluate": ["c", "k", "w"],
+    "exact_betti": ["k", "r"],
+    "exact_persistent_betti": ["lap", "pair", "r"],
+    "exact_rank": ["m"],
+    "generate": ["kind", "m", "max_dim", "points", "seed", "threshold"],
+    "is_cycle_exact": ["c", "k"],
+    "laplacian": ["k", "r"],
+    "manual_cocycle": ["k", "r", "seed"],
+    "normalized_laplacian": ["k", "r"],
+    "pair_cocycle": ["k", "r"],
+    "persistent_blocks": ["pair", "r"],
+    "persistent_laplacian": ["pair", "r"],
+    "persistent_up_laplacian": ["pair", "r"],
+    "power_moments_rank": ["a", "filt", "n_v", "probe_kind", "seed"],
+    "project_to_cocycle": ["k", "r", "w"],
+    "random_cocycle": ["k", "r", "seed"],
+    "sample_cycles": ["k", "r", "s", "seed"],
+    "schur_complement": ["index_set", "m"],
+    "spec_matrix": ["k", "r"],
+    "stochastic_rank": ["a", "filt", "n_v", "probe_kind", "seed"],
+    "test_equivalent": ["c1", "c2", "k", "mode", "params"],
+    "test_equivalent_cohomological": ["c1", "c2", "k", "seed", "witnesses"],
+    "test_trivial": ["c", "k", "mode", "params"],
+    "track_classes": ["cycles", "mode", "params", "stages"],
+    "validate_filtration": ["k1", "k2"],
+    "vietoris_rips": ["max_dim", "points", "threshold"],
+}
+
+
+def test_public_parameters_are_pinned():
+    functions = [getattr(homology_lab, name) for name in homology_lab.__all__]
+    got = {f.__name__: sorted(inspect.signature(f).parameters)
+           for f in functions if inspect.isfunction(f)}
+    assert got == PARAMETERS
+    assert sum(map(len, PARAMETERS.values())) == 102

@@ -15,8 +15,10 @@ from homology_lab import (
     is_cycle_exact,
     sample_cycles,
     track_classes,
+    validate_filtration,
 )
 from homology_lab import test_equivalent as check_equivalent
+from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_trivial as check_trivial
 from homology_lab.errors import (
     BadParameter,
@@ -458,3 +460,107 @@ def test_stochastic_betti_via_tracking_is_a_lower_bound():
         hits.append(got == betti_via_tracking(k, 1, cycles, mode="exact"))
     assert all(hits[:len(canonical)])
     assert sum(hits[len(canonical):]) >= 15
+
+
+# --- one check and one build per query ---------------------------------------------
+
+def rips(seed, threshold, n_points=30):
+    points = np.random.default_rng(seed).random((n_points, 2)).tolist()
+    return generate("vietoris_rips", points=points, threshold=threshold)
+
+
+def count_boundary_builds(monkeypatch) -> list[int]:
+    from homology_lab import cohomology, homology, spectra
+
+    builds = []
+
+    def counted(k, r):
+        builds.append(r)
+        return boundary_matrix(k, r)
+
+    for module in (homology, cohomology, spectra):
+        monkeypatch.setattr(module, "boundary_matrix", counted)
+    return builds
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+def test_class_queries_build_each_boundary_once(monkeypatch, mode):
+    # the cycles are checked against d_1 once per query, and d_2 is built once per complex
+    stages = [rips(0, t) for t in (0.3, 0.33, 0.36)]
+    c1, c2 = sample_cycles(stages[0], 1, s=2, seed=0)
+    builds = count_boundary_builds(monkeypatch)
+
+    def count(call) -> int:
+        builds.clear()
+        call()
+        return len(builds)
+
+    assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == 2
+    assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == 2
+    for s in (1, 2, 3):
+        assert count(lambda: track_classes(stages[:s], [c1], mode=mode)) == 1 + s
+        assert count(lambda: track_classes(stages[:s], [c1, c2], mode=mode)) == 1 + s
+    for n in (1, 4, 10):
+        cycles = sample_cycles(stages[0], 1, s=n, seed=1)
+        assert count(lambda: betti_via_tracking(stages[0], 1, cycles, mode=mode)) == 2
+    assert count(lambda: check_cohomological(stages[0], c1, c2, seed=0)) == 2
+    edge = Chain.make(1, {1: 1})
+    for c in (c1, edge):
+        assert count(lambda: detect_cycle_stochastic(stages[0], c, eta=0.1, seed=0)) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+def test_track_classes_matches_the_verdicts_on_each_reordered_stage(mode):
+    params = EstimatorParams(degree=24)
+    for seed in range(10):
+        stages = [rips(seed, t, n_points=20) for t in (0.25, 0.3, 0.36)]
+        ordered = stages[:1]
+        for k in stages[1:]:
+            ordered.append(validate_filtration(ordered[-1], k).k2)
+        c1, c2 = sample_cycles(stages[0], 1, s=2, seed=seed)
+        one = track_classes(stages, [c1], mode=mode, params=params)
+        two = track_classes(stages, [c1, c2], mode=mode, params=params)
+        assert (one.kind, two.kind) == ("trivial", "equivalent")
+        assert one.stages == tuple(check_trivial(k, c1, mode=mode, params=params) for k in ordered)
+        assert two.stages == tuple(check_equivalent(k, c1, c2, mode=mode, params=params)
+                                   for k in ordered)
+
+
+LOOP = Chain.make(1, {1: 1, 2: 1, 5: -1})  # [0,1] + [1,2] - [0,2] in the filled square
+BAD_INPUTS = {  # bad chain, a good cycle of the filled square, error
+    "absent-layer": (Chain.make(3, {1: 1}), LOOP, DimensionMismatch),
+    "edge-index": (Chain.make(1, {6: 1}), LOOP, DimensionMismatch),
+    "vertex-index": (Chain.make(0, {5: 1}), Chain.make(0, {1: 1}), DimensionMismatch),
+    "non-cycle": (Chain.make(1, {1: 1}), LOOP, NotACycle),
+    "mixed-dimension": (Chain.make(0, {1: 1}), LOOP, DimensionMismatch),
+}
+CLASS_CALLS = {
+    "test_trivial": lambda k, bad, good: check_trivial(k, bad),
+    "test_trivial-stochastic": lambda k, bad, good: check_trivial(k, bad, mode="stochastic"),
+    "test_equivalent": lambda k, bad, good: check_equivalent(k, bad, good),
+    "test_equivalent-stochastic": lambda k, bad, good: check_equivalent(k, good, bad,
+                                                                        mode="stochastic"),
+    "track_classes-one": lambda k, bad, good: track_classes([k, k], [bad]),
+    "track_classes-two": lambda k, bad, good: track_classes([k, k], [good, bad], mode="stochastic"),
+    "betti_via_tracking": lambda k, bad, good: betti_via_tracking(k, good.r, [good, bad]),
+    "test_equivalent_cohomological": lambda k, bad, good: check_cohomological(k, good, bad),
+    "is_cycle_exact": lambda k, bad, good: is_cycle_exact(k, bad),
+    "detect_cycle_stochastic": lambda k, bad, good: detect_cycle_stochastic(k, bad, 0.1, seed=0),
+}
+SINGLE_CHAIN = ("test_trivial", "test_trivial-stochastic", "track_classes-one", "is_cycle_exact",
+                "detect_cycle_stochastic")
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("call", CLASS_CALLS)
+def test_class_functions_keep_their_error_classes(filled_square, call, case):
+    # the filled square has 4 vertices, 5 edges and 2 triangles; a lone vertex
+    # is a 0-cycle, and a lone edge is not a 1-cycle
+    bad, good, error = BAD_INPUTS[case]
+    assert is_cycle_exact(filled_square, good)
+    if (case == "mixed-dimension" and call in SINGLE_CHAIN) or (
+            case == "non-cycle" and call in ("is_cycle_exact", "detect_cycle_stochastic")):
+        CLASS_CALLS[call](filled_square, bad, good)  # a valid query: no error
+        return
+    with pytest.raises(error):
+        CLASS_CALLS[call](filled_square, bad, good)

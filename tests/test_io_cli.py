@@ -346,9 +346,11 @@ def test_cli_rejects_malformed_simplex_lines(tmp_path, capsys, line):
      ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
     ("bad.json", '{"r": "x", "coeffs": [[1, 1, 1]]}',
      ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
+    ("bad.json", '{"r": 1, "coeffs": [[1, 5, 1], [1, 1, 1], [2, -1, 1], [3, 1, 1]]}',
+     ("test-trivial", "--input", "hollow.jsonl", "--chain", "bad.json")),
     ("bad.json", "5", ("persistent-betti", "--input", "bad.json", "--r", "1")),
 ], ids=["n-not-int", "vertex-map-key", "header-not-object", "coeff-pair", "zero-denominator",
-        "coeffs-not-list", "r-not-int", "manifest-not-object"])
+        "coeffs-not-list", "r-not-int", "repeated-index", "manifest-not-object"])
 def test_cli_rejects_malformed_headers_chains_and_manifests(replay_files, capsys, monkeypatch,
                                                             name, text, argv):
     monkeypatch.chdir(replay_files)
