@@ -4,12 +4,12 @@ The parser is built once, at import.  Its parsed namespace is the run
 record: ``run`` writes the resolved seed back into it, and every result JSON
 on stdout embeds it as ``config``, one key per flag (dashes become
 underscores) plus ``subcommand``.  So every output replays from its own
-JSON.  ``--seed`` is taken by every subcommand; the estimator flags
-(``--mode``, ``--delta``, ``--degree``, with the defaults of
-``EstimatorParams``) by those that build estimator parameters, and the probe
-flags (``--probes``, ``--probe-kind``) only by ``betti`` and
-``persistent-betti``.  Diagnostics go to stderr; exit codes: 0 success, 2
-input error, 3 internal invariant violation.
+JSON.  ``--seed`` is taken by every subcommand and ``--mode`` by those with
+a stochastic route; the estimator flags (``--delta``, ``--degree``,
+``--probes``, ``--probe-kind``, with the defaults of ``EstimatorParams``)
+only by ``betti`` and ``persistent-betti``, as class verdicts read only the
+seed.  Diagnostics go to stderr; exit codes: 0 success, 2 input error, 3
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -147,11 +147,14 @@ def _cmd_persistent_betti(args) -> dict:
     return result
 
 
+def _verdict(v) -> dict:
+    return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}
+
+
 def _cmd_test_trivial(args) -> dict:
     k = files.load_complex(args.input)
     c = files.load_chain(args.chain)
-    v = test_trivial(k, c, mode=args.mode, params=_params(args))
-    return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}
+    return _verdict(test_trivial(k, c, mode=args.mode, params=_params(args)))
 
 
 def _cmd_test_equiv(args) -> dict:
@@ -159,8 +162,8 @@ def _cmd_test_equiv(args) -> dict:
     c1 = files.load_chain(args.chain)
     c2 = files.load_chain(args.chain2)
     if args.method == "cohomology":
-        if args.mode != "exact" or _params(args) != EstimatorParams(seed=args.seed):
-            raise InputError("--method cohomology takes no estimator flags (--mode, --delta, ...)")
+        if args.mode != "exact":
+            raise InputError("--method cohomology is exact: drop --mode stochastic")
         verdict = test_equivalent_cohomological(k, c1, c2, witnesses=args.witnesses,
                                                 seed=args.seed)
         out = {"answer": verdict.equivalent, "method": "cohomology",
@@ -171,8 +174,7 @@ def _cmd_test_equiv(args) -> dict:
         return out
     if args.witnesses != WITNESSES or args.dump_witness:
         raise InputError("--witnesses and --dump-witness belong to --method cohomology")
-    v = test_equivalent(k, c1, c2, mode=args.mode, params=_params(args))
-    return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}
+    return _verdict(test_equivalent(k, c1, c2, mode=args.mode, params=_params(args)))
 
 
 def _cmd_detect_cycle(args) -> dict:
@@ -188,14 +190,8 @@ def _cmd_track(args) -> dict:
     if args.chain2:
         chains.append(files.load_chain(args.chain2))
     report = track_classes(stages, chains, mode=args.mode, params=_params(args))
-    return {
-        "kind": report.kind,
-        "stages": [
-            {"stage": i, "answer": s.answer, "method": s.method,
-             "confidence": "low" if s.low_confidence else "high"}
-            for i, s in enumerate(report.stages, start=1)
-        ],
-    }
+    return {"kind": report.kind,
+            "stages": [{"stage": i, **_verdict(s)} for i, s in enumerate(report.stages, start=1)]}
 
 
 def _cmd_betti_track(args) -> dict:
@@ -236,23 +232,23 @@ def _cmd_dump_operator(args) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int)
+    moded = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    moded.add_argument("--mode", choices=["exact", "stochastic"], default="exact")
     defaults = EstimatorParams()
-    estimator = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    estimator.add_argument("--mode", choices=["exact", "stochastic"], default="exact")
+    estimator = argparse.ArgumentParser(add_help=False, parents=[moded])
     estimator.add_argument("--delta", type=float, default=defaults.delta)
     estimator.add_argument("--degree", type=int, default=defaults.degree)
-    probed = argparse.ArgumentParser(add_help=False, parents=[estimator])
-    probed.add_argument("--probes", type=int, default=defaults.probes)
-    probed.add_argument("--probe-kind", default=defaults.probe_kind,
-                        choices=["rademacher", "hadamard_column"])
+    estimator.add_argument("--probes", type=int, default=defaults.probes)
+    estimator.add_argument("--probe-kind", default=defaults.probe_kind,
+                           choices=["rademacher", "hadamard_column"])
 
     parser = argparse.ArgumentParser(prog="homology-lab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, summary, parent=estimator):
+    def add(name, summary, parent=moded):
         return sub.add_parser(name, help=summary, parents=[parent])
 
-    p = add("betti", "Betti number of a complex (exact or estimated)", probed)
+    p = add("betti", "Betti number of a complex (exact or estimated)", estimator)
     p.add_argument("--input", help="complex file (JSON lines)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")
@@ -261,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=2)
     p.add_argument("--plot-data", help="write sweep CSV here")
 
-    p = add("persistent-betti", "persistent Betti number of a filtration", probed)
+    p = add("persistent-betti", "persistent Betti number of a filtration", estimator)
     p.add_argument("--input", required=True, help="filtration manifest")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")

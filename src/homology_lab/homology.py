@@ -1,9 +1,9 @@
 """Cycle detection, triviality and equivalence testing, and class tracking.
 
 The exact paths run entirely over the rationals.  The stochastic paths draw
-no probes: a cycle c is a boundary exactly when its projection onto ker L,
-L the up-Laplacian, vanishes, and c^T (1 - step)(L) c with the Chebyshev
-step filter of :mod:`spectra` gives that projection's weight to within eps.
+no probes and compute no rank: a cycle c is a boundary exactly when its
+projection onto the kernel of the Hodge Laplacian vanishes, and the basis
+Q_H of :func:`spectra.harmonic_basis` gives its weight |Q_H^T c|^2.
 """
 
 from __future__ import annotations
@@ -27,15 +27,10 @@ from .errors import (
     ZeroChain,
 )
 from .operators import boundary_matrix
-from .spectra import (
-    _STEP_ERROR_TARGET,
-    EstimatorParams,
-    _filtered_forms,
-    _rescaled_filter,
-    _resolved_filter,
-    cycle_basis,
-    exact_rank,
-)
+from .spectra import EstimatorParams, cycle_basis, harmonic_basis
+from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
+
+HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this
 
 
 def _boundaries(k: SimplicialComplex, r: int, chains) -> tuple[sp.csc_matrix | None, list]:
@@ -74,12 +69,14 @@ def is_cycle_exact(k: SimplicialComplex, c: Chain) -> bool:
     return not any(boundary_of(k, c))
 
 
-def _require_cycles(k: SimplicialComplex, r: int, chains) -> None:
+def _require_cycles(k: SimplicialComplex, r: int, chains) -> sp.csc_matrix | None:
     """Raise unless every chain is an r-cycle of k, building the r-boundary
     once: :class:`DimensionMismatch` as in :func:`_boundaries`, then
-    :class:`NotACycle`."""
-    if any(map(any, _boundaries(k, r, chains)[1])):
+    :class:`NotACycle`; return that boundary."""
+    d, boundaries = _boundaries(k, r, chains)
+    if any(map(any, boundaries)):
         raise NotACycle("input chain has nonzero boundary")
+    return d
 
 
 def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=None) -> str:
@@ -111,14 +108,10 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a triviality or equivalence test.
-
-    ``low_confidence`` is only meaningful for stochastic tests, which call a
-    cycle trivial iff its harmonic weight, within eps of the true one when
-    delta is below the gap, is at most 2 eps; it is set within eps of that
-    cut, and on a trivial answer whose eps misses the filter's target.  A
-    confident trivial answer thus means a weight below 2 eps <= 0.002.
-    """
+    """Outcome of a triviality or equivalence test.  Only stochastic tests set
+    ``low_confidence``: when the unit cycle's harmonic weight lies within the
+    margin of :func:`spectra.harmonic_basis` of ``HARMONIC_CUT``, or when that
+    basis did not converge, as for a kernel past the block cap."""
 
     answer: bool
     method: str
@@ -138,52 +131,48 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _harmonic_forms(k: SimplicialComplex, r: int, chains: np.ndarray,
-                    params: EstimatorParams) -> tuple[np.ndarray, float]:
-    """c^T (1 - step)(L) c for every column c, L = d_{r+1} d_{r+1}^T over its
-    infinity norm, and the filter's step error eps: on cycles, 1 - step(L) is
-    the projection onto ker L to within eps when delta lies below L's gap, as
-    the default delta does, set from the exact rank of d_{r+1}."""
+def _hodge_basis(k: SimplicialComplex, r: int, down, params: EstimatorParams | None):
+    """:func:`harmonic_basis` of d_r^T d_r + d_{r+1} d_{r+1}^T, d_r = ``down``
+    when the caller has built it; each other boundary is built once."""
     n = k.size(r)
-    d = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((n, 0), dtype=int)
-    lap, _, filt = _rescaled_filter(d @ d.T, exact_rank(d), 0.01, params)
-    filt, eps = _resolved_filter(filt)
-    step = _filtered_forms(2.0 * lap - sp.identity(n, format="csr"), chains, filt.coeffs)
-    return np.einsum("ij,ij->j", chains, chains) - step, eps
+    up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((n, 0))
+    if r and down is None:
+        down = boundary_matrix(k, r).entries
+    lap = up @ up.T + (down.T @ down if r else 0)
+    return harmonic_basis(lap, (params or EstimatorParams()).seed)
 
 
-def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None) -> Verdict:
-    """:func:`test_trivial` on a checked cycle."""
+def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None,
+             down) -> Verdict:
+    """:func:`test_trivial` on a checked cycle; ``down`` as in :func:`_hodge_basis`."""
     if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
     if mode == "exact":
         augmented = _augmented(k, c)
         boundary = exact.reduce_columns(augmented[:-1])
         return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
-    vec = np.array([[float(x)] for x in c.dense(k.size(c.r))])
-    weight, eps = _harmonic_forms(k, c.r, vec / np.linalg.norm(vec), params or EstimatorParams())
-    answer = float(weight[0]) <= 2.0 * eps
-    low = abs(float(weight[0]) - 2.0 * eps) <= eps or (answer and eps > _STEP_ERROR_TARGET)
-    return Verdict(answer=answer, method="stochastic", low_confidence=low)
+    q, margin, converged = _hodge_basis(k, c.r, down, params)
+    vec = np.array([float(x) for x in c.dense(k.size(c.r))])
+    weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
+    return Verdict(answer=weight <= HARMONIC_CUT, method="stochastic",
+                   low_confidence=abs(weight - HARMONIC_CUT) <= margin or not converged)
 
 
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
                  params: EstimatorParams | None = None) -> Verdict:
     """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
     then a column-space membership test of the cycle.  Stochastically: its
-    harmonic weight w = c^T (1 - step)(L) c / |c|^2 is cut at twice the
-    filter's error (see :class:`Verdict`)."""
+    harmonic weight |Q_H^T c|^2 / |c|^2 is cut at ``HARMONIC_CUT`` (see
+    :class:`Verdict`)."""
     _check_mode(mode)
-    _require_cycles(k, c.r, [c])
-    return _trivial(k, c, mode, params)
+    return _trivial(k, c, mode, params, _require_cycles(k, c.r, [c]))
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
     """Are two cycles homologous?  Reduces to triviality of their difference."""
     _check_mode(mode)
-    _require_cycles(k, c1.r, [c1, c2])
-    return _trivial(k, c1 - c2, mode, params)
+    return _trivial(k, c1 - c2, mode, params, _require_cycles(k, c1.r, [c1, c2]))
 
 
 @dataclass(frozen=True)
@@ -219,10 +208,11 @@ def track_classes(stages, cycles, mode: str = "exact",
             raise NotAFiltrationChain(f"stage {len(ordered)} is not included in its successor: {exc}") from exc
         ordered.append(pair.k2)
 
-    _require_cycles(ordered[0], cycles[0].r, cycles)
+    down = _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
     kind = "trivial" if len(cycles) == 1 else "equivalent"
-    return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params) for k in ordered))
+    return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params, down if i == 0 else None)
+                                               for i, k in enumerate(ordered)))
 
 
 def _random_combinations(basis: list[exact.Vector], rng):
@@ -263,15 +253,14 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
 
     Exactly: one reduction of the (r+1)-boundary, extended by every cycle;
     the rank increases count dim(B + span(cycles)) - dim B.  Stochastically:
-    the k x k matrix G = C^T (1 - step)(L) C of the unit cycles, built by
-    polarization from the forms of c_i and c_i - c_j, is within
-    eps * lambda_max(C^T C) of C^T P_H C, whose rank is the exact count; so by
-    Weyl's inequality counting G's eigenvalues above that margin keeps the
-    result a lower bound whenever delta lies below L's gap.
+    Q_H Q_H^T C of the unit cycles is within margin * |C| of P_H C, whose rank
+    is the exact count; so by Weyl's inequality counting the singular values
+    of Q_H^T C above max(margin, sqrt(HARMONIC_CUT)) * |C| keeps the result a
+    lower bound.
     """
     _check_mode(mode)
     cycles = list(cycles)
-    _require_cycles(k, r, cycles)
+    down = _require_cycles(k, r, cycles)
     reps = [c for c in cycles if not c.is_zero()]
     if not reps:
         return 0
@@ -281,10 +270,6 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
         return sum(boundary.add(v) for v in augmented[-len(reps):])
     unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
     unit /= np.linalg.norm(unit, axis=0)
-    i, j = np.triu_indices(len(reps), 1)
-    forms, eps = _harmonic_forms(k, r, np.hstack([unit, unit[:, i] - unit[:, j]]),
-                                 params or EstimatorParams())
-    g = np.diag(forms[:len(reps)])
-    g[i, j] = g[j, i] = (forms[i] + forms[j] - forms[len(reps):]) / 2.0
-    margin = eps * np.linalg.eigvalsh(unit.T @ unit)[-1]
-    return int(np.count_nonzero(np.linalg.eigvalsh(g) > margin))
+    q, margin, _ = _hodge_basis(k, r, down, params)
+    cutoff = max(margin, math.sqrt(HARMONIC_CUT)) * np.linalg.norm(unit, 2)
+    return int(np.count_nonzero(np.linalg.svd(q.T @ unit, compute_uv=False) > cutoff))

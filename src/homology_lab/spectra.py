@@ -12,8 +12,8 @@ Spectral coordinates: estimator inputs live in [0, 1]; internally the
 spectrum is mapped to the Chebyshev domain via y = 2x - 1 before filtering,
 so coefficients are for T_j(2x - 1), computed by one DCT.  Operators stay
 sparse (CSR), and degree m costs ceil(m/2) sparse products, O(nnz) per probe
-each; only the oracle's threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``,
-and at every size for a class verdict) uses a dense spectrum.
+each; only the oracle's threshold (``eigvalsh`` at |S_r| <= ``ORACLE_GATE``)
+uses a dense spectrum.  Class verdicts read :func:`harmonic_basis` instead.
 """
 
 from __future__ import annotations
@@ -159,27 +159,6 @@ def chebyshev_filter(delta: float, m: int) -> ChebyshevStepFilter:
     return ChebyshevStepFilter(delta=float(delta), degree=int(m), coeffs=tuple(c))
 
 
-_STEP_ERROR_TARGET = 1e-3  # class verdicts double the degree until the step error is this small
-_MAX_STEP_DEGREE = 1024  # ... or the degree reaches this
-
-
-def _resolved_filter(filt: ChebyshevStepFilter) -> tuple[ChebyshevStepFilter, float]:
-    """The filter, its degree doubled until its largest error eps against
-    1{x >= delta} on {0} and [delta, 1] meets the target or the cap, and eps:
-    taken at x = delta and, by one DCT-I, at (1 + cos(pi i / 16m)) / 2, i <= 16m."""
-    from scipy.fft import dct
-
-    while True:
-        n = 16 * filt.degree
-        x = np.append(0.5 * (1.0 + np.cos(np.pi * np.arange(n + 1) / n)), filt.delta)
-        half = np.pad(np.asarray(filt.coeffs) / 2.0, (0, n - filt.degree))
-        err = np.abs(np.append(dct(half, type=1) + half[0], filt(filt.delta)) - (x >= filt.delta))
-        eps = float(err[(x >= filt.delta) | (x == 0.0)].max())
-        if eps <= _STEP_ERROR_TARGET or filt.degree >= _MAX_STEP_DEGREE:
-            return filt, eps
-        filt = chebyshev_filter(filt.delta, 2 * filt.degree)
-
-
 # ---------------------------------------------------------------------------
 # Stochastic rank estimation
 # ---------------------------------------------------------------------------
@@ -262,12 +241,15 @@ def _finalize(per_probe: np.ndarray, n: int, n_pad: int, filt: ChebyshevStepFilt
     )
 
 
-def _filtered_forms(b, v: np.ndarray, coeffs) -> np.ndarray:
-    """sum_j c_j v^T T_j(B) v for every column v of V.  The doubling identities
+def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
+                    probe_kind: str = "rademacher", seed=None) -> RankEstimate:
+    """Estimate rank(A)/N for a symmetric PSD matrix with spectrum in [0, 1]:
+    the mean over probes v of the filtered forms sum_j c_j v^T T_j(B) v,
+    B = 2A - 1.  Deterministic for a fixed seed.  The doubling identities
     T_2k = 2 T_k^2 - T_0 and T_2k+1 = 2 T_k T_k+1 - T_1 give every form from
     T_0 v ... T_ceil(m/2) v, so degree m costs ceil(m/2) sparse products."""
-    degree = len(coeffs) - 1
-    half = (degree + 1) // 2
+    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
+    half = (filt.degree + 1) // 2
     forms = np.empty((2 * half + 2, v.shape[1]))  # forms[j] = v^T T_j(B) v, a spare row for degree 0
     t_prev, t_cur = v, b @ v
     forms[0] = np.einsum("ij,ij->j", v, v)
@@ -280,16 +262,8 @@ def _filtered_forms(b, v: np.ndarray, coeffs) -> np.ndarray:
             t_next -= t_prev
             forms[2 * k + 1] = 2.0 * np.einsum("ij,ij->j", t_cur, t_next) - forms[1]
             t_prev, t_cur = t_cur, t_next
-    return np.asarray(coeffs) @ forms[: degree + 1]
-
-
-def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
-                    probe_kind: str = "rademacher", seed=None) -> RankEstimate:
-    """Estimate rank(A)/N for a symmetric PSD matrix with spectrum in [0, 1]:
-    the mean over probes v of the filtered forms sum_j c_j v^T T_j(B) v,
-    B = 2A - 1.  Deterministic for a fixed seed."""
-    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
-    return _finalize(_filtered_forms(b, v, filt.coeffs), n, n_pad, filt, n_v, probe_kind)
+    per_probe = np.asarray(filt.coeffs) @ forms[: filt.degree + 1]
+    return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
 
 
 MAX_MOMENT_DEGREE = 30  # binomial coefficients stay safely representable
@@ -351,6 +325,56 @@ def power_iteration_bound(a) -> float:
     return float(est)
 
 
+HARMONIC_BLOCK, HARMONIC_CAP = 24, 192  # first and largest block of harmonic_basis
+HARMONIC_DEGREE = 24  # Chebyshev degree of its filter steps
+HARMONIC_EPS = 1e-8  # largest value plus residual of a harmonic Ritz pair, and margin to stop at
+HARMONIC_STEPS = 50  # filter steps before it gives up
+
+
+def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
+    """Orthonormal basis Q_H of ker L, L the PSD ``lap`` over its infinity
+    norm, by Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
+    Chelikowsky 2006) from a Gaussian block of ``default_rng(seed)``; its
+    Davis-Kahan margin; and whether it converged.  Each step applies T_24 of
+    the map sending [a, 1] onto [-1, 1], a the largest Ritz value.  Q_H holds
+    the leading Ritz pairs with value plus residual at most ``HARMONIC_EPS``;
+    when after a step no pair's value minus residual exceeds it, the zero
+    cluster fills the block, which doubles.  The margin |R| / (theta_1 - r_1),
+    R the residuals of Q_H and the next pair (theta_1, r_1), bounds
+    |Q_H Q_H^T - P_H| (Parlett 1998) unless the Gaussian start missed a
+    direction below theta_1, which happens only with small probability.
+    A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
+    lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: abs() sorts indices in place
+    n = lap.shape[0]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, min(HARMONIC_BLOCK, n)))
+    filtered = False
+    for _ in range(HARMONIC_STEPS):
+        q = np.linalg.qr(x)[0]
+        lq = lap @ q
+        theta, y = np.linalg.eigh(q.T @ lq)
+        x = q @ y
+        res = np.linalg.norm(lq @ y - x * theta, axis=0)
+        h = int(np.cumprod(theta + res <= HARMONIC_EPS).sum())  # the leading harmonic run
+        margin = (float(np.linalg.norm(res[:h + 1]) / (theta[h] - res[h]))
+                  if h < x.shape[1] and theta[h] > res[h] else math.inf)
+        if margin <= HARMONIC_EPS:
+            return x[:, :h], margin, True
+        if filtered and not np.any(theta - res > HARMONIC_EPS):  # the zero cluster fills the block
+            if x.shape[1] >= min(HARMONIC_CAP, n):
+                return x[:, :h], 0.0 if h == n else math.inf, h == n
+            x = np.hstack([x, rng.standard_normal((n, min(2 * x.shape[1], HARMONIC_CAP, n) - x.shape[1]))])
+            filtered = False
+            continue
+        a = theta[-1]
+        scale, shift = 2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)
+        prev, x = x, scale * (lap @ x) - shift * x
+        for _ in range(HARMONIC_DEGREE - 1):
+            prev, x = x, 2.0 * (scale * (lap @ x) - shift * x) - prev
+        filtered = True
+    return x[:, :h], margin, False
+
+
 # ---------------------------------------------------------------------------
 # Betti estimation endpoints
 # ---------------------------------------------------------------------------
@@ -360,10 +384,9 @@ ORACLE_GATE = 500  # largest |S_r| given exact answers: the estimator's gap delt
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Stochastic estimator configuration, mirrored by the CLI flags.  ``delta``
-    and ``degree`` set every stochastic path's filter (class verdicts double
-    the degree as needed); ``probes``, ``probe_kind`` and ``seed`` only the
-    Betti estimates, as class verdicts draw no probes."""
+    """Stochastic estimator configuration, mirrored by the CLI flags.  Every
+    field sets the Betti estimates; class verdicts read only ``seed``, which
+    draws the start of :func:`harmonic_basis`."""
 
     delta: float | None = None
     degree: int = 64
@@ -412,19 +435,14 @@ def _default_delta(a: sp.csr_matrix, exact_rank_value: int | None, fallback: flo
     return min(0.999, max(1e-6, fallback))
 
 
-def _rescaled_filter(op, rank: int | None, fallback_delta: float, params: EstimatorParams):
-    """op over its infinity norm, that norm, and the step filter of ``params``,
-    its delta by default from :func:`_default_delta`."""
-    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
-    delta = _default_delta(rescaled, rank, fallback_delta) if params.delta is None else params.delta
-    return rescaled, bound, chebyshev_filter(delta, params.degree)
-
-
 def _estimate_from_operator(op, n: int, exact_value: int | None,
                             fallback_delta: float, params: EstimatorParams) -> BettiEstimate:
-    rank_value = None if exact_value is None else n - exact_value
-    rescaled, bound, filt = _rescaled_filter(op, rank_value, fallback_delta, params)
-    est = stochastic_rank(rescaled, filt, n_v=params.probes,
+    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
+    delta = params.delta
+    if delta is None:
+        delta = _default_delta(rescaled, None if exact_value is None else n - exact_value,
+                               fallback_delta)
+    est = stochastic_rank(rescaled, chebyshev_filter(delta, params.degree), n_v=params.probes,
                           probe_kind=params.probe_kind, seed=params.seed)
     value = float(min(1.0, max(0.0, 1.0 - est.normalized)))
     return BettiEstimate(value=value, rank_estimate=est, rescale=bound, layer_size=n,

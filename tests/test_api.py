@@ -31,18 +31,18 @@ def test_public_api_is_pinned():
         assert hasattr(homology_lab, name), name
 
 
-ESTIMATOR = ["--degree", "--delta", "--mode", "--seed"]
+MODED = ["--mode", "--seed"]
+ESTIMATOR = MODED + ["--degree", "--delta", "--probe-kind", "--probes"]
 OPTIONS = {
     "betti": sorted(ESTIMATOR + ["--input", "--max-dim", "--no-oracle", "--plot-data", "--points",
-                                 "--probe-kind", "--probes", "--r", "--thresholds"]),
-    "persistent-betti": sorted(ESTIMATOR + ["--input", "--no-oracle", "--probe-kind", "--probes",
-                                            "--r"]),
-    "test-trivial": sorted(ESTIMATOR + ["--chain", "--input"]),
-    "test-equiv": sorted(ESTIMATOR + ["--chain", "--chain2", "--dump-witness", "--input",
-                                      "--method", "--witnesses"]),
+                                 "--r", "--thresholds"]),
+    "persistent-betti": sorted(ESTIMATOR + ["--input", "--no-oracle", "--r"]),
+    "test-trivial": sorted(MODED + ["--chain", "--input"]),
+    "test-equiv": sorted(MODED + ["--chain", "--chain2", "--dump-witness", "--input",
+                                  "--method", "--witnesses"]),
     "detect-cycle": ["--chain", "--eta", "--input", "--seed"],
-    "track": sorted(ESTIMATOR + ["--chain", "--chain2", "--stages"]),
-    "betti-track": sorted(ESTIMATOR + ["--input", "--no-oracle", "--r", "--samples"]),
+    "track": sorted(MODED + ["--chain", "--chain2", "--stages"]),
+    "betti-track": sorted(MODED + ["--input", "--no-oracle", "--r", "--samples"]),
     "gen": ["--kind", "--m", "--max-dim", "--out", "--points", "--seed", "--threshold"],
     "dump-operator": ["--dump-operator", "--input", "--operator", "--r", "--seed"],
 }
@@ -54,7 +54,7 @@ def test_cli_options_are_pinned():
                         for o in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 69
+    assert sum(map(len, OPTIONS.values())) == 61
 
 
 PARAMETERS = {

@@ -363,8 +363,7 @@ def test_cli_rejects_malformed_headers_chains_and_manifests(replay_files, capsys
 @pytest.mark.parametrize("method,extra", [
     ("homology", ("--witnesses", "0", "--dump-witness", "w.json")),
     ("homology", ("--dump-witness", "w.json")),
-    ("cohomology", ("--delta", "0.1")),
-    ("cohomology", ("--degree", "9")),
+    ("cohomology", ("--mode", "stochastic")),
 ])
 def test_cli_test_equiv_rejects_flags_its_method_ignores(replay_files, capsys, monkeypatch,
                                                          method, extra):
@@ -445,7 +444,6 @@ def replay_files(tmp_path):
 
 
 FAST = ("--degree", "24", "--probes", "40")
-FAST_CLASS = ("--degree", "24")  # class verdicts draw no probes
 REPLAY_CASES = {
     "betti": (("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic",
                "--no-oracle", "--probe-kind", "hadamard_column", *FAST), {}),
@@ -456,14 +454,14 @@ REPLAY_CASES = {
     "persistent-betti": (("persistent-betti", "--input", "filt.json", "--r", "1",
                           "--mode", "stochastic", *FAST), {"exact_persistent_betti": 0}),
     "test-trivial": (("test-trivial", "--input", "filled.jsonl", "--chain", "loop.json",
-                      "--mode", "stochastic", *FAST_CLASS), {"answer": True}),
+                      "--mode", "stochastic"), {"answer": True}),
     "test-equiv": (("test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
                     "--chain2", "b.json", "--method", "cohomology", "--witnesses", "4",
                     "--seed", "1", "--dump-witness", "witness.json"), {"answer": False}),
     "detect-cycle": (("detect-cycle", "--input", "hollow.jsonl", "--chain", "edge.json",
                       "--eta", "0.01", "--seed", "0"), {"answer": "not_cycle"}),
     "track": (("track", "--stages", "hollow.jsonl", "filled.jsonl", "--chain", "loop.json",
-               "--chain2", "twice.json", "--mode", "stochastic", "--seed", "3", *FAST_CLASS), {}),
+               "--chain2", "twice.json", "--mode", "stochastic", "--seed", "3"), {}),
     "betti-track": (("betti-track", "--input", "hollow.jsonl", "--r", "1", "--samples", "5"),
                     {"betti_lower_bound": 1, "exact_betti": 1}),
     "gen": (("gen", "--kind", "circle", "--m", "6", "--out", "c6.jsonl"),
@@ -512,11 +510,15 @@ def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch):
     assert json.loads(err)["error"] == "InputError"
 
 
-@pytest.mark.parametrize("subcommand", ["gen", "detect-cycle", "dump-operator"])
+@pytest.mark.parametrize("subcommand", ["gen", "detect-cycle", "dump-operator", "test-trivial",
+                                        "test-equiv", "track", "betti-track"])
 def test_cli_estimator_flags_only_where_used(replay_files, capsys, monkeypatch, subcommand):
+    # class verdicts read only --seed, so they take no filter or probe flag
     monkeypatch.chdir(replay_files)
     argv = next(argv for argv, _ in REPLAY_CASES.values() if argv[0] == subcommand)
-    assert run_cli(capsys, *argv, "--degree", "9")[0] == 2
+    assert run_cli(capsys, *argv)[0] == 0
+    for flag in (("--degree", "9"), ("--delta", "0.1"), ("--probes", "7")):
+        assert run_cli(capsys, *argv, *flag)[0] == 2
 
 
 def test_cli_betti_rejects_sweep_flags_without_points(replay_files, capsys, monkeypatch):
