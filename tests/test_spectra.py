@@ -258,6 +258,20 @@ def test_rademacher_entries_are_exactly_plus_or_minus_one_over_root_n(n):
     assert np.any(v > 0) and np.any(v < 0)
 
 
+@pytest.mark.parametrize("n, n_v, seed", [(1, 1, 0), (5, 3, 1), (30, 200, 2), (540, 200, 3),
+                                          (561, 7, 4)])
+def test_rademacher_block_equals_the_byte_transposed_construction(n, n_v, seed):
+    from homology_lab.spectra import _probe_matrix
+
+    v, _ = _probe_matrix(n, n_v, "rademacher", seed=seed)
+    former = np.random.default_rng(seed).integers(0, 2, size=(n_v, n)).astype(np.int8)
+    former = former.T.astype(float, order="C")
+    scale = 1.0 / np.sqrt(n)
+    former *= 2.0 * scale
+    former -= scale
+    assert np.array_equal(v, former) and v.flags.c_contiguous
+
+
 @pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
 def test_probe_matrix_builds_one_generator_and_spawns_no_seeds(monkeypatch, probe_kind):
     from homology_lab.spectra import _probe_matrix
@@ -363,37 +377,66 @@ def test_stochastic_rank_matches_the_three_term_recurrence(degree, probe_kind, f
     assert got.raw == pytest.approx(want, rel=1e-10)
 
 
-class _CountingOperator:
-    """Stands in for the operator ``_prepare`` returns; counts its products."""
-
-    def __init__(self, m, products):
-        self.m, self.products = m, products
-
-    def __matmul__(self, x):
-        self.products.append(x.shape)
-        return self.m @ x
-
-    def __mul__(self, scalar):
-        return _CountingOperator(self.m * scalar, self.products)
-
-    __rmul__ = __mul__
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
 def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
+    # every product is one call of the CSR kernel on the whole (padded) probe block
     from homology_lab import spectra
 
-    products = []
-    prepare = spectra._prepare
+    calls = []
+    kernel = spectra.csr_matvecs
 
-    def counting(*args):
-        b, v, n, n_pad = prepare(*args)
-        return _CountingOperator(b, products), v, n, n_pad
+    def counting(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+        calls.append((n_row, n_col, n_vecs, x.size, y.size))
+        return kernel(n_row, n_col, n_vecs, indptr, indices, data, x, y)
 
-    monkeypatch.setattr(spectra, "_prepare", counting)
-    stochastic_rank(np.diag([0.9] * 8 + [0.0] * 8), chebyshev_filter(0.05, degree),
-                    n_v=8, seed=0)
-    assert len(products) == -(-degree // 2)  # ceil(m / 2)
+    monkeypatch.setattr(spectra, "csr_matvecs", counting)
+    n_v = 8
+    for probe_kind, n_pad in (("rademacher", 10), ("hadamard_column", 16)):
+        calls.clear()
+        stochastic_rank(np.diag([0.9] * 5 + [0.0] * 5), chebyshev_filter(0.05, degree),
+                        n_v=n_v, probe_kind=probe_kind, seed=0)
+        assert len(calls) == -(-degree // 2)  # ceil(m / 2)
+        assert set(calls) == {(n_pad, n_pad, n_v, n_pad * n_v, n_pad * n_v)}
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 3), (40, 40, 24), (33, 60, 200)])
+def test_csr_kernel_adds_the_product_into_its_output(shape):
+    # the estimator and harmonic_basis call scipy's private kernel directly:
+    # it must add A X into Y in place, X and Y row-major
+    from homology_lab.spectra import csr_matvecs
+
+    n_row, n_col, n_vecs = shape
+    rng = np.random.default_rng(sum(shape))
+    a = sp.random(n_row, n_col, density=0.3, format="csr", random_state=rng)
+    x, y = rng.standard_normal((n_col, n_vecs)), rng.standard_normal((n_row, n_vecs))
+    want = y + a.toarray() @ x
+    flat = y.reshape(-1)
+    csr_matvecs(n_row, n_col, n_vecs, a.indptr, a.indices, a.data, x.reshape(-1), flat)
+    assert np.shares_memory(flat, y)
+    assert np.allclose(y, want, rtol=1e-13, atol=1e-13)
+
+
+def test_stochastic_rank_holds_few_probe_blocks():
+    # the recurrence runs in two preallocated blocks: no step allocates one
+    import tracemalloc
+
+    from homology_lab.operators import normalized_laplacian
+    from homology_lab.spectra import _rescaled
+
+    pts = np.random.default_rng(0).random((140, 2))
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    threshold = float(np.sqrt(np.sort(d2[np.triu_indices(140, 1)])[559:561].mean()))
+    k = generate("vietoris_rips", points=pts.tolist(), threshold=threshold, max_dim=2)
+    assert k.size(1) == 560
+    lap, _ = _rescaled(sp.csr_matrix(normalized_laplacian(k, 1), dtype=float))
+    filt, n_v = chebyshev_filter(0.01, 64), 200
+    tracemalloc.start()
+    try:
+        stochastic_rank(lap, filt, n_v=n_v, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 560 * n_v * 8
 
 
 @pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
