@@ -5,11 +5,11 @@ record: ``run`` writes the resolved seed back into it, and every result JSON
 on stdout embeds it as ``config``, one key per flag (dashes become
 underscores) plus ``subcommand``.  So every output replays from its own
 JSON.  ``--seed`` is taken by every subcommand and ``--mode`` by those with
-a stochastic route; the estimator flags (``--delta``, ``--degree``,
-``--probes``, ``--probe-kind``, with the defaults of ``EstimatorParams``)
-only by ``betti`` and ``persistent-betti``, as class verdicts read only the
-seed.  Diagnostics go to stderr; exit codes: 0 success, 2 input error, 3
-internal invariant violation.
+a stochastic route, which reads only the seed (``EstimatorParams``).  A
+stochastic answer reports ``confidence``; ``--no-oracle`` drops the exact
+echo, the only exact computation of a stochastic ``betti``,
+``persistent-betti`` or ``betti-track``.  Diagnostics go to stderr; exit
+codes: 0 success, 2 input error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import io as _io
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .homology import (
 from .cohomology import test_equivalent_cohomological
 from .operators import boundary_matrix, laplacian
 from .spectra import (
-    ORACLE_GATE,
     EstimatorParams,
     estimate_normalized_betti,
     estimate_normalized_persistent_betti,
@@ -48,6 +46,7 @@ from .spectra import (
 )
 
 WITNESSES = 8  # default number of cocycle witnesses of a cohomological test-equiv
+ORACLE_GATE = 500  # largest |S_r| whose stochastic answers are echoed with the exact one
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -63,14 +62,16 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _params(args) -> EstimatorParams:
-    given = vars(args)  # flags a subcommand does not take keep their defaults
-    return EstimatorParams(**{f.name: given[f.name] for f in fields(EstimatorParams)
-                              if f.name in given})
+    return EstimatorParams(seed=args.seed)
 
 
 def _echo_oracle(args, layer_size: int) -> bool:
     """Whether the output also carries the exact answer."""
     return layer_size <= ORACLE_GATE and not args.no_oracle
+
+
+def _confidence(result) -> str:
+    return "low" if result.low_confidence else "high"
 
 
 def emit_plot_data(rows, out) -> str:
@@ -103,10 +104,9 @@ def _cmd_betti(args) -> dict:
         est = estimate_normalized_betti(k, args.r, _params(args))
         result["normalized"] = est.value
         result["estimate"] = est.value
-        result["stderr"] = est.rank_estimate.stderr
-        result["rescale"] = est.rescale
+        result["confidence"] = _confidence(est)
         if _echo_oracle(args, k.size(args.r)):
-            result["exact_betti"] = est.exact
+            result["exact_betti"] = exact_betti(k, args.r)
     return result
 
 
@@ -141,14 +141,14 @@ def _cmd_persistent_betti(args) -> dict:
     else:
         est = estimate_normalized_persistent_betti(pair, args.r, _params(args))
         result["normalized"] = est.value
-        result["stderr"] = est.rank_estimate.stderr
+        result["confidence"] = _confidence(est)
         if _echo_oracle(args, pair.k1.size(args.r)):
-            result["exact_persistent_betti"] = est.exact
+            result["exact_persistent_betti"] = exact_persistent_betti(pair, args.r)
     return result
 
 
 def _verdict(v) -> dict:
-    return {"answer": v.answer, "method": v.method, "confidence": "low" if v.low_confidence else "high"}
+    return {"answer": v.answer, "method": v.method, "confidence": _confidence(v)}
 
 
 def _cmd_test_trivial(args) -> dict:
@@ -234,13 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int)
     moded = argparse.ArgumentParser(add_help=False, parents=[seeded])
     moded.add_argument("--mode", choices=["exact", "stochastic"], default="exact")
-    defaults = EstimatorParams()
-    estimator = argparse.ArgumentParser(add_help=False, parents=[moded])
-    estimator.add_argument("--delta", type=float, default=defaults.delta)
-    estimator.add_argument("--degree", type=int, default=defaults.degree)
-    estimator.add_argument("--probes", type=int, default=defaults.probes)
-    estimator.add_argument("--probe-kind", default=defaults.probe_kind,
-                           choices=["rademacher", "hadamard_column"])
 
     parser = argparse.ArgumentParser(prog="homology-lab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -248,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, summary, parent=moded):
         return sub.add_parser(name, help=summary, parents=[parent])
 
-    p = add("betti", "Betti number of a complex (exact or estimated)", estimator)
+    p = add("betti", "Betti number of a complex (exact or estimated)")
     p.add_argument("--input", help="complex file (JSON lines)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")
@@ -257,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=2)
     p.add_argument("--plot-data", help="write sweep CSV here")
 
-    p = add("persistent-betti", "persistent Betti number of a filtration", estimator)
+    p = add("persistent-betti", "persistent Betti number of a filtration")
     p.add_argument("--input", required=True, help="filtration manifest")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--no-oracle", action="store_true")

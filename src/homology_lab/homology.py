@@ -3,7 +3,7 @@
 The exact paths run entirely over the rationals.  The stochastic paths draw
 no probes and compute no rank: a cycle c is a boundary exactly when its
 projection onto the kernel of the Hodge Laplacian vanishes, and the basis
-Q_H of :func:`spectra.harmonic_basis` gives its weight |Q_H^T c|^2.
+Q_H of :func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from .errors import (
     ZeroChain,
 )
 from .operators import boundary_matrix
-from .spectra import EstimatorParams, cycle_basis, harmonic_basis
+from .spectra import HARMONIC_CUT, EstimatorParams, cycle_basis, hodge_basis, tracked_rank
 from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
-
-HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this
 
 
 def _boundaries(k: SimplicialComplex, r: int, chains) -> tuple[sp.csc_matrix | None, list]:
@@ -131,27 +129,16 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _hodge_basis(k: SimplicialComplex, r: int, down, params: EstimatorParams | None):
-    """:func:`harmonic_basis` of d_r^T d_r + d_{r+1} d_{r+1}^T, d_r = ``down``
-    when the caller has built it; each other boundary is built once."""
-    n = k.size(r)
-    up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((n, 0))
-    if r and down is None:
-        down = boundary_matrix(k, r).entries
-    lap = up @ up.T + (down.T @ down if r else 0)
-    return harmonic_basis(lap, (params or EstimatorParams()).seed)
-
-
 def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None,
              down) -> Verdict:
-    """:func:`test_trivial` on a checked cycle; ``down`` as in :func:`_hodge_basis`."""
+    """:func:`test_trivial` on a checked cycle; ``down`` as in :func:`spectra.hodge_basis`."""
     if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
     if mode == "exact":
         augmented = _augmented(k, c)
         boundary = exact.reduce_columns(augmented[:-1])
         return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
-    q, margin, converged = _hodge_basis(k, c.r, down, params)
+    q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed, down)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
     return Verdict(answer=weight <= HARMONIC_CUT, method="stochastic",
@@ -253,10 +240,8 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
 
     Exactly: one reduction of the (r+1)-boundary, extended by every cycle;
     the rank increases count dim(B + span(cycles)) - dim B.  Stochastically:
-    Q_H Q_H^T C of the unit cycles is within margin * |C| of P_H C, whose rank
-    is the exact count; so by Weyl's inequality counting the singular values
-    of Q_H^T C above max(margin, sqrt(HARMONIC_CUT)) * |C| keeps the result a
-    lower bound.
+    :func:`spectra.tracked_rank` of the unit cycles C, whose Q_H Q_H^T C is
+    within margin * |C| of P_H C, so the result stays a lower bound.
     """
     _check_mode(mode)
     cycles = list(cycles)
@@ -270,6 +255,5 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
         return sum(boundary.add(v) for v in augmented[-len(reps):])
     unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
     unit /= np.linalg.norm(unit, axis=0)
-    q, margin, _ = _hodge_basis(k, r, down, params)
-    cutoff = max(margin, math.sqrt(HARMONIC_CUT)) * np.linalg.norm(unit, 2)
-    return int(np.count_nonzero(np.linalg.svd(q.T @ unit, compute_uv=False) > cutoff))
+    q, margin, _ = hodge_basis(k, r, (params or EstimatorParams()).seed, down)
+    return tracked_rank(q, unit, margin)[0]

@@ -1,22 +1,30 @@
-"""Rank and Betti computation: exact rational oracles and stochastic estimators.
+"""Rank and Betti computation: exact rational oracles, harmonic bases and a
+stochastic rank estimator.
 
 The exact side reduces everything to ranks and kernels of sparse boundary
-matrices, computed by the fraction-free reduction in :mod:`exact`.  The
-stochastic side follows the trace-estimation recipe: approximate the spectral
-step indicator by a degree-m Chebyshev polynomial of y = 2x - 1 (spectrum in
-[0, 1]; coefficients from one DCT) and average probe quadratic forms, by the
+matrices, computed by the fraction-free reduction in :mod:`exact`; route B of
+the persistent oracle counts the kernel of the dense persistent Laplacian.
+Every stochastic answer (Betti and persistent Betti estimates, class
+verdicts) reads one orthonormal basis Q_H of the kernel of a Hodge Laplacian,
+from Chebyshev-filtered subspace iteration (:func:`harmonic_basis`, via
+:func:`hodge_basis`): beta_r is its column count, and persistent beta_r the
+rank of Q_H2^T Q_H1 (:func:`tracked_rank`).  No stochastic answer draws a
+probe, computes an exact rank or reads a dense spectrum.
+
+:func:`stochastic_rank` and :func:`power_moments_rank` estimate rank(A)/N by
+the trace-estimation recipe: approximate the spectral step indicator by a
+degree-m Chebyshev polynomial of y = 2x - 1 (spectrum in [0, 1];
+coefficients from one DCT) and average probe quadratic forms, by the
 three-term recurrence with the doubling identities T_2k = 2 T_k^2 - T_0,
 T_2k+1 = 2 T_k T_k+1 - T_1, or through explicit power moments.
 
-Operators stay sparse (CSR); only the oracle's threshold (``eigvalsh`` at
-|S_r| <= ``ORACLE_GATE``) is dense.  The estimator and :func:`harmonic_basis`
-(class verdicts) share one recurrence loop, :func:`_chebyshev_blocks`.  It
-runs in place in two preallocated blocks, each step one call of scipy's
-private kernel ``csr_matvecs`` (where ``csr_matrix @ ndarray`` ends), the
-only call that adds a product into a given block: no step allocates, negates
-or subtracts one.  Degree m costs the estimator ceil(m/2) products, O(nnz)
-per probe each.  The summation order makes stochastic outputs differ from
-versions before this loop in their last digits (<= 1e-12 relative).
+Operators stay sparse (CSR).  The rank estimator and :func:`harmonic_basis`
+share one recurrence loop, :func:`_chebyshev_blocks`.  It runs in place in
+two preallocated blocks, each step one call of scipy's private kernel
+``csr_matvecs`` (where ``csr_matrix @ ndarray`` ends), the only call that
+adds a product into a given block: no step allocates, negates or subtracts
+one.  Degree m costs the rank estimator ceil(m/2) products, O(nnz) per probe
+each.
 """
 
 from __future__ import annotations
@@ -38,12 +46,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import (
-    boundary_matrix,
-    laplacian_divisor,
-    normalized_laplacian,
-    persistent_laplacian,
-)
+from .operators import boundary_matrix, persistent_laplacian
 
 KERNEL_EIG_RTOL = 1e-7  # relative eigenvalue cutoff for numeric kernel counting
 
@@ -77,15 +80,14 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     return exact.reduce_columns(boundary_matrix(k, r).entries, track=True).kernel
 
 
-def exact_persistent_betti(pair: FiltrationPair, r: int, *, lap: np.ndarray | None = None) -> int:
+def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """Persistent Betti number, computed by two independent routes.
 
     Route A is the quotient definition: dim ker of k1's boundary minus the
     dimension of its intersection with the image of k2's (r+1)-boundary,
     all in exact rational arithmetic.  Route B counts near-zero eigenvalues
     of the persistent Laplacian.  The value of route A is returned;
-    disagreement raises :class:`RouteDisagreement`.  ``lap`` is the persistent
-    Laplacian when the caller has already built it.
+    disagreement raises :class:`RouteDisagreement`.
     """
     k1, k2 = pair.k1, pair.k2
     if k1.size(r) == 0:
@@ -98,9 +100,7 @@ def exact_persistent_betti(pair: FiltrationPair, r: int, *, lap: np.ndarray | No
         image_cols = exact.sparse_columns(boundary_matrix(k2, r + 1).entries)
         route_a = dim_kernel - exact.intersection_dim(image_cols, kernel_cols)
 
-    if lap is None:
-        lap = persistent_laplacian(pair, r)
-    eigs = np.linalg.eigvalsh(lap)
+    eigs = np.linalg.eigvalsh(persistent_laplacian(pair, r))
     cutoff = KERNEL_EIG_RTOL * max(1.0, float(eigs[-1])) if eigs.size else 0.0
     route_b = int(np.count_nonzero(eigs < cutoff))
     if route_a != route_b:
@@ -348,7 +348,8 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     norm, by Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
     Chelikowsky 2006) from a Gaussian block of ``default_rng(seed)``; its
     Davis-Kahan margin; and whether it converged.  Each step applies T_24 of
-    the map sending [a, 1] onto [-1, 1], a the largest Ritz value.  Q_H holds
+    the map sending [a, 1] onto [-1, 1], a the largest Ritz value capped at
+    0.99: a block that meets the eigenspace of 1 leaves no interval.  Q_H holds
     the leading Ritz pairs with value plus residual at most ``HARMONIC_EPS``;
     when after a step no pair's value minus residual exceeds it, the zero
     cluster fills the block, which doubles.  The margin |R| / (theta_1 - r_1),
@@ -378,46 +379,11 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
             x = np.hstack([x, rng.standard_normal((n, min(2 * x.shape[1], HARMONIC_CAP, n) - x.shape[1]))])
             filtered = False
             continue
-        a = theta[-1]  # T_24 of M, which maps [a, 1] onto [-1, 1]; the sign of s_24 is +
+        a = min(theta[-1], 0.99)  # T_24 of M, which maps [a, 1] onto [-1, 1]; the sign of s_24 is +
         m = (2.0 / (1.0 - a)) * lap - ((1.0 + a) / (1.0 - a)) * sp.identity(n, format="csr")
         *_, x = _chebyshev_blocks(m, x, HARMONIC_DEGREE)
         filtered = True
     return x[:, :h], margin, False
-
-
-# ---------------------------------------------------------------------------
-# Betti estimation endpoints
-# ---------------------------------------------------------------------------
-
-ORACLE_GATE = 500  # largest |S_r| given exact answers: the estimator's gap delta, the CLI echo
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Stochastic estimator configuration, mirrored by the CLI flags.  Every
-    field sets the Betti estimates; class verdicts read only ``seed``, which
-    draws the start of :func:`harmonic_basis`."""
-
-    delta: float | None = None
-    degree: int = 64
-    probes: int = 200
-    probe_kind: str = "rademacher"
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class BettiEstimate:
-    """Normalized Betti estimate with its rank estimate and the exact (persistent)
-    Betti number its oracle computed, None above ``ORACLE_GATE``."""
-
-    value: float
-    rank_estimate: RankEstimate
-    rescale: float
-    layer_size: int
-    exact: int | None = None
-
-    def betti(self) -> float:
-        return self.value * self.layer_size
 
 
 def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
@@ -429,50 +395,85 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     return a / bound, bound
 
 
-def _default_delta(a: sp.csr_matrix, exact_rank_value: int | None, fallback: float) -> float:
-    """Threshold below the smallest nonzero eigenvalue.
-
-    With an exact rank available the eigen-gap is read off the dense
-    spectrum (test mode); otherwise fall back to the normalization-implied
-    bound, which is an engineering default rather than a derived one.
-    """
-    n = a.shape[0]
-    if exact_rank_value is not None and 0 < exact_rank_value <= n:
-        eigs = np.linalg.eigvalsh(a.toarray())
-        smallest_nonzero = float(eigs[n - exact_rank_value])
-        if smallest_nonzero > 0:
-            return min(0.999, 0.9 * smallest_nonzero)
-    return min(0.999, max(1e-6, fallback))
+def hodge_basis(k: SimplicialComplex, r: int, seed, down=None) -> tuple[np.ndarray, float, bool]:
+    """:func:`harmonic_basis` of k's Hodge Laplacian d_r^T d_r + d_{r+1} d_{r+1}^T,
+    d_r = ``down`` when the caller has built it; each other boundary is built once."""
+    n = k.size(r)
+    up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((n, 0))
+    if r and down is None:
+        down = boundary_matrix(k, r).entries
+    return harmonic_basis(up @ up.T + (down.T @ down if r else 0), seed)
 
 
-def _estimate_from_operator(op, n: int, exact_value: int | None,
-                            fallback_delta: float, params: EstimatorParams) -> BettiEstimate:
-    rescaled, bound = _rescaled(sp.csr_matrix(op, dtype=float))
-    delta = params.delta
-    if delta is None:
-        delta = _default_delta(rescaled, None if exact_value is None else n - exact_value,
-                               fallback_delta)
-    est = stochastic_rank(rescaled, chebyshev_filter(delta, params.degree), n_v=params.probes,
-                          probe_kind=params.probe_kind, seed=params.seed)
-    value = float(min(1.0, max(0.0, 1.0 - est.normalized)))
-    return BettiEstimate(value=value, rank_estimate=est, rescale=bound, layer_size=n,
-                         exact=exact_value)
+HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this
+
+
+def tracked_rank(q: np.ndarray, cols: np.ndarray, margin: float) -> tuple[int, bool]:
+    """How many singular values of Q_H^T C lie above the cut
+    max(margin, sqrt(HARMONIC_CUT)) |C|, and whether one lies within
+    margin |C| of it.  When Q_H Q_H^T C is within margin |C| of P_H C, whose
+    rank is the number of classes C spans, Weyl's inequality keeps the count
+    at or below that number."""
+    scale = float(np.linalg.norm(cols, 2))
+    cut = max(margin, math.sqrt(HARMONIC_CUT)) * scale
+    sigma = np.linalg.svd(q.T @ cols, compute_uv=False)
+    return int(np.count_nonzero(sigma > cut)), bool(np.any(np.abs(sigma - cut) <= margin * scale))
+
+
+# ---------------------------------------------------------------------------
+# Betti estimation endpoints
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EstimatorParams:
+    """Stochastic configuration, mirrored by the CLI's ``--seed``: the seed
+    draws the Gaussian start of every :func:`harmonic_basis`."""
+
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
+class BettiEstimate:
+    """(Persistent) Betti count from harmonic bases over the layer size.
+    ``low_confidence`` when a basis did not converge, which makes the count a
+    lower bound past the block cap, or when a tracked singular value lies
+    within the margin of the cut of :func:`tracked_rank`."""
+
+    value: float
+    layer_size: int
+    low_confidence: bool = False
+
+    def betti(self) -> int:
+        return round(self.value * self.layer_size)
 
 
 def estimate_normalized_betti(k: SimplicialComplex, r: int,
                               params: EstimatorParams = EstimatorParams()) -> BettiEstimate:
-    """Normalized Betti number via the Laplacian-rank pipeline."""
-    op = normalized_laplacian(k, r)
+    """beta_r / |S_r|, beta_r the column count of the harmonic basis of the
+    Hodge Laplacian of k."""
     n = k.size(r)
-    exact_value = exact_betti(k, r) if n <= ORACLE_GATE else None
-    return _estimate_from_operator(op, n, exact_value, 1.0 / laplacian_divisor(k, r), params)
+    if n == 0:
+        raise EmptyLayer(f"no simplices of dimension {r}")
+    q, _, converged = hodge_basis(k, r, params.seed)
+    return BettiEstimate(value=q.shape[1] / n, layer_size=n, low_confidence=not converged)
 
 
 def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
                                          params: EstimatorParams = EstimatorParams()) -> BettiEstimate:
-    """Normalized persistent Betti number via the persistent Laplacian."""
-    lap = persistent_laplacian(pair, r)
+    """Persistent beta_r / |S_r(k1)| by homology tracking: the dimension of
+    the image of H_r(k1) in H_r(k2) is the rank of Q_H2^T Q_H1, Q_H1 padded
+    with zeros onto k2's prefix, since a k1-cycle is a k2-boundary exactly
+    when its projection onto k2's harmonic space vanishes.  It is counted by
+    :func:`tracked_rank` with the sum of both margins.  An empty Q_H1 gives 0
+    without k2's basis."""
     n = pair.k1.size(r)
-    exact_value = exact_persistent_betti(pair, r, lap=lap) if n <= ORACLE_GATE else None
-    divisor = laplacian_divisor(pair.k1, r)
-    return _estimate_from_operator(lap / divisor, n, exact_value, 1.0 / divisor, params)
+    if n == 0:
+        raise EmptyLayer(f"k1 has no simplices of dimension {r}")
+    q1, margin1, converged = hodge_basis(pair.k1, r, params.seed)
+    if not q1.shape[1]:
+        return BettiEstimate(value=0.0, layer_size=n, low_confidence=not converged)
+    q2, margin2, converged2 = hodge_basis(pair.k2, r, params.seed)
+    padded = np.vstack([q1, np.zeros((pair.k2.size(r) - n, q1.shape[1]))])
+    count, near = tracked_rank(q2, padded, margin1 + margin2)
+    return BettiEstimate(value=count / n, layer_size=n,
+                         low_confidence=near or not (converged and converged2))

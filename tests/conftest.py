@@ -183,6 +183,12 @@ def random_rips(seed, n_points=8, threshold=0.55, max_dim=2):
                     threshold=threshold, max_dim=max_dim)
 
 
+def complete_graph(n: int, tail: int = 0):
+    """K_n, with a path of ``tail`` pendant edges hung off vertex 0."""
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    return edges + [[0 if i == 0 else n + i - 1, n + i] for i in range(tail)]
+
+
 def random_rips_filtration(seed, n_points=7, t1=0.4, t2=0.7, max_dim=2):
     from homology_lab import validate_filtration
 

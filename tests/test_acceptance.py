@@ -161,7 +161,7 @@ def test_criterion_6_normalized_betti_pipeline():
                 want = hl.exact_betti(k, r) / k.size(r)
                 for seed in range(12):
                     est = hl.estimate_normalized_betti(
-                        k, r, EstimatorParams(probes=800, seed=seed)
+                        k, r, EstimatorParams(seed=seed)
                     )
                     trials += 1
                     if abs(est.value - want) <= 0.05:
@@ -227,7 +227,7 @@ def test_criterion_7_triviality_and_equivalence():
         trials = 200
         for t in range(trials):
             k, c, exact_answer = labelled[t % len(labelled)]
-            params = EstimatorParams(probes=1024, seed=30_000 + t)
+            params = EstimatorParams(seed=30_000 + t)
             verdict = hl.test_trivial(k, c, mode="stochastic", params=params)
             if verdict.answer == exact_answer:
                 agree += 1

@@ -32,11 +32,10 @@ def test_public_api_is_pinned():
 
 
 MODED = ["--mode", "--seed"]
-ESTIMATOR = MODED + ["--degree", "--delta", "--probe-kind", "--probes"]
 OPTIONS = {
-    "betti": sorted(ESTIMATOR + ["--input", "--max-dim", "--no-oracle", "--plot-data", "--points",
-                                 "--r", "--thresholds"]),
-    "persistent-betti": sorted(ESTIMATOR + ["--input", "--no-oracle", "--r"]),
+    "betti": sorted(MODED + ["--input", "--max-dim", "--no-oracle", "--plot-data", "--points",
+                             "--r", "--thresholds"]),
+    "persistent-betti": sorted(MODED + ["--input", "--no-oracle", "--r"]),
     "test-trivial": sorted(MODED + ["--chain", "--input"]),
     "test-equiv": sorted(MODED + ["--chain", "--chain2", "--dump-witness", "--input",
                                   "--method", "--witnesses"]),
@@ -54,7 +53,7 @@ def test_cli_options_are_pinned():
                         for o in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 61
+    assert sum(map(len, OPTIONS.values())) == 53
 
 
 PARAMETERS = {
@@ -68,7 +67,7 @@ PARAMETERS = {
     "estimate_normalized_persistent_betti": ["pair", "params", "r"],
     "evaluate": ["c", "k", "w"],
     "exact_betti": ["k", "r"],
-    "exact_persistent_betti": ["lap", "pair", "r"],
+    "exact_persistent_betti": ["pair", "r"],
     "exact_rank": ["m"],
     "generate": ["kind", "m", "max_dim", "points", "seed", "threshold"],
     "is_cycle_exact": ["c", "k"],
@@ -100,4 +99,4 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 102
+    assert sum(map(len, PARAMETERS.values())) == 101

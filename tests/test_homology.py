@@ -10,6 +10,8 @@ from homology_lab import (
     boundary_matrix,
     build_complex,
     detect_cycle_stochastic,
+    estimate_normalized_betti,
+    estimate_normalized_persistent_betti,
     exact_betti,
     generate,
     is_cycle_exact,
@@ -29,7 +31,7 @@ from homology_lab.errors import (
     ZeroChain,
 )
 
-from conftest import oracle_solvable, random_rips, reference_boundary_of
+from conftest import complete_graph, oracle_solvable, random_rips, reference_boundary_of
 
 
 def loop_chain(k):
@@ -153,7 +155,7 @@ def test_trivial_agrees_with_membership_oracle(filled_square):
 
 
 def test_trivial_stochastic_matches_exact(filled_square, hollow_triangle):
-    params = EstimatorParams(probes=400, seed=5)
+    params = EstimatorParams(seed=5)
     for k in (filled_square, hollow_triangle):
         for c in sample_cycles(k, 1, s=4, seed=1):
             exact = check_trivial(k, c, mode="exact").answer
@@ -218,12 +220,6 @@ def test_stochastic_verdicts_above_the_oracle_gate_are_right_and_confident(point
     assert all(check_trivial(k, c).answer for c in boundaries)
 
 
-def complete_graph(n: int, tail: int = 0):
-    """K_n, with a path of ``tail`` pendant edges hung off vertex 0."""
-    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
-    return edges + [[0 if i == 0 else n + i - 1, n + i] for i in range(tail)]
-
-
 @pytest.mark.parametrize("tail", [0, 40])
 def test_harmonic_basis_doubles_its_block_until_the_kernel_fits(monkeypatch, tail):
     # K_12 has beta_1 = 55 > 48: the block goes 24, 48, then 96 (or the whole
@@ -240,8 +236,27 @@ def test_harmonic_basis_doubles_its_block_until_the_kernel_fits(monkeypatch, tai
     assert sorted(set(widths)) == [24, 48, min(96, k.size(1))]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_harmonic_basis_filters_a_block_that_meets_the_top_eigenspace(seed):
+    # seven disjoint 4-cycles: L_1 over its infinity norm has eigenvalue 1
+    # seven times, so a 24-column block of the 28 edges contains a top
+    # eigenvector and its largest Ritz value is 1, where the filter's map
+    # [a, 1] -> [-1, 1] divided by zero and its steps overflowed
+    from homology_lab.operators import laplacian
+    from homology_lab.spectra import harmonic_basis
+
+    k = build_complex([[4 * c + i, 4 * c + (i + 1) % 4] for c in range(7) for i in range(4)])
+    with np.errstate(all="raise"):
+        q, margin, converged = harmonic_basis(laplacian(k, 1), seed)
+    assert converged and q.shape[1] == exact_betti(k, 1) == 7 and margin < 1e-6
+    square = Chain.make(1, {1: 1, 2: 1, 3: 1, 4: -1})  # 01 + 12 + 23 - 03
+    verdict = check_trivial(k, square, mode="stochastic", params=EstimatorParams(seed=seed))
+    assert not verdict.answer and not verdict.low_confidence
+
+
 def test_stochastic_verdicts_are_low_confidence_when_the_kernel_outgrows_the_block_cap():
-    # K_22 plus one filled triangle: beta_1 = 209 > 192
+    # K_22 plus one filled triangle: beta_1 = 209 > 192; the Betti estimates
+    # read the same capped basis and are flagged lower bounds
     k = build_complex(complete_graph(22) + [[0, 1, 2]])
     assert exact_betti(k, 1) == 209
     triangle = Chain.from_simplices(k, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
@@ -253,6 +268,9 @@ def test_stochastic_verdicts_are_low_confidence_when_the_kernel_outgrows_the_blo
     assert all(v.low_confidence
                for v in track_classes([k, k], cycles[:1], mode="stochastic", params=params).stages)
     assert betti_via_tracking(k, 1, cycles, mode="stochastic", params=params) <= exact_betti(k, 1)
+    for est in (estimate_normalized_betti(k, 1, params),
+                estimate_normalized_persistent_betti(validate_filtration(k, k), 1, params)):
+        assert est.low_confidence and est.betti() <= 209
 
 
 def test_stochastic_verdicts_are_low_confidence_when_the_iteration_is_cut_short(monkeypatch):
@@ -276,7 +294,8 @@ def test_stochastic_verdicts_are_low_confidence_when_the_iteration_is_cut_short(
 
 
 def test_stochastic_class_queries_draw_no_probes_and_compute_no_rank(monkeypatch, filled_square):
-    from homology_lab import exact, spectra
+    # nor do the Betti estimates, which read the same harmonic bases
+    from homology_lab import exact, operators, spectra
 
     calls = {}
 
@@ -290,8 +309,11 @@ def test_stochastic_class_queries_draw_no_probes_and_compute_no_rank(monkeypatch
         monkeypatch.setattr(module, name, counted)
 
     c1, c2 = sample_cycles(filled_square, 1, s=2, seed=0)
-    for name in ("stochastic_rank", "_probe_matrix", "power_iteration_bound"):
+    hollow = build_complex([[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]])
+    pair = validate_filtration(hollow, build_complex([[0, 2, 3], [0, 1], [1, 2]], autoclose=True))
+    for name in ("stochastic_rank", "_probe_matrix", "power_iteration_bound", "persistent_laplacian"):
         count(spectra, name)
+    count(operators, "persistent_laplacian")
     count(exact, "rank")
     count(exact, "reduce_columns")
     count(np.linalg, "eigvalsh")
@@ -299,6 +321,8 @@ def test_stochastic_class_queries_draw_no_probes_and_compute_no_rank(monkeypatch
     check_equivalent(filled_square, c1, c2, mode="stochastic")
     track_classes([filled_square] * 2, [c1, c2], mode="stochastic")
     betti_via_tracking(filled_square, 1, [c1, c2], mode="stochastic")
+    assert estimate_normalized_betti(hollow, 1).betti() == 2
+    assert estimate_normalized_persistent_betti(pair, 1).betti() == 1
     assert calls == {}
 
 

@@ -16,6 +16,8 @@ from homology_lab.io import (
     save_complex,
 )
 
+from conftest import complete_graph
+
 
 def test_complex_round_trip(tmp_path):
     k = generate("tetrahedron_boundary")
@@ -149,12 +151,13 @@ def test_cli_stochastic_echoes_oracle(tmp_path, capsys):
     save_complex(generate("hollow_triangle"), path)
     code, out, _ = run_cli(
         capsys, "betti", "--input", str(path), "--r", "1",
-        "--mode", "stochastic", "--seed", "5", "--probes", "400",
+        "--mode", "stochastic", "--seed", "5",
     )
     assert code == 0
     result = json.loads(out)
     assert result["exact_betti"] == 1
     assert abs(result["normalized"] - 1 / 3) <= 0.05
+    assert result["confidence"] == "high"
 
 
 def test_cli_persistent_betti(tmp_path, capsys):
@@ -443,16 +446,15 @@ def replay_files(tmp_path):
     return tmp_path
 
 
-FAST = ("--degree", "24", "--probes", "40")
 REPLAY_CASES = {
     "betti": (("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic",
-               "--no-oracle", "--probe-kind", "hadamard_column", *FAST), {}),
+               "--no-oracle"), {}),
     "sweep": (("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0,2.5",
                "--max-dim", "1", "--plot-data", "profile.csv"),
               {"sweep": [[0.3, 1, 0, "exact"], [1.0, 1, 1, "exact"],
                          [2.5, 1, 21, "exact"]]}),  # no 2-simplices
     "persistent-betti": (("persistent-betti", "--input", "filt.json", "--r", "1",
-                          "--mode", "stochastic", *FAST), {"exact_persistent_betti": 0}),
+                          "--mode", "stochastic"), {"exact_persistent_betti": 0}),
     "test-trivial": (("test-trivial", "--input", "filled.jsonl", "--chain", "loop.json",
                       "--mode", "stochastic"), {"answer": True}),
     "test-equiv": (("test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
@@ -511,13 +513,16 @@ def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("subcommand", ["gen", "detect-cycle", "dump-operator", "test-trivial",
-                                        "test-equiv", "track", "betti-track"])
+                                        "test-equiv", "track", "betti-track", "betti",
+                                        "persistent-betti"])
 def test_cli_estimator_flags_only_where_used(replay_files, capsys, monkeypatch, subcommand):
-    # class verdicts read only --seed, so they take no filter or probe flag
+    # every stochastic answer reads only --seed, so no subcommand takes a
+    # filter or probe flag
     monkeypatch.chdir(replay_files)
     argv = next(argv for argv, _ in REPLAY_CASES.values() if argv[0] == subcommand)
     assert run_cli(capsys, *argv)[0] == 0
-    for flag in (("--degree", "9"), ("--delta", "0.1"), ("--probes", "7")):
+    for flag in (("--degree", "9"), ("--delta", "0.1"), ("--probes", "7"),
+                 ("--probe-kind", "rademacher")):
         assert run_cli(capsys, *argv, *flag)[0] == 2
 
 
@@ -539,7 +544,7 @@ ORACLE_ONCE = {  # case: (counted oracle, echoed key and value)
 
 @pytest.mark.parametrize("case", ORACLE_ONCE)
 def test_cli_stochastic_echo_runs_the_oracle_once(replay_files, capsys, monkeypatch, case):
-    # the echo is the exact value the estimator's oracle already computed
+    # the echo is the only exact computation of a stochastic estimate
     from homology_lab import cli, spectra
 
     monkeypatch.chdir(replay_files)
@@ -564,7 +569,8 @@ def test_cli_stochastic_echo_runs_the_oracle_once(replay_files, capsys, monkeypa
 
 def test_cli_stochastic_persistent_betti_builds_the_laplacian_once(replay_files, capsys,
                                                                    monkeypatch):
-    # the oracle's route B reads the persistent Laplacian the estimator built
+    # only the echo's route B builds the persistent Laplacian; the estimate
+    # tracks harmonic bases
     from homology_lab import spectra
 
     monkeypatch.chdir(replay_files)
@@ -580,3 +586,36 @@ def test_cli_stochastic_persistent_betti_builds_the_laplacian_once(replay_files,
     assert code == 0
     assert json.loads(out)["exact_persistent_betti"] == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("case,echo", [("betti", "exact_betti"),
+                                       ("persistent-betti", "exact_persistent_betti")])
+def test_cli_no_oracle_skips_the_oracle(replay_files, capsys, monkeypatch, case, echo):
+    # the estimate is the same with and without the echo, and without it
+    # nothing is reduced exactly
+    from homology_lab import exact
+
+    monkeypatch.chdir(replay_files)
+    argv = [a for a in REPLAY_CASES[case][0] if a != "--no-oracle"] + ["--seed", "4"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and echo in json.loads(out)
+    calls = []
+    real = exact.reduce_columns
+    monkeypatch.setattr(exact, "reduce_columns", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    code, quiet, _ = run_cli(capsys, *argv, "--no-oracle")
+    assert code == 0 and calls == []
+    assert echo not in json.loads(quiet)
+    assert json.loads(quiet)["normalized"] == json.loads(out)["normalized"]
+
+
+def test_cli_stochastic_betti_is_low_confidence_past_the_block_cap(tmp_path, capsys):
+    # K_22 plus one filled triangle: beta_1 = 209 outgrows the 192-column basis
+    save_complex(build_complex(complete_graph(22) + [[0, 1, 2]]), tmp_path / "k.jsonl")
+    (tmp_path / "filt.json").write_text(json.dumps({"k1": "k.jsonl", "k2": "k.jsonl"}))
+    for argv in (("betti", "--input", str(tmp_path / "k.jsonl")),
+                 ("persistent-betti", "--input", str(tmp_path / "filt.json"))):
+        code, out, _ = run_cli(capsys, *argv, "--r", "1", "--mode", "stochastic", "--seed", "0",
+                               "--no-oracle")
+        result = json.loads(out)
+        assert code == 0 and result["confidence"] == "low"
+        assert result["normalized"] * 231 <= 209
