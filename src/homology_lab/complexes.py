@@ -298,11 +298,11 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
     """
     if max_dim < 0 or max_dim > 3:
         raise BadParameter("max_dim must be between 0 and 3 at desk scale")
-    if threshold <= 0:
-        raise BadParameter("threshold must be positive")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise BadParameter(f"threshold must be finite and positive, not {threshold}")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise BadParameter("points must be a nonempty 2-d array")
+    if pts.ndim != 2 or pts.shape[0] == 0 or not np.isfinite(pts).all():
+        raise BadParameter("points must be a nonempty 2-d array of finite coordinates")
     n = pts.shape[0]
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     later = np.triu(d2 < threshold**2, 1)  # later[u, v]: v > u and the edge uv is short

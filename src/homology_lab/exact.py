@@ -9,6 +9,10 @@ gcd, followed by division by the content gcd, so entries stay small and no
 fraction or modulus ever appears: the results are exact over Q.  Rational
 input has its denominators cleared per vector.  No floating point enters any
 code path here.
+
+Reduced columns have distinct pivots, so those with a pivot below a row prefix
+span the column space's part on that prefix: one reduction of a boundary matrix
+answers persistence queries (Zomorodian & Carlsson, DCG 2005).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 Vector = dict  # sparse vector: index -> nonzero entry
 
@@ -148,17 +151,3 @@ def kernel_basis(m) -> list[list[int]]:
     return [[v.get(j, 0) for j in range(len(cols))]
             for v in Reduction(cols, track=True).kernel]
 
-
-def intersection_dim(u_cols: Sequence, w_cols: Sequence) -> int:
-    """dim(span U  ∩  span W) = dim U + dim W - dim(U + W), exactly.
-
-    Each column is a mapping or a dense sequence; U is reduced once and then
-    extended by W.
-    """
-    if not u_cols or not w_cols:
-        return 0
-    both = Reduction(u_cols)
-    du = both.rank
-    for w in w_cols:
-        both.add(w)
-    return du + Reduction(w_cols).rank - both.rank

@@ -116,12 +116,14 @@ class Verdict:
     low_confidence: bool = False
 
 
-def _augmented(k: SimplicialComplex, *chains: Chain) -> list[exact.Vector]:
-    """Sparse columns of the (r+1)-boundary (none without (r+1)-simplices),
-    followed by the chains as rational columns."""
-    r = chains[0].r
-    d = exact.sparse_columns(boundary_matrix(k, r + 1).entries) if k.size(r + 1) else []
-    return d + [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
+def _cofaces(k: SimplicialComplex, r: int) -> list[exact.Vector]:
+    """Sparse columns of the (r+1)-boundary; none without (r+1)-simplices."""
+    return exact.sparse_columns(boundary_matrix(k, r + 1).entries) if k.size(r + 1) else []
+
+
+def _vector(c: Chain) -> exact.Vector:
+    """The chain as a sparse rational column, indexed from 0."""
+    return {i - 1: x for i, x in c.coeffs.items()}
 
 
 def _check_mode(mode: str) -> None:
@@ -135,9 +137,8 @@ def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams 
     if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
     if mode == "exact":
-        augmented = _augmented(k, c)
-        boundary = exact.reduce_columns(augmented[:-1])
-        return Verdict(answer=boundary.contains(augmented[-1]), method="exact")
+        boundary = exact.reduce_columns(_cofaces(k, c.r))
+        return Verdict(answer=boundary.contains(_vector(c)), method="exact")
     q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed, down)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
@@ -177,7 +178,8 @@ def track_classes(stages, cycles, mode: str = "exact",
 
     Consecutive stages must nest.  Each stage is reordered onto its
     predecessor's prefix, so the cycles, checked once on the first stage,
-    keep their indices and stay cycles through every stage.
+    keep their indices and stay cycles through every stage.  Exactly, one
+    reduction of the last stage's (r+1)-boundary grows stage by stage.
     """
     _check_mode(mode)
     stages = list(stages)
@@ -198,8 +200,16 @@ def track_classes(stages, cycles, mode: str = "exact",
     down = _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
     kind = "trivial" if len(cycles) == 1 else "equivalent"
-    return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params, down if i == 0 else None)
-                                               for i, k in enumerate(ordered)))
+    if mode == "stochastic" or target.is_zero():
+        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params, down if i == 0 else None)
+                                                   for i, k in enumerate(ordered)))
+    cofaces, vec = _cofaces(ordered[-1], target.r), _vector(target)
+    boundary, verdicts = exact.Reduction(), []
+    for k in ordered:
+        for col in cofaces[boundary.added:k.size(target.r + 1)]:
+            boundary.add(col)
+        verdicts.append(Verdict(answer=boundary.contains(vec), method="exact"))
+    return ClassReport(kind=kind, stages=tuple(verdicts))
 
 
 def _random_combinations(basis: list[exact.Vector], rng):
@@ -250,9 +260,8 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
     if not reps:
         return 0
     if mode == "exact":
-        augmented = _augmented(k, *reps)
-        boundary = exact.reduce_columns(augmented[:-len(reps)])
-        return sum(boundary.add(v) for v in augmented[-len(reps):])
+        boundary = exact.reduce_columns(_cofaces(k, r))
+        return sum(boundary.add(_vector(c)) for c in reps)
     unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
     unit /= np.linalg.norm(unit, axis=0)
     q, margin, _ = hodge_basis(k, r, (params or EstimatorParams()).seed, down)

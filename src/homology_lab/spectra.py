@@ -1,8 +1,8 @@
 """Rank and Betti computation: exact rational oracles, harmonic bases and a
 stochastic rank estimator.
 
-The exact side reduces everything to ranks and kernels of sparse boundary
-matrices, computed by the fraction-free reduction in :mod:`exact`; route B of
+The exact side reduces everything to ranks, pivots and kernels of sparse
+boundary matrices, from the fraction-free reduction in :mod:`exact`; route B of
 the persistent oracle counts the kernel of the dense persistent Laplacian.
 Every stochastic answer (Betti and persistent Betti estimates, class
 verdicts) reads one orthonormal basis Q_H of the kernel of a Hodge Laplacian,
@@ -81,24 +81,25 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
-    """Persistent Betti number, computed by two independent routes.
+    """Persistent Betti number dim Z_r(k1) - dim(Z_r(k1) ∩ B_r(k2)) by two
+    independent routes; route A's value is returned, and disagreement raises
+    :class:`RouteDisagreement`.
 
-    Route A is the quotient definition: dim ker of k1's boundary minus the
-    dimension of its intersection with the image of k2's (r+1)-boundary,
-    all in exact rational arithmetic.  Route B counts near-zero eigenvalues
-    of the persistent Laplacian.  The value of route A is returned;
-    disagreement raises :class:`RouteDisagreement`.
+    Route A is |S_r(k1)| - rank of k1's r-boundary - the number of pivots
+    below |S_r(k1)| in one plain reduction of k2's (r+1)-boundary.  Reduced
+    columns have distinct pivots (a column's largest index), so the columns
+    with such pivots span B_r(k2) ∩ C_r(k1), which is Z_r(k1) ∩ B_r(k2) as
+    k1's simplices come first in k2.  Route B counts near-zero eigenvalues
+    of the persistent Laplacian.
     """
     k1, k2 = pair.k1, pair.k2
-    if k1.size(r) == 0:
+    n1 = k1.size(r)
+    if n1 == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    kernel_cols = cycle_basis(k1, r)  # k1's r-simplices are the prefix of k2's
-    dim_kernel = len(kernel_cols)
-    if k2.size(r + 1) == 0:
-        route_a = dim_kernel
-    else:
-        image_cols = exact.sparse_columns(boundary_matrix(k2, r + 1).entries)
-        route_a = dim_kernel - exact.intersection_dim(image_cols, kernel_cols)
+    route_a = n1 - _boundary_rank(k1, r)
+    if k2.size(r + 1):
+        pivots = exact.reduce_columns(boundary_matrix(k2, r + 1).entries).pivots
+        route_a -= sum(p < n1 for p in pivots)
 
     eigs = np.linalg.eigvalsh(persistent_laplacian(pair, r))
     cutoff = KERNEL_EIG_RTOL * max(1.0, float(eigs[-1])) if eigs.size else 0.0

@@ -189,6 +189,21 @@ def complete_graph(n: int, tail: int = 0):
     return edges + [[0 if i == 0 else n + i - 1, n + i] for i in range(tail)]
 
 
+def count_reductions(monkeypatch) -> list[bool]:
+    """Record the ``track`` flag of every ``exact.Reduction`` made from now on."""
+    from homology_lab import exact
+
+    made = []
+
+    class Counted(exact.Reduction):
+        def __init__(self, vectors=(), track=False):
+            made.append(track)
+            super().__init__(vectors, track)
+
+    monkeypatch.setattr(exact, "Reduction", Counted)
+    return made
+
+
 def random_rips_filtration(seed, n_points=7, t1=0.4, t2=0.7, max_dim=2):
     from homology_lab import validate_filtration
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import boundary_matrix, build_complex, generate, spec_matrix, validate_filtration
+from homology_lab import (
+    boundary_matrix,
+    build_complex,
+    generate,
+    spec_matrix,
+    validate_filtration,
+    vietoris_rips,
+)
 from homology_lab.errors import (
     BadParameter,
     DuplicateSimplex,
@@ -139,6 +146,17 @@ def test_circle_requires_m():
 def test_rips_two_distant_points():
     k = generate("vietoris_rips", points=[[0.0], [2.0]], threshold=1.0)
     assert (k.size(0), k.size(1)) == (2, 0)
+
+
+@pytest.mark.parametrize("points,threshold", [
+    ([[0.0], [2.0]], 0.0), ([[0.0], [2.0]], -1.0), ([[0.0], [2.0]], float("nan")),
+    ([[0.0], [2.0]], float("inf")), ([[0.0, 0.0], [float("nan"), 0.0]], 1.0),
+    ([[0.0, float("inf")], [1.0, 0.0]], 1.0),
+], ids=["zero", "negative", "nan", "inf", "nan-coordinate", "inf-coordinate"])
+def test_rips_rejects_a_nonfinite_or_nonpositive_input(points, threshold):
+    # a NaN threshold or coordinate compares false, which once dropped edges silently
+    with pytest.raises(BadParameter):
+        vietoris_rips(points, threshold)
 
 
 def test_tetrahedron_boundary_counts():

@@ -6,9 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import exact_rank, generate, validate_filtration
+from homology_lab import exact_persistent_betti, exact_rank, generate, validate_filtration
 from homology_lab.exact import (
-    intersection_dim,
     kernel_basis,
     rank,
     reduce_columns,
@@ -61,13 +60,6 @@ def test_solve_consistent():
     assert reduce_columns(m).contains({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(5, 6)})
 
 
-def test_intersection_dim_planes():
-    # two planes through the origin in R^3 meet in a line
-    u_cols = [[1, 0, 0], [0, 1, 0]]
-    w_cols = [[0, 1, 0], [0, 0, 1]]
-    assert intersection_dim(u_cols, w_cols) == 1
-
-
 def test_sparse_columns_of_every_input_kind():
     rows = [[1, 0, -2], [0, 0, 3]]
     cols = [{0: 1}, {}, {0: -2, 1: 3}]
@@ -118,13 +110,14 @@ def test_column_space_membership_agrees_with_oracle(m, target):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rips_boundaries_agree_with_oracle(seed):
-    """Rank, kernel and intersection on boundary matrices of 25-40 point
-    Vietoris-Rips filtrations, against the Fraction Gauss-Jordan oracle."""
+    """Rank, kernel and persistent Betti number on boundary matrices of 25-40
+    point Vietoris-Rips filtrations, against the Fraction Gauss-Jordan oracle."""
     rng = np.random.default_rng(1000 + seed)
     pts = random_point_cloud(rng, int(rng.integers(25, 41)))
     k1 = generate("vietoris_rips", points=pts, threshold=0.2, max_dim=2)
-    k2 = validate_filtration(k1, generate("vietoris_rips", points=pts, threshold=0.25,
-                                          max_dim=2)).k2
+    pair = validate_filtration(k1, generate("vietoris_rips", points=pts, threshold=0.25,
+                                            max_dim=2))
+    k2 = pair.k2
     for k in (k1, k2):
         for r in (1, 2):
             if k.size(r):
@@ -140,4 +133,4 @@ def test_rips_boundaries_agree_with_oracle(seed):
         image = boundary_matrix(k2, 2).toarray()
         u, w = np.array(padded).T, image
         want = oracle_rank(u) + oracle_rank(w) - oracle_rank(np.hstack([u, w]))
-        assert intersection_dim(sparse_columns(image), padded) == want
+        assert exact_persistent_betti(pair, 1) == len(basis) - want

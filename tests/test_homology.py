@@ -31,7 +31,13 @@ from homology_lab.errors import (
     ZeroChain,
 )
 
-from conftest import complete_graph, oracle_solvable, random_rips, reference_boundary_of
+from conftest import (
+    complete_graph,
+    count_reductions,
+    oracle_solvable,
+    random_rips,
+    reference_boundary_of,
+)
 
 
 def loop_chain(k):
@@ -384,15 +390,11 @@ def test_equivalent_dimension_mismatch(filled_square):
         check_equivalent(filled_square, c1, c0)
 
 
-def test_augmented_rank_monotonicity(filled_square):
-    from homology_lab import exact_rank
-    from homology_lab.homology import _augmented
-
-    d2 = boundary_matrix(filled_square, 2).toarray()
-    base = exact_rank(d2)
+def test_one_tracked_cycle_counts_its_nontriviality(filled_square):
     for c in sample_cycles(filled_square, 1, s=8, seed=3):
-        aug = exact_rank(_augmented(filled_square, c))
-        assert aug in (base, base + 1)
+        got = betti_via_tracking(filled_square, 1, [c])
+        assert got in (0, 1)
+        assert got == (not check_trivial(filled_square, c).answer)
 
 
 # --- tracking -------------------------------------------------------------------
@@ -568,7 +570,7 @@ def count_boundary_builds(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("mode", ["exact", "stochastic"])
 def test_class_queries_build_each_boundary_once(monkeypatch, mode):
     # the cycles are checked against d_1 once per query, and d_2 is built once
-    # per complex; a stochastic stage after the first builds its own d_1 too
+    # per query; a stochastic stage after the first builds its own d_1 and d_2
     stages = [rips(0, t) for t in (0.3, 0.33, 0.36)]
     c1, c2 = sample_cycles(stages[0], 1, s=2, seed=0)
     builds = count_boundary_builds(monkeypatch)
@@ -580,10 +582,15 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
 
     assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == 2
     assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == 2
+    reductions = count_reductions(monkeypatch)
     for s in (1, 2, 3):
-        builds_per_track = 1 + s if mode == "exact" else 2 * s
-        assert count(lambda: track_classes(stages[:s], [c1], mode=mode)) == builds_per_track
-        assert count(lambda: track_classes(stages[:s], [c1, c2], mode=mode)) == builds_per_track
+        # exact: d_1 and the last stage's d_2, reduced once and grown stage by stage
+        builds_per_track = 2 if mode == "exact" else 2 * s
+        for cycles in ([c1], [c1, c2]):
+            reductions.clear()
+            assert count(lambda: track_classes(stages[:s], cycles, mode=mode)) == builds_per_track
+            if mode == "exact":
+                assert reductions == [False]
     for n in (1, 4, 10):
         cycles = sample_cycles(stages[0], 1, s=n, seed=1)
         assert count(lambda: betti_via_tracking(stages[0], 1, cycles, mode=mode)) == 2

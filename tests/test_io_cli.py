@@ -504,6 +504,23 @@ def test_cli_bad_thresholds_is_input_error(replay_files, capsys, monkeypatch):
     assert json.loads(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "nan", "--out", "o.jsonl"),
+    ("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "inf", "--out", "o.jsonl"),
+    ("gen", "--kind", "vietoris_rips", "--points", "nan.json", "--threshold", "0.5", "--out", "o.jsonl"),
+    ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.5,nan,1.2"),
+    ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.5,inf"),
+    ("betti", "--r", "1", "--points", "nan.json", "--thresholds", "0.5"),
+], ids=["gen-nan", "gen-inf", "gen-nan-point", "sweep-nan", "sweep-inf", "sweep-nan-point"])
+def test_cli_rips_rejects_nonfinite_input(replay_files, capsys, monkeypatch, argv):
+    monkeypatch.chdir(replay_files)
+    (replay_files / "nan.json").write_text("[[0.0, 0.0], [NaN, 1.0], [1.0, 0.0]]")  # json reads NaN
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameter"
+    assert not (replay_files / "o.jsonl").exists()
+
+
 def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch):
     monkeypatch.setenv("HOMOLOGY_LAB_SEED", "abc")
     code, out, err = run_cli(capsys, "betti", "--input", str(replay_files / "hollow.jsonl"),

@@ -19,10 +19,17 @@ from homology_lab import (
     stochastic_rank,
     validate_filtration,
 )
+from homology_lab import exact
 from homology_lab.errors import BadParameter, DegreeTooHigh, SpectralNormExceeded
 from homology_lab.spectra import _power_expansion_coeffs, _smoothed_step
 
-from conftest import canonical_complexes, oracle_betti, random_rips, random_rips_filtration
+from conftest import (
+    canonical_complexes,
+    count_reductions,
+    oracle_betti,
+    random_rips,
+    random_rips_filtration,
+)
 
 
 # --- exact Betti ---------------------------------------------------------------
@@ -137,6 +144,47 @@ def test_persistent_routes_agree_random(seed):
         if pair.k1.size(r) == 0:
             continue
         exact_persistent_betti(pair, r)  # raises RouteDisagreement on mismatch
+
+
+def _persistent_rank_identity(pair, r) -> int:
+    """|S_r(k1)| - rank d_r(k1) - rank D + rank G, with D the (r+1)-boundary
+    of k2 and G its block on k2's new r- and (r+1)-simplices: the boundaries
+    of k2 inside k1's chains are D's image under the rows of k1, of dimension
+    rank D - rank G, since k1's (r+1)-simplices have their faces in k1."""
+    k1, k2 = pair.k1, pair.k2
+    n1 = k1.size(r)
+    d_r = exact.rank(boundary_matrix(k1, r).entries) if r and k1.size(r - 1) else 0
+    if not k2.size(r + 1):
+        return n1 - d_r
+    d = boundary_matrix(k2, r + 1).entries
+    return n1 - d_r - exact.rank(d) + exact.rank(d[n1:, k1.size(r + 1):])
+
+
+def test_persistent_betti_matches_the_rank_identity_on_rips_filtrations():
+    values = {}
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((int(rng.integers(6, 41)), 2)).tolist()
+        t1 = float(rng.uniform(0.2, 0.45))
+        t2 = t1 + float(rng.uniform(0.005, 0.04))
+        k1, k2 = (generate("vietoris_rips", points=pts, threshold=t, max_dim=2) for t in (t1, t2))
+        pair = validate_filtration(k1, k2)
+        for r in (0, 1, 2):
+            if k1.size(r):
+                values[seed, r] = exact_persistent_betti(pair, r)
+                assert values[seed, r] == _persistent_rank_identity(pair, r), (seed, r)
+    assert len(values) >= 80
+    assert 3 * sum(v > 0 for v in values.values()) >= len(values)
+    assert any(v for (_, r), v in values.items() if r == 1)
+
+
+def test_persistent_betti_route_a_tracks_no_reduction(monkeypatch):
+    pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4)
+    made = count_reductions(monkeypatch)
+    for r in (0, 1, 2):
+        made.clear()
+        exact_persistent_betti(pair, r)
+        assert made and not any(made)  # plain reductions only: no kernel is tracked
 
 
 def test_persistent_routes_small_case_sweep():
