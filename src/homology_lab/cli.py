@@ -15,6 +15,7 @@ codes: 0 success, 2 input error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io as _io
 import json
@@ -50,15 +51,14 @@ ORACLE_GATE = 500  # largest |S_r| whose stochastic answers are echoed with the 
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HOMOLOGY_LAB_SEED")
-    if env is None:
+    text = os.environ.get("HOMOLOGY_LAB_SEED") if value is None else str(value)
+    if text is None:
         return int(np.random.SeedSequence().entropy % (2**31))
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"HOMOLOGY_LAB_SEED must be an integer, not {env!r}") from None
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    name = "HOMOLOGY_LAB_SEED" if value is None else "--seed"
+    raise InputError(f"{name} must be a non-negative integer, not {text!r}")
 
 
 def _params(args) -> EstimatorParams:

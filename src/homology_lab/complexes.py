@@ -177,14 +177,14 @@ class SpecMatrix:
         return self.entries.shape
 
 
-def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
-    """CSC matrix between layers r-1 and r, with ``signs[i]`` at the face of each
-    r-simplex that omits its i-th vertex; row indices sorted in each column."""
-    where = k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1)
+def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray, cols=slice(None)):
+    """CSC matrix from the r-simplices ``cols`` (0-based, all by default) to layer r-1, with
+    ``signs[i]`` at each one's face omitting its i-th vertex; rows sorted in each column."""
+    where = k._find(r - 1, _faces(k._rows[r][cols])).reshape(-1, r + 1)
     order = np.argsort(where, axis=1)
     return sp.csc_matrix((signs[order].ravel(), np.take_along_axis(where, order, axis=1).ravel(),
                           np.arange(0, where.size + 1, r + 1)),
-                         shape=(k.size(r - 1), k.size(r)))
+                         shape=(k.size(r - 1), len(where)))
 
 
 def spec_matrix(k: SimplicialComplex, r: int) -> SpecMatrix:
@@ -300,7 +300,10 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
         raise BadParameter("max_dim must be between 0 and 3 at desk scale")
     if not (np.isfinite(threshold) and threshold > 0):
         raise BadParameter(f"threshold must be finite and positive, not {threshold}")
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # a mapping, ragged rows or a non-numeric entry
+        pts = np.empty(0)
     if pts.ndim != 2 or pts.shape[0] == 0 or not np.isfinite(pts).all():
         raise BadParameter("points must be a nonempty 2-d array of finite coordinates")
     n = pts.shape[0]

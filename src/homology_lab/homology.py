@@ -1,19 +1,18 @@
 """Cycle detection, triviality and equivalence testing, and class tracking.
 
-The exact paths run entirely over the rationals.  The stochastic paths draw
-no probes and compute no rank: a cycle c is a boundary exactly when its
-projection onto the kernel of the Hodge Laplacian vanishes, and the basis
-Q_H of :func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
+Input chains are checked from the signed faces of their own simplices, with
+no boundary matrix.  The exact paths run entirely over the rationals.  The
+stochastic paths draw no probes and compute no rank: a cycle c is a boundary
+exactly when its projection onto the kernel of the Hodge Laplacian vanishes,
+and the basis Q_H of :func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exact
 from .complexes import Chain, SimplicialComplex, validate_filtration
@@ -26,16 +25,16 @@ from .errors import (
     TrivialKernel,
     ZeroChain,
 )
-from .operators import boundary_matrix
+from .operators import _boundary_columns, boundary_matrix
 from .spectra import HARMONIC_CUT, EstimatorParams, cycle_basis, hodge_basis, tracked_rank
 from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
 
 
-def _boundaries(k: SimplicialComplex, r: int, chains) -> tuple[sp.csc_matrix | None, list]:
-    """The r-boundary of k (None at r = 0 or without chains) and each
-    r-chain's exact boundary through it as a dense rational vector, from one
-    build; raises :class:`DimensionMismatch` on a chain of another dimension
-    or with an index outside the layer."""
+def _boundaries(k: SimplicialComplex, r: int, chains) -> list[exact.Vector]:
+    """Each r-chain's exact boundary as a sparse rational vector indexed from 0,
+    empty exactly for a cycle, from the signed faces of the chain's own
+    simplices; raises :class:`DimensionMismatch` on a chain of another
+    dimension or with an index outside the layer."""
     size = k.size(r)
     for c in chains:
         if c.r != r:
@@ -46,35 +45,29 @@ def _boundaries(k: SimplicialComplex, r: int, chains) -> tuple[sp.csc_matrix | N
             if not 1 <= i <= size:
                 raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
     if r == 0 or not chains:
-        return None, [[] for _ in chains]
-    d = boundary_matrix(k, r).entries  # CSC: column j - 1 holds simplex j's faces
-    out = [[Fraction(0)] * k.size(r - 1) for _ in chains]
-    for b, c in zip(out, chains):
-        for j, cj in c.coeffs.items():
-            lo, hi = d.indptr[j - 1], d.indptr[j]
-            for i, v in zip(d.indices[lo:hi].tolist(), d.data[lo:hi].tolist()):
-                b[i] += v * cj
-    return d, out
-
-
-def boundary_of(k: SimplicialComplex, c: Chain) -> list[Fraction]:
-    """Exact boundary of a chain as a dense rational vector (one layer down)."""
-    return _boundaries(k, c.r, [c])[1][0]
+        return [{} for _ in chains]
+    faces = _boundary_columns(k, r, [j - 1 for c in chains for j in c.coeffs])
+    columns = zip(faces.indices.reshape(-1, r + 1).tolist(), faces.data.reshape(-1, r + 1).tolist())
+    out = []
+    for c in chains:
+        b = {}
+        for cj in c.coeffs.values():
+            for i, v in zip(*next(columns)):
+                b[i] = b.get(i, 0) + v * cj
+        out.append({i: x for i, x in b.items() if x})
+    return out
 
 
 def is_cycle_exact(k: SimplicialComplex, c: Chain) -> bool:
     """Whether the chain's boundary vanishes identically (0-chains always do)."""
-    return not any(boundary_of(k, c))
+    return not _boundaries(k, c.r, [c])[0]
 
 
-def _require_cycles(k: SimplicialComplex, r: int, chains) -> sp.csc_matrix | None:
-    """Raise unless every chain is an r-cycle of k, building the r-boundary
-    once: :class:`DimensionMismatch` as in :func:`_boundaries`, then
-    :class:`NotACycle`; return that boundary."""
-    d, boundaries = _boundaries(k, r, chains)
-    if any(map(any, boundaries)):
+def _require_cycles(k: SimplicialComplex, r: int, chains) -> None:
+    """Raise unless every chain is an r-cycle of k: :class:`DimensionMismatch`
+    as in :func:`_boundaries`, then :class:`NotACycle`."""
+    if any(_boundaries(k, r, chains)):
         raise NotACycle("input chain has nonzero boundary")
-    return d
 
 
 def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=None) -> str:
@@ -91,9 +84,9 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
         raise BadParameter("eta must lie strictly between 0 and 1")
     if c.is_zero():
         raise ZeroChain("cannot test the zero chain")
-    d, (b,) = _boundaries(k, c.r, [c])
-    if not any(b):
+    if not _boundaries(k, c.r, [c])[0]:
         return "likely_cycle"
+    d = boundary_matrix(k, c.r).entries
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     vec /= np.linalg.norm(vec)
     p = float(np.linalg.norm(d.T @ (d @ vec) / ((c.r + 1) * k.size(c.r))) ** 2)
@@ -131,15 +124,14 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None,
-             down) -> Verdict:
-    """:func:`test_trivial` on a checked cycle; ``down`` as in :func:`spectra.hodge_basis`."""
+def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None) -> Verdict:
+    """:func:`test_trivial` on a checked cycle."""
     if c.is_zero() or k.size(c.r + 1) == 0:
         return Verdict(answer=c.is_zero(), method=mode)
     if mode == "exact":
         boundary = exact.reduce_columns(_cofaces(k, c.r))
         return Verdict(answer=boundary.contains(_vector(c)), method="exact")
-    q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed, down)
+    q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
     return Verdict(answer=weight <= HARMONIC_CUT, method="stochastic",
@@ -153,14 +145,16 @@ def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
     harmonic weight |Q_H^T c|^2 / |c|^2 is cut at ``HARMONIC_CUT`` (see
     :class:`Verdict`)."""
     _check_mode(mode)
-    return _trivial(k, c, mode, params, _require_cycles(k, c.r, [c]))
+    _require_cycles(k, c.r, [c])
+    return _trivial(k, c, mode, params)
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
     """Are two cycles homologous?  Reduces to triviality of their difference."""
     _check_mode(mode)
-    return _trivial(k, c1 - c2, mode, params, _require_cycles(k, c1.r, [c1, c2]))
+    _require_cycles(k, c1.r, [c1, c2])
+    return _trivial(k, c1 - c2, mode, params)
 
 
 @dataclass(frozen=True)
@@ -197,12 +191,11 @@ def track_classes(stages, cycles, mode: str = "exact",
             raise NotAFiltrationChain(f"stage {len(ordered)} is not included in its successor: {exc}") from exc
         ordered.append(pair.k2)
 
-    down = _require_cycles(ordered[0], cycles[0].r, cycles)
+    _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
     kind = "trivial" if len(cycles) == 1 else "equivalent"
     if mode == "stochastic" or target.is_zero():
-        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params, down if i == 0 else None)
-                                                   for i, k in enumerate(ordered)))
+        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params) for k in ordered))
     cofaces, vec = _cofaces(ordered[-1], target.r), _vector(target)
     boundary, verdicts = exact.Reduction(), []
     for k in ordered:
@@ -255,7 +248,7 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
     """
     _check_mode(mode)
     cycles = list(cycles)
-    down = _require_cycles(k, r, cycles)
+    _require_cycles(k, r, cycles)
     reps = [c for c in cycles if not c.is_zero()]
     if not reps:
         return 0
@@ -264,5 +257,5 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
         return sum(boundary.add(_vector(c)) for c in reps)
     unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
     unit /= np.linalg.norm(unit, axis=0)
-    q, margin, _ = hodge_basis(k, r, (params or EstimatorParams()).seed, down)
+    q, margin, _ = hodge_basis(k, r, (params or EstimatorParams()).seed)
     return tracked_rank(q, unit, margin)[0]

@@ -89,4 +89,5 @@ def dump_operator(matrix, path) -> None:
     import scipy.sparse as sp
 
     m = matrix if sp.issparse(matrix) else sp.coo_matrix(matrix)
-    scipy.io.mmwrite(str(path), m)
+    with open(path, "wb") as out:  # mmwrite given a path in a missing directory writes nothing
+        scipy.io.mmwrite(out, m)

@@ -40,7 +40,12 @@ def boundary_matrix(k: SimplicialComplex, r: int) -> BoundaryMatrix:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
-    return BoundaryMatrix(r=r, entries=_incidence(k, r, (-1) ** np.arange(r + 1)))
+    return BoundaryMatrix(r=r, entries=_boundary_columns(k, r))
+
+
+def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> sp.csc_matrix:
+    """Columns ``cols`` (0-based, all by default) of the r-boundary: r + 1 signed faces each."""
+    return _incidence(k, r, (-1) ** np.arange(r + 1), cols)
 
 
 def coboundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:

@@ -189,6 +189,22 @@ def complete_graph(n: int, tail: int = 0):
     return edges + [[0 if i == 0 else n + i - 1, n + i] for i in range(tail)]
 
 
+def count_boundary_builds(monkeypatch) -> list[int]:
+    """Record the dimension r of every ``boundary_matrix`` build made from now on."""
+    from homology_lab import cli, cohomology, homology, operators, spectra
+
+    builds = []
+
+    def counted(k, r):
+        builds.append(r)
+        return real(k, r)
+
+    real = operators.boundary_matrix
+    for module in (cli, homology, cohomology, operators, spectra):
+        monkeypatch.setattr(module, "boundary_matrix", counted)
+    return builds
+
+
 def count_reductions(monkeypatch) -> list[bool]:
     """Record the ``track`` flag of every ``exact.Reduction`` made from now on."""
     from homology_lab import exact

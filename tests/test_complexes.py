@@ -151,10 +151,13 @@ def test_rips_two_distant_points():
 @pytest.mark.parametrize("points,threshold", [
     ([[0.0], [2.0]], 0.0), ([[0.0], [2.0]], -1.0), ([[0.0], [2.0]], float("nan")),
     ([[0.0], [2.0]], float("inf")), ([[0.0, 0.0], [float("nan"), 0.0]], 1.0),
-    ([[0.0, float("inf")], [1.0, 0.0]], 1.0),
-], ids=["zero", "negative", "nan", "inf", "nan-coordinate", "inf-coordinate"])
+    ([[0.0, float("inf")], [1.0, 0.0]], 1.0), ({"a": 1}, 1.0), ([[0, 0], [1]], 1.0),
+    ([["a", "b"]], 1.0),
+], ids=["zero", "negative", "nan", "inf", "nan-coordinate", "inf-coordinate", "object", "ragged",
+        "text"])
 def test_rips_rejects_a_nonfinite_or_nonpositive_input(points, threshold):
-    # a NaN threshold or coordinate compares false, which once dropped edges silently
+    # a NaN threshold or coordinate compares false, which once dropped edges
+    # silently; a mapping, ragged rows or text once escaped from numpy
     with pytest.raises(BadParameter):
         vietoris_rips(points, threshold)
 

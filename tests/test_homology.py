@@ -33,6 +33,7 @@ from homology_lab.errors import (
 
 from conftest import (
     complete_graph,
+    count_boundary_builds,
     count_reductions,
     oracle_solvable,
     random_rips,
@@ -47,30 +48,40 @@ def loop_chain(k):
 
 # --- cycles -------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(6))
-def test_boundary_of_matches_the_loop_over_every_nonzero(seed):
-    from homology_lab.homology import boundary_of
+@pytest.mark.parametrize("seed,n_points", [(0, 40), (1, 70), (2, 100), (3, 150)])
+def test_face_boundaries_match_the_loop_over_every_nonzero(seed, n_points):
+    # random rational chains, sampled cycles scaled by a rational, and those
+    # cycles plus one more simplex, on Rips complexes with tetrahedra
+    from homology_lab.homology import _boundaries
 
-    k = random_rips(seed, n_points=14, threshold=0.5, max_dim=3)
+    k = random_rips(seed, n_points=n_points, threshold=(8 / (np.pi * n_points)) ** 0.5, max_dim=3)
+    assert k.size(3) > 0
     rng = np.random.default_rng(seed)
-    for r in range(1, max(k.layers) + 1):
-        for rational in (False, True):
-            support = rng.choice(k.size(r), size=min(k.size(r), 1 + 5 * seed), replace=False) + 1
-            nums = rng.integers(-5, 6, size=support.size)
-            dens = rng.integers(1, 7, size=support.size) if rational else np.ones_like(nums)
-            c = Chain.make(r, {int(j): Fraction(int(a), int(b))
-                               for j, a, b in zip(support, nums, dens)})
-            got = boundary_of(k, c)
-            assert got == reference_boundary_of(k, c)
-            assert all(type(x) is Fraction for x in got)
+    cycles = 0
+    for r in (1, 2, 3):
+        chains = []
+        for _ in range(3):
+            support = rng.choice(k.size(r), size=1 + int(rng.integers(20)), replace=False) + 1
+            chains.append(Chain.make(r, {int(j): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+                                         for j in support}))
+        scale = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        for z in sample_cycles(k, r, s=3, seed=seed):
+            z = Chain.make(r, {i: x * scale for i, x in z.coeffs.items()})
+            j = int(rng.integers(1, k.size(r) + 1))
+            chains += [z, Chain.make(r, {**z.coeffs, j: z.coeffs.get(j, 0) + 1})]
+        for c, got in zip(chains, _boundaries(k, r, chains)):
+            want = reference_boundary_of(k, c)
+            assert got == {i: x for i, x in enumerate(want) if x}
+            assert all(type(x) is Fraction for x in got.values())
+            assert is_cycle_exact(k, c) == (not any(want))
+            cycles += not got
+    assert cycles == 9  # each sampled cycle, and nothing else: both kinds occur
 
 
 @pytest.mark.parametrize("index", [0, -1, 4])
-def test_boundary_of_rejects_an_index_outside_the_layer(hollow_triangle, index):
-    from homology_lab.homology import boundary_of
-
+def test_is_cycle_exact_rejects_an_index_outside_the_layer(hollow_triangle, index):
     with pytest.raises(DimensionMismatch):
-        boundary_of(hollow_triangle, Chain(r=1, coeffs={index: Fraction(1)}))
+        is_cycle_exact(hollow_triangle, Chain(r=1, coeffs={index: Fraction(1)}))
 
 
 def test_triangle_loop_is_cycle(hollow_triangle):
@@ -552,25 +563,11 @@ def rips(seed, threshold, n_points=30):
     return generate("vietoris_rips", points=points, threshold=threshold)
 
 
-def count_boundary_builds(monkeypatch) -> list[int]:
-    from homology_lab import cohomology, homology, operators, spectra
-
-    builds = []
-
-    def counted(k, r):
-        builds.append(r)
-        return real(k, r)
-
-    real = operators.boundary_matrix
-    for module in (homology, cohomology, operators, spectra):
-        monkeypatch.setattr(module, "boundary_matrix", counted)
-    return builds
-
-
 @pytest.mark.parametrize("mode", ["exact", "stochastic"])
 def test_class_queries_build_each_boundary_once(monkeypatch, mode):
-    # the cycles are checked against d_1 once per query, and d_2 is built once
-    # per query; a stochastic stage after the first builds its own d_1 and d_2
+    # input cycles are checked from their own faces, with no build; an exact
+    # query builds d_2 once, and a stochastic one builds d_1 and d_2 for
+    # each stage's Hodge Laplacian
     stages = [rips(0, t) for t in (0.3, 0.33, 0.36)]
     c1, c2 = sample_cycles(stages[0], 1, s=2, seed=0)
     builds = count_boundary_builds(monkeypatch)
@@ -580,12 +577,13 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
         call()
         return len(builds)
 
-    assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == 2
-    assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == 2
+    per_query = 1 if mode == "exact" else 2
+    assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == per_query
+    assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == per_query
     reductions = count_reductions(monkeypatch)
     for s in (1, 2, 3):
-        # exact: d_1 and the last stage's d_2, reduced once and grown stage by stage
-        builds_per_track = 2 if mode == "exact" else 2 * s
+        # exact: the last stage's d_2, reduced once and grown stage by stage
+        builds_per_track = 1 if mode == "exact" else 2 * s
         for cycles in ([c1], [c1, c2]):
             reductions.clear()
             assert count(lambda: track_classes(stages[:s], cycles, mode=mode)) == builds_per_track
@@ -593,11 +591,12 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
                 assert reductions == [False]
     for n in (1, 4, 10):
         cycles = sample_cycles(stages[0], 1, s=n, seed=1)
-        assert count(lambda: betti_via_tracking(stages[0], 1, cycles, mode=mode)) == 2
-    assert count(lambda: check_cohomological(stages[0], c1, c2, seed=0)) == 2
+        assert count(lambda: betti_via_tracking(stages[0], 1, cycles, mode=mode)) == per_query
+    assert count(lambda: check_cohomological(stages[0], c1, c2, seed=0)) == 1
+    # a non-cycle needs the whole d_1 for its measurement probability
     edge = Chain.make(1, {1: 1})
-    for c in (c1, edge):
-        assert count(lambda: detect_cycle_stochastic(stages[0], c, eta=0.1, seed=0)) == 1
+    for c, want in ((c1, 0), (edge, 1)):
+        assert count(lambda: detect_cycle_stochastic(stages[0], c, eta=0.1, seed=0)) == want
 
 
 @pytest.mark.parametrize("mode", ["exact", "stochastic"])

@@ -16,7 +16,7 @@ from homology_lab.io import (
     save_complex,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, count_boundary_builds, count_reductions
 
 
 def test_complex_round_trip(tmp_path):
@@ -239,6 +239,19 @@ def test_cli_betti_track(tmp_path, capsys):
     assert result["exact_betti"] == 1
 
 
+def test_cli_betti_track_builds_and_reductions(tmp_path, capsys, monkeypatch):
+    # sample_cycles builds and reduces d_1, betti_via_tracking builds and
+    # reduces d_2, and the exact echo builds and ranks both again
+    save_complex(generate("torus"), tmp_path / "k.jsonl")
+    builds, reductions = count_boundary_builds(monkeypatch), count_reductions(monkeypatch)
+    code, out, _ = run_cli(capsys, "betti-track", "--input", str(tmp_path / "k.jsonl"),
+                           "--r", "1", "--samples", "6", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["exact_betti"] == 2
+    assert sorted(builds) == [1, 1, 2, 2]
+    assert len(reductions) == 4
+
+
 def test_cli_dump_operator(tmp_path, capsys):
     save_complex(generate("filled_triangle"), tmp_path / "k.jsonl")
     target = tmp_path / "op.mtx"
@@ -248,6 +261,12 @@ def test_cli_dump_operator(tmp_path, capsys):
     )
     assert code == 0
     assert target.exists()
+    # a path in a missing directory is an input error, with nothing on stdout
+    code, out, err = run_cli(capsys, "dump-operator", "--input", str(tmp_path / "k.jsonl"),
+                             "--r", "2", "--dump-operator", str(tmp_path / "nodir" / "op.mtx"))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_cli_seed_reproducibility(tmp_path, capsys):
@@ -511,22 +530,42 @@ def test_cli_bad_thresholds_is_input_error(replay_files, capsys, monkeypatch):
     ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.5,nan,1.2"),
     ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.5,inf"),
     ("betti", "--r", "1", "--points", "nan.json", "--thresholds", "0.5"),
-], ids=["gen-nan", "gen-inf", "gen-nan-point", "sweep-nan", "sweep-inf", "sweep-nan-point"])
+    ("gen", "--kind", "vietoris_rips", "--points", "object.json", "--threshold", "0.5", "--out", "o.jsonl"),
+    ("gen", "--kind", "vietoris_rips", "--points", "ragged.json", "--threshold", "0.5", "--out", "o.jsonl"),
+    ("gen", "--kind", "vietoris_rips", "--points", "text.json", "--threshold", "0.5", "--out", "o.jsonl"),
+    ("betti", "--r", "1", "--points", "object.json", "--thresholds", "0.5"),
+    ("betti", "--r", "1", "--points", "ragged.json", "--thresholds", "0.5"),
+    ("betti", "--r", "1", "--points", "text.json", "--thresholds", "0.5"),
+], ids=["gen-nan", "gen-inf", "gen-nan-point", "sweep-nan", "sweep-inf", "sweep-nan-point",
+        "gen-object", "gen-ragged", "gen-text", "sweep-object", "sweep-ragged", "sweep-text"])
 def test_cli_rips_rejects_nonfinite_input(replay_files, capsys, monkeypatch, argv):
     monkeypatch.chdir(replay_files)
     (replay_files / "nan.json").write_text("[[0.0, 0.0], [NaN, 1.0], [1.0, 0.0]]")  # json reads NaN
+    (replay_files / "object.json").write_text('{"a": 1}')
+    (replay_files / "ragged.json").write_text("[[0, 0], [1]]")
+    (replay_files / "text.json").write_text('[["a", "b"]]')
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "BadParameter"
     assert not (replay_files / "o.jsonl").exists()
 
 
-def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch):
-    monkeypatch.setenv("HOMOLOGY_LAB_SEED", "abc")
-    code, out, err = run_cli(capsys, "betti", "--input", str(replay_files / "hollow.jsonl"),
-                             "--r", "1")
+@pytest.mark.parametrize("env,argv", [
+    ("abc", ("betti", "--input", "hollow.jsonl", "--r", "1")),
+    ("-4", ("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic")),
+    (None, ("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic", "--seed", "-1")),
+    (None, ("betti-track", "--input", "hollow.jsonl", "--r", "1", "--seed", "-3")),
+    (None, ("gen", "--kind", "circle", "--m", "5", "--out", "o.jsonl", "--seed", "-2")),
+], ids=["env-text", "env-negative", "betti-negative", "betti-track-negative", "gen-negative"])
+def test_cli_bad_seed_env_is_input_error(replay_files, capsys, monkeypatch, env, argv):
+    # numpy's default_rng refuses a negative seed with a ValueError traceback
+    monkeypatch.chdir(replay_files)
+    if env is not None:
+        monkeypatch.setenv("HOMOLOGY_LAB_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "InputError"
+    assert not (replay_files / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["gen", "detect-cycle", "dump-operator", "test-trivial",
