@@ -46,7 +46,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import boundary_matrix, laplacian, persistent_laplacian
+from .operators import boundary_matrix, persistent_laplacian
 
 KERNEL_EIG_RTOL = 1e-7  # relative eigenvalue cutoff for numeric kernel counting
 
@@ -397,9 +397,10 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
 
 
 def hodge_basis(k: SimplicialComplex, r: int, seed) -> tuple[np.ndarray, float, bool]:
-    """:func:`harmonic_basis` of k's Hodge Laplacian d_r^T d_r + d_{r+1} d_{r+1}^T
-    (:func:`operators.laplacian`, which builds each boundary once)."""
-    return harmonic_basis(laplacian(k, r), seed)
+    """:func:`harmonic_basis` of k's Hodge Laplacian d_r^T d_r + d_{r+1} d_{r+1}^T."""
+    up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((k.size(r), 0))
+    down = boundary_matrix(k, r).entries if r else None
+    return harmonic_basis(up @ up.T + (down.T @ down if r else 0), seed)
 
 
 HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this
