@@ -323,7 +323,7 @@ def run(argv=None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         result = _HANDLERS[args.subcommand](args)
-    except (InternalError, InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InternalError, InputError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 3 if isinstance(exc, InternalError) else 2
     result["config"] = vars(args)

@@ -117,4 +117,4 @@ class RouteDisagreement(InternalError):
     def __init__(self, route_a, route_b):
         self.route_a = route_a
         self.route_b = route_b
-        super().__init__(f"persistent Betti routes disagree: quotient={route_a}, kernel={route_b}")
+        super().__init__(f"persistent Betti routes disagree: pivots={route_a}, ranks={route_b}")

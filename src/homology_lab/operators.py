@@ -59,15 +59,16 @@ def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
         raise BadParameter("dimension must be non-negative")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    n = k.size(r)
-    total = sp.csr_matrix((n, n), dtype=int)
-    if r >= 1 and k.size(r - 1) > 0:
-        d = boundary_matrix(k, r).entries
-        total = total + (d.T @ d)
-    if k.size(r + 1) > 0:
+    terms = []
+    if k.size(r + 1):
         d_up = boundary_matrix(k, r + 1).entries
-        total = total + (d_up @ d_up.T)
-    return total.tocsr()
+        terms.append(d_up @ d_up.T)
+    if r >= 1 and k.size(r - 1):
+        d = boundary_matrix(k, r).entries
+        terms.append(d.T @ d)
+    if not terms:
+        return sp.csr_matrix((k.size(r), k.size(r)), dtype=int)
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 def laplacian_divisor(k: SimplicialComplex, r: int) -> int:

@@ -2,8 +2,8 @@
 stochastic rank estimator.
 
 The exact side reduces everything to ranks, pivots and kernels of sparse
-boundary matrices, from the fraction-free reduction in :mod:`exact`; route B of
-the persistent oracle counts the kernel of the dense persistent Laplacian.
+boundary matrices, from the fraction-free reduction in :mod:`exact`: both
+routes of the persistent oracle too, so no exact answer touches a float.
 Every stochastic answer (Betti and persistent Betti estimates, class
 verdicts) reads one orthonormal basis Q_H of the kernel of a Hodge Laplacian,
 from Chebyshev-filtered subspace iteration (:func:`harmonic_basis`, via
@@ -46,9 +46,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import boundary_matrix, persistent_laplacian
-
-KERNEL_EIG_RTOL = 1e-7  # relative eigenvalue cutoff for numeric kernel counting
+from .operators import boundary_matrix, laplacian, persistent_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +80,29 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """Persistent Betti number dim Z_r(k1) - dim(Z_r(k1) ∩ B_r(k2)) by two
-    independent routes; route A's value is returned, and disagreement raises
-    :class:`RouteDisagreement`.
+    routes from exact ranks and pivots, which share dim Z_r(k1) = |S_r(k1)| -
+    rank of k1's r-boundary; route A's value is returned, and disagreement
+    raises :class:`RouteDisagreement`.  :func:`operators.persistent_blocks`
+    first checks that k2's (r+1)-boundary is D = [B R; 0 G], k1's simplices
+    first, and raises :class:`StructuralViolation` otherwise.
 
-    Route A is |S_r(k1)| - rank of k1's r-boundary - the number of pivots
-    below |S_r(k1)| in one plain reduction of k2's (r+1)-boundary.  Reduced
-    columns have distinct pivots (a column's largest index), so the columns
-    with such pivots span B_r(k2) ∩ C_r(k1), which is Z_r(k1) ∩ B_r(k2) as
-    k1's simplices come first in k2.  Route B counts near-zero eigenvalues
-    of the persistent Laplacian.
+    Route A subtracts the number of pivots below |S_r(k1)| in one plain
+    column reduction of D: reduced columns have distinct pivots (a column's
+    largest index), so those with such pivots span B_r(k2) ∩ C_r(k1) =
+    Z_r(k1) ∩ B_r(k2).  Route B subtracts rank D - rank G, D reduced by its
+    rows: B_r(k2) ∩ C_r(k1) is D's image of ker [0 G], which has dimension
+    |S_r+1(k2)| - rank G and contains ker D.
     """
     k1, k2 = pair.k1, pair.k2
     n1 = k1.size(r)
     if n1 == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    route_a = n1 - _boundary_rank(k1, r)
+    g = persistent_blocks(pair, r).g
+    route_a = route_b = n1 - _boundary_rank(k1, r)
     if k2.size(r + 1):
-        pivots = exact.reduce_columns(boundary_matrix(k2, r + 1).entries).pivots
-        route_a -= sum(p < n1 for p in pivots)
-
-    eigs = np.linalg.eigvalsh(persistent_laplacian(pair, r))
-    cutoff = KERNEL_EIG_RTOL * max(1.0, float(eigs[-1])) if eigs.size else 0.0
-    route_b = int(np.count_nonzero(eigs < cutoff))
+        d = boundary_matrix(k2, r + 1).entries
+        route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
+        route_b -= exact_rank(d.T) - exact_rank(g)
     if route_a != route_b:
         raise RouteDisagreement(route_a, route_b)
     return route_a
@@ -398,9 +397,7 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
 
 def hodge_basis(k: SimplicialComplex, r: int, seed) -> tuple[np.ndarray, float, bool]:
     """:func:`harmonic_basis` of k's Hodge Laplacian d_r^T d_r + d_{r+1} d_{r+1}^T."""
-    up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((k.size(r), 0))
-    down = boundary_matrix(k, r).entries if r else None
-    return harmonic_basis(up @ up.T + (down.T @ down if r else 0), seed)
+    return harmonic_basis(laplacian(k, r), seed)
 
 
 HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this

@@ -111,7 +111,7 @@ def test_criterion_3_schur_identity():
 
 
 def test_criterion_4_persistent_two_routes():
-    with criterion(4, "persistent Betti: quotient route equals kernel route"):
+    with criterion(4, "persistent Betti: pivot route equals rank route"):
         for pair in _filtration_pool():
             for r in (0, 1):
                 if pair.k1.size(r) == 0:

@@ -506,6 +506,25 @@ def test_cli_replays_from_its_config(replay_files, capsys, monkeypatch, case):
     assert replay(capsys, out) == (0, out, "")
 
 
+DIRECTORY_TARGETS = {  # case: the flag that names a file to write
+    "gen": "--out",
+    "dump-operator": "--dump-operator",
+    "sweep": "--plot-data",
+    "test-equiv": "--dump-witness",
+}
+
+
+@pytest.mark.parametrize("case", DIRECTORY_TARGETS)
+def test_cli_output_path_that_is_a_directory_exits_2(replay_files, capsys, monkeypatch, case):
+    monkeypatch.chdir(replay_files)
+    (replay_files / "adir").mkdir()
+    argv = list(REPLAY_CASES[case][0])
+    argv[argv.index(DIRECTORY_TARGETS[case]) + 1] = "adir"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "IsADirectoryError"
+
+
 def test_cli_sweep_rejects_flags_it_would_ignore(replay_files, capsys, monkeypatch):
     monkeypatch.chdir(replay_files)
     sweep = ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0")
@@ -623,25 +642,37 @@ def test_cli_stochastic_echo_runs_the_oracle_once(replay_files, capsys, monkeypa
     assert len(calls) == 1
 
 
-def test_cli_stochastic_persistent_betti_builds_the_laplacian_once(replay_files, capsys,
-                                                                   monkeypatch):
-    # only the echo's route B builds the persistent Laplacian; the estimate
-    # tracks harmonic bases
-    from homology_lab import spectra
+def test_cli_stochastic_persistent_betti_echo_builds_no_persistent_laplacian(replay_files, capsys,
+                                                                             monkeypatch):
+    # the echo ranks boundary matrices exactly: d_1 of k1, and d_2 of k2 once
+    # for the block check and once for both routes; the estimate tracks
+    # harmonic bases
+    from homology_lab import cli, operators
 
     monkeypatch.chdir(replay_files)
-    builds = []
-    real = spectra.persistent_laplacian
+    laplacians = []
+    real_laplacian = operators.persistent_laplacian
 
     def counted(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
+        laplacians.append(args)
+        return real_laplacian(*args, **kwargs)
 
-    monkeypatch.setattr(spectra, "persistent_laplacian", counted)
+    monkeypatch.setattr(operators, "persistent_laplacian", counted)
+    builds, echo_builds = count_boundary_builds(monkeypatch), []
+    real_echo = cli.exact_persistent_betti
+
+    def echo(*args):
+        builds.clear()
+        value = real_echo(*args)
+        echo_builds.extend(builds)
+        return value
+
+    monkeypatch.setattr(cli, "exact_persistent_betti", echo)
     code, out, _ = run_cli(capsys, *REPLAY_CASES["persistent-betti"][0])
     assert code == 0
     assert json.loads(out)["exact_persistent_betti"] == 0
-    assert len(builds) == 1
+    assert laplacians == []
+    assert sorted(echo_builds) == [1, 2, 2]
 
 
 @pytest.mark.parametrize("case,echo", [("betti", "exact_betti"),

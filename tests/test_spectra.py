@@ -20,11 +20,19 @@ from homology_lab import (
     validate_filtration,
 )
 from homology_lab import exact
-from homology_lab.errors import BadParameter, DegreeTooHigh, SpectralNormExceeded
-from homology_lab.spectra import _power_expansion_coeffs, _smoothed_step
+from homology_lab.complexes import FiltrationPair, SimplicialComplex
+from homology_lab.errors import (
+    BadParameter,
+    DegreeTooHigh,
+    RouteDisagreement,
+    SpectralNormExceeded,
+    StructuralViolation,
+)
+from homology_lab.spectra import _power_expansion_coeffs, _rescaled, _smoothed_step
 
 from conftest import (
     canonical_complexes,
+    count_boundary_builds,
     count_reductions,
     oracle_betti,
     random_rips,
@@ -185,6 +193,58 @@ def test_persistent_betti_route_a_tracks_no_reduction(monkeypatch):
         made.clear()
         exact_persistent_betti(pair, r)
         assert made and not any(made)  # plain reductions only: no kernel is tracked
+
+
+def test_persistent_betti_cross_check_fires_when_route_a_is_off_by_one(monkeypatch):
+    # one pivot inside k1's prefix dropped from route A's reduction of d_2(k2);
+    # route B reduces d_2(k2)'s rows, a call of another shape, and stays right
+    pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4)
+    k1, k2 = pair.k1, pair.k2
+    shape = (k2.size(1), k2.size(2))
+    assert shape[0] != shape[1] and shape != (k1.size(0), k1.size(1))
+    right = exact_persistent_betti(pair, 1)
+    mutated = []
+    real = exact.reduce_columns
+
+    def off_by_one(m, track=False):
+        reduction = real(m, track)
+        if m.shape == shape:
+            lowest = min(reduction.pivots)
+            assert lowest < k1.size(1)
+            del reduction.pivots[lowest]
+            mutated.append(m.shape)
+        return reduction
+
+    monkeypatch.setattr(exact, "reduce_columns", off_by_one)
+    with pytest.raises(RouteDisagreement) as err:
+        exact_persistent_betti(pair, 1)
+    assert (err.value.route_a, err.value.route_b) == (right + 1, right)
+    assert mutated == [shape]
+
+
+def test_persistent_betti_raises_on_a_pair_out_of_prefix_order():
+    # k2's edges in the reverse of k1's order: its d_1 has no k1 prefix block
+    hollow, filled = generate("hollow_triangle"), generate("filled_triangle")
+    layers = dict(filled._rows)
+    layers[1] = layers[1][::-1]
+    pair = FiltrationPair(k1=hollow, k2=SimplicialComplex(filled.n, layers), embed={})
+    with pytest.raises(StructuralViolation):
+        exact_persistent_betti(pair, 0)
+
+
+def test_persistent_betti_is_float_free_and_builds_at_most_four_boundaries(monkeypatch):
+    # d_r of k1, d_r+1 of k1 and d_r+1 of k2 for the block check, and d_r+1
+    # of k2 again for both routes
+    pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4, max_dim=3)
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not name[0].isupper():
+            monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **kw: pytest.fail(_name))
+    builds = count_boundary_builds(monkeypatch)
+    for r in (0, 1, 2):
+        assert pair.k1.size(r + 1)
+        builds.clear()
+        exact_persistent_betti(pair, r)
+        assert sorted(builds) == [r] * (r > 0) + [r + 1] * 3
 
 
 def test_persistent_routes_small_case_sweep():
@@ -506,6 +566,30 @@ def test_estimate_is_the_same_for_dense_and_csr_input(estimator, probe_kind):
     after = (csr.shape, csr.data, csr.indices, csr.indptr)
     assert before[0] == after[0]
     assert all(np.array_equal(x, y) for x, y in zip(before[1:], after[1:]))
+
+
+@pytest.mark.parametrize("max_dim", [1, 2, 3])
+def test_hodge_basis_iterates_on_the_sum_it_always_did(monkeypatch, max_dim):
+    # after harmonic_basis's own copy and rescaling, the operator it iterates
+    # on has, array for array, the arrays of the reference sum
+    # up @ up.T + down.T @ down, so stochastic outputs are byte-identical
+    from homology_lab import spectra
+
+    pts = np.random.default_rng(max_dim).random((40, 2)).tolist()
+    k = generate("vietoris_rips", points=pts, threshold=0.3, max_dim=max_dim)
+    received = []
+    monkeypatch.setattr(spectra, "harmonic_basis", lambda lap, seed: received.append(lap))
+    for r in range(k.dim() + 1):
+        received.clear()
+        spectra.hodge_basis(k, r, 0)
+        up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((k.size(r), 0))
+        down = boundary_matrix(k, r).entries if r else None
+        before = up @ up.T + (down.T @ down if r else 0)
+        (got, got_bound), (want, want_bound) = (
+            _rescaled(sp.csr_matrix(lap, dtype=float, copy=True)) for lap in (received[0], before))
+        assert got_bound == want_bound
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (r, name)
 
 
 def test_estimate_normalized_betti_never_densifies_a_large_layer():
