@@ -95,9 +95,7 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """
     k1, k2 = pair.k1, pair.k2
     n1 = k1.size(r)
-    if n1 == 0:
-        raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    g = persistent_blocks(pair, r).g
+    g = persistent_blocks(pair, r).g  # raises EmptyLayer when n1 is 0
     route_a = route_b = n1 - _boundary_rank(k1, r)
     if k2.size(r + 1):
         d = boundary_matrix(k2, r + 1).entries
