@@ -59,7 +59,7 @@ def _keys(n: int, *blocks: np.ndarray) -> list[np.ndarray]:
 def _faces(rows: np.ndarray) -> np.ndarray:
     """The faces of each row, in row order and then by omitted position."""
     w = rows.shape[1]
-    return rows[:, np.nonzero(~np.eye(w, dtype=bool))[1]].reshape(-1, w - 1)
+    return rows[:, [j for i in range(w) for j in range(w) if j != i]].reshape(-1, w - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,37 +127,67 @@ def build_complex(simplices: Iterable[Iterable[int]], autoclose: bool = True) ->
     """
     seqs = list(map(tuple, simplices))
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
+    return _assemble(lengths, np.fromiter(chain.from_iterable(seqs), dtype=np.int64), autoclose)
+
+
+def _assemble(lengths, flat, autoclose: bool) -> SimplicialComplex:
+    """:func:`build_complex` of the simplices given as their ``lengths`` and their
+    vertex ids ``flat``, one after another (int64 arrays, or lists of ints).
+
+    Rows are grouped by width with one stable sort of the lengths, or none when
+    they come grouped in ascending width.  Layers are then closed from the top
+    down, each one's keys sorted once: that table finds its repeats and, by
+    binary search, the faces of the layer above that it lacks.  Errors come in
+    the order bad vertex lists, repeats, missing faces.
+    """
+    lengths, flat = np.asarray(lengths, dtype=np.int64), np.asarray(flat, dtype=np.int64)
     if not len(lengths):
         raise EmptyInput("no simplices given")
     if lengths.min() == 0:
         raise BadParameter("a simplex needs at least one vertex")
     n = int(flat.max()) + 1
-    starts = np.cumsum(lengths) - lengths
-    layers, repeats = {}, []
-    for w in np.flatnonzero(np.bincount(lengths)).tolist():
-        at = np.flatnonzero(lengths == w)
-        rows = np.sort(flat[starts[at, None] + np.arange(w)], axis=1)
+    at = range(len(lengths))  # each row's input position
+    if (lengths[1:] < lengths[:-1]).any():
+        at = np.argsort(lengths, kind="stable")
+        starts = np.cumsum(lengths) - lengths
+        lengths = lengths[at]
+        flat = flat[np.repeat(starts[at] + lengths - np.cumsum(lengths), lengths) + np.arange(len(flat))]
+    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+    layers, first, end = {}, {}, 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        w = int(lengths[lo])
+        rows = np.sort(flat[end:end + w * (hi - lo)].reshape(-1, w), axis=1)
+        end += w * (hi - lo)
         bad = (rows[:, 0] < 0) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if bad.any():
             raise BadParameter(f"negative or repeated vertex in {tuple(rows[bad][0].tolist())}")
-        keys = _keys(n, rows)[0]
-        order = np.argsort(keys, kind="stable")
-        for i in np.sort(order[1:][np.diff(keys[order]) == 0])[:1]:  # the layer's first repeat
-            repeats.append((at[i], tuple(rows[i].tolist())))
-        layers[w - 1] = rows
-    if repeats:
-        raise DuplicateSimplex(f"simplex {min(repeats)[1]} listed twice")
+        layers[w - 1], first[w - 1] = rows, lo
 
     layers = {r: layers.get(r, np.empty((0, r + 1), dtype=np.int64)) for r in range(max(layers) + 1)}
-    for r in range(len(layers) - 1, 0, -1):
-        faces = _faces(layers[r])
-        face_keys, present = _keys(n, faces, layers[r - 1])
-        absent = ~np.isin(face_keys, present)
-        missing = faces[absent][np.unique(face_keys[absent], return_index=True)[1]]
-        if len(missing) and not autoclose:
-            raise MissingFace(f"face {tuple(missing[0].tolist())} required but not listed")
-        layers[r - 1] = np.concatenate([layers[r - 1], missing])
+    repeats, missing = [], None
+    faces = np.empty((0, len(layers)), dtype=np.int64)  # no layer lies above the top one
+    for r in range(len(layers) - 1, -1, -1):
+        keys, face_keys = _keys(n, layers[r], faces)
+        order = np.argsort(keys, kind="stable")
+        table = keys[order]
+        again = order[1:][table[1:] == table[:-1]]  # rows whose key an earlier row has
+        if len(again):
+            i = int(again.min())
+            repeats.append((int(at[first[r] + i]), tuple(layers[r][i].tolist())))
+        pos = np.minimum(np.searchsorted(table, face_keys), len(table) - 1)
+        absent = table[pos] != face_keys if len(table) else np.ones(len(faces), dtype=bool)
+        if absent.any():
+            new = faces[absent][np.unique(face_keys[absent], return_index=True)[1]]
+            if autoclose:
+                layers[r] = np.concatenate([layers[r], new])
+            elif missing is None:
+                missing = new[0]
+        if r:
+            faces = _faces(layers[r])
+    if repeats:
+        raise DuplicateSimplex(f"simplex {min(repeats)[1]} listed twice")
+    if missing is not None:
+        raise MissingFace(f"face {tuple(missing.tolist())} required but not listed")
     return SimplicialComplex(n, layers)
 
 
@@ -243,7 +273,11 @@ class Chain:
 
     @staticmethod
     def make(r: int, coeffs: Mapping[int, object]) -> "Chain":
-        clean = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
+        return Chain._of(r, {int(i): f for i, c in coeffs.items() if (f := Fraction(c))})
+
+    @staticmethod
+    def _of(r: int, clean: dict[int, Fraction]) -> "Chain":
+        """The chain of the nonzero Fractions ``clean`` at their int indices."""
         for i in clean:
             if i < 1:
                 raise BadParameter(f"chain indices are 1-based, got {i}")

@@ -5,7 +5,9 @@ A complex file starts with a header object ``{"n": <int>, "vertex_map":
 optional}`` followed by one ``{"s": [v0, ..., vr]}`` object per line, with
 integer vertex ids.  Files are declarations of record, so loading never
 autocloses; sparse external vertex ids are remapped to dense ids through the
-header map.  All simplex lines are parsed as one JSON array.
+header map.  All simplex lines are parsed as one JSON array, and after the
+type checks their lengths and their flat vertex list go as int64 arrays to
+the assembly core that :func:`build_complex` uses too, in one pass.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
-from .complexes import Chain, FiltrationPair, SimplicialComplex, build_complex, validate_filtration
+from .complexes import Chain, FiltrationPair, SimplicialComplex, _assemble, validate_filtration
 from .errors import BadParameter
 
 
 def save_complex(k: SimplicialComplex, path) -> None:
     parts = [json.dumps({"n": k.n}, sort_keys=True) + "\n"]
-    for r, layer in k.layers.items():
+    for r, rows in k._rows.items():
         line = '{"s": [' + ", ".join(["%d"] * (r + 1)) + ']}\n'
-        parts.append(line * len(layer) % tuple(chain.from_iterable(layer)))
+        parts.append(line * len(rows) % tuple(rows.ravel().tolist()))
     Path(path).write_text("".join(parts))
 
 
@@ -45,11 +47,10 @@ def load_complex(path) -> SimplicialComplex:
     if not set(map(type, verts)) <= {int}:
         raise BadParameter(f'{path}: every simplex line must be {{"s": [<integer vertex ids>]}}')
     if vertex_map:  # vertex_map.get(v, v) for every vertex
-        simplices = list(map(list, map(map, repeat(vertex_map.get), simplices, simplices)))
         verts = list(map(vertex_map.get, verts, verts))
     if verts and not 0 <= min(verts) <= max(verts) < min(n, 2**63):
         raise BadParameter(f"{path}: vertex ids must lie in 0..{n - 1}")
-    return build_complex(simplices, autoclose=False)
+    return _assemble(list(map(len, simplices)), verts, autoclose=False)
 
 
 def load_filtration(manifest_path) -> FiltrationPair:
@@ -80,7 +81,7 @@ def load_chain(path) -> Chain:
         raise BadParameter(f'{path}: chain file must be {{"r": <int>, "coeffs": [[<i>, <num>, <den>], ...]}}')
     if len(coeffs) != len(rows):
         raise BadParameter(f"{path}: chain indices must be distinct")
-    return Chain.make(r, coeffs)
+    return Chain._of(r, {i: c for i, c in coeffs.items() if c})
 
 
 def dump_operator(matrix, path) -> None:

@@ -100,6 +100,12 @@ class PersistentBlocks:
 
 def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
     """Split the (r+1)-boundary of k2 along the old/new simplex prefix."""
+    return _split_boundary(pair, r)[0]
+
+
+def _split_boundary(pair: FiltrationPair, r: int) -> tuple[PersistentBlocks, sp.csc_matrix | None]:
+    """:func:`persistent_blocks` and the (r+1)-boundary of k2 they are cut from,
+    None when k2 has no (r+1)-simplices."""
     k1, k2 = pair.k1, pair.k2
     if k1.size(r) == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
@@ -111,7 +117,7 @@ def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
     if n_cols == 0:
         zero = sp.csc_matrix((n_old_rows, 0), dtype=int)
         g = sp.csc_matrix((n_rows - n_old_rows, 0), dtype=int)
-        return PersistentBlocks(r=r, b=zero, r_block=zero.copy(), g=g)
+        return PersistentBlocks(r=r, b=zero, r_block=zero.copy(), g=g), None
 
     full = boundary_matrix(k2, r + 1).entries
     b = full[:n_old_rows, :n_old_cols]
@@ -127,7 +133,7 @@ def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
         own = boundary_matrix(k1, r + 1).entries
         if (b - own).nnz != 0:
             raise StructuralViolation("prefix block differs from k1's boundary matrix")
-    return PersistentBlocks(r=r, b=b.tocsc(), r_block=r_blk.tocsc(), g=g.tocsc())
+    return PersistentBlocks(r=r, b=b.tocsc(), r_block=r_blk.tocsc(), g=g.tocsc()), full
 
 
 def _pinv_sym(m: np.ndarray) -> np.ndarray:

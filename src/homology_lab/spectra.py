@@ -46,7 +46,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import boundary_matrix, laplacian, persistent_blocks
+from .operators import _split_boundary, boundary_matrix, laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +82,10 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """Persistent Betti number dim Z_r(k1) - dim(Z_r(k1) ∩ B_r(k2)) by two
     routes from exact ranks and pivots, which share dim Z_r(k1) = |S_r(k1)| -
     rank of k1's r-boundary; route A's value is returned, and disagreement
-    raises :class:`RouteDisagreement`.  :func:`operators.persistent_blocks`
-    first checks that k2's (r+1)-boundary is D = [B R; 0 G], k1's simplices
-    first, and raises :class:`StructuralViolation` otherwise.
+    raises :class:`RouteDisagreement`.  The split of
+    :func:`operators.persistent_blocks` first checks that k2's (r+1)-boundary
+    is D = [B R; 0 G], k1's simplices first, and raises
+    :class:`StructuralViolation` otherwise; both routes reduce that same D.
 
     Route A subtracts the number of pivots below |S_r(k1)| in one plain
     column reduction of D: reduced columns have distinct pivots (a column's
@@ -93,14 +94,12 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     rows: B_r(k2) ∩ C_r(k1) is D's image of ker [0 G], which has dimension
     |S_r+1(k2)| - rank G and contains ker D.
     """
-    k1, k2 = pair.k1, pair.k2
-    n1 = k1.size(r)
-    g = persistent_blocks(pair, r).g  # raises EmptyLayer when n1 is 0
-    route_a = route_b = n1 - _boundary_rank(k1, r)
-    if k2.size(r + 1):
-        d = boundary_matrix(k2, r + 1).entries
+    n1 = pair.k1.size(r)
+    blocks, d = _split_boundary(pair, r)  # raises EmptyLayer when n1 is 0
+    route_a = route_b = n1 - _boundary_rank(pair.k1, r)
+    if d is not None:
         route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
-        route_b -= exact_rank(d.T) - exact_rank(g)
+        route_b -= exact_rank(d.T) - exact_rank(blocks.g)
     if route_a != route_b:
         raise RouteDisagreement(route_a, route_b)
     return route_a
@@ -357,6 +356,7 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
     lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: abs() sorts indices in place
     n = lap.shape[0]
+    shifted = _shifted(lap)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, min(HARMONIC_BLOCK, n)))
     filtered = False
@@ -378,10 +378,25 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
             filtered = False
             continue
         a = min(theta[-1], 0.99)  # T_24 of M, which maps [a, 1] onto [-1, 1]; the sign of s_24 is +
-        m = (2.0 / (1.0 - a)) * lap - ((1.0 + a) / (1.0 - a)) * sp.identity(n, format="csr")
-        *_, x = _chebyshev_blocks(m, x, HARMONIC_DEGREE)
+        *_, x = _chebyshev_blocks(shifted(2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)), x, HARMONIC_DEGREE)
         filtered = True
     return x[:, :h], margin, False
+
+
+def _shifted(lap: sp.csr_matrix):
+    """alpha L - beta I of the CSR matrix L as a function of (alpha, beta).  Each call
+    refills and returns one matrix of L's pattern plus the diagonal, with alpha l_ij
+    off the diagonal and alpha l_ii - beta on it (l_ii = 0 where L stores none)."""
+    op = lap + sp.identity(lap.shape[0], format="csr")  # l_ii >= 0, so no entry cancels
+    diag = op.indices == np.repeat(np.arange(lap.shape[0]), np.diff(op.indptr))
+    l = op.data.copy()
+    l[diag] = lap.diagonal()
+
+    def refill(alpha: float, beta: float) -> sp.csr_matrix:
+        np.multiply(l, alpha, out=op.data)
+        op.data[diag] -= beta
+        return op
+    return refill
 
 
 def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:

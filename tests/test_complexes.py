@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from homology_lab.errors import (
     MissingFace,
     NotASubcomplex,
 )
+from homology_lab.io import load_complex
 
 from conftest import (
     random_point_cloud,
@@ -287,6 +290,45 @@ def test_build_matches_loop_reference_beyond_int64_keys(seed, keep, repeats):
         pair = validate_filtration(k, k)
         assert pair.k2.layers == k.layers
 
+
+
+def file_case(case, seed):
+    """(vertex lists, the file's vertex lists, the file's header) of one load case."""
+    layered = [list(reversed(s)) for s in random_rips(seed, n_points=12, threshold=0.5, max_dim=3).simplices()]
+    simplices = {
+        "shuffled lines": [sorted(s) for s in shuffled_simplices(seed)],
+        "unsorted vertex lists": layered,
+        "repeated simplex": shuffled_simplices(seed, repeats=2),
+        "missing face": shuffled_simplices(seed, keep=0.6),
+        "vertex map": shuffled_simplices(seed),
+        "beyond int64 keys": shuffled_simplices(seed, vertex=lambda v: 2**40 + v * 2**58),
+    }[case]
+    n = max(map(max, simplices)) + 1
+    if case != "vertex map":
+        return simplices, simplices, {"n": n}
+    return simplices, [[1000 + 7 * v for v in s] for s in simplices], {
+        "n": n, "vertex_map": {str(1000 + 7 * v): v for v in range(n)}}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["shuffled lines", "unsorted vertex lists", "repeated simplex",
+                                  "missing face", "vertex map", "beyond int64 keys"])
+def test_load_matches_loop_reference(tmp_path, seed, case):
+    # files that are not written layer by layer in sorted rows, loaded as
+    # declared (no autoclose): the same layers, or the same error and message
+    simplices, lines, header = file_case(case, seed)
+    path = tmp_path / "k.jsonl"
+    path.write_text("\n".join(map(json.dumps, [header] + [{"s": s} for s in lines])) + "\n")
+    try:
+        want = reference_build(simplices, autoclose=False)
+    except (MissingFace, DuplicateSimplex) as exc:
+        assert case in ("repeated simplex", "missing face")
+        with pytest.raises(type(exc)) as err:
+            load_complex(path)
+        assert str(err.value) == str(exc)
+        return
+    assert case not in ("repeated simplex", "missing face")
+    assert_matches_reference(load_complex(path), *want)
 
 @pytest.mark.parametrize("seed", range(6))
 def test_filtration_reorder_matches_loop_reference(seed):

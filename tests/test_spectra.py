@@ -233,8 +233,8 @@ def test_persistent_betti_raises_on_a_pair_out_of_prefix_order():
 
 
 def test_persistent_betti_is_float_free_and_builds_at_most_four_boundaries(monkeypatch):
-    # d_r of k1, d_r+1 of k1 and d_r+1 of k2 for the block check, and d_r+1
-    # of k2 again for both routes
+    # d_r of k1, and d_r+1 of k1 and of k2 for the block check; both routes
+    # reduce the block check's d_r+1 of k2
     pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4, max_dim=3)
     for name in dir(np.linalg):
         if callable(getattr(np.linalg, name)) and not name[0].isupper():
@@ -244,7 +244,7 @@ def test_persistent_betti_is_float_free_and_builds_at_most_four_boundaries(monke
         assert pair.k1.size(r + 1)
         builds.clear()
         exact_persistent_betti(pair, r)
-        assert sorted(builds) == [r] * (r > 0) + [r + 1] * 3
+        assert sorted(builds) == [r] * (r > 0) + [r + 1] * 2
 
 
 def test_persistent_routes_small_case_sweep():
@@ -591,6 +591,35 @@ def test_hodge_basis_iterates_on_the_sum_it_always_did(monkeypatch, max_dim):
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (r, name)
 
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_filter_operator_refills_to_the_shift_it_replaced(r):
+    # harmonic_basis refills one alpha L - beta I per call; each refill has,
+    # array for array, the arrays of the sum it replaced.  The r = 0
+    # Laplacian of an edge beside an isolated vertex stores no diagonal entry
+    # for that vertex; the r = 1 one of a filled square stores them all.
+    # Where alpha l_ii - beta is exactly 0 (l_ii = 1/2 at a = 0, 3/4 at
+    # a = 1/2) the refill keeps an explicit zero that the sum drops: the same
+    # matrix, and the same products.
+    from homology_lab.operators import laplacian
+    from homology_lab.spectra import _shifted
+
+    k = build_complex([[0, 1], [2]] if r == 0 else [[0, 1, 2], [0, 2, 3]])
+    lap, _ = _rescaled(sp.csr_matrix(laplacian(k, r), dtype=float, copy=True))
+    assert (np.diff(lap.indptr) == 0).any() == (r == 0)
+    shifted, cancelled = _shifted(lap), []
+    for a in (0.37, 0.0, 0.99, 0.5, 0.123):
+        alpha, beta = 2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)
+        got = shifted(alpha, beta)
+        want = alpha * lap - beta * sp.identity(lap.shape[0], format="csr")
+        if (alpha * lap.diagonal() == beta).any():
+            cancelled.append(a)
+            assert got.nnz > want.nnz and np.array_equal(got.toarray(), want.toarray())
+            continue
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (a, name)
+    assert cancelled == [0.5 * r]
 
 def test_estimate_normalized_betti_never_densifies_a_large_layer():
     import tracemalloc
