@@ -291,7 +291,6 @@ def test_build_matches_loop_reference_beyond_int64_keys(seed, keep, repeats):
         assert pair.k2.layers == k.layers
 
 
-
 def file_case(case, seed):
     """(vertex lists, the file's vertex lists, the file's header) of one load case."""
     layered = [list(reversed(s)) for s in random_rips(seed, n_points=12, threshold=0.5, max_dim=3).simplices()]
@@ -329,6 +328,7 @@ def test_load_matches_loop_reference(tmp_path, seed, case):
         return
     assert case not in ("repeated simplex", "missing face")
     assert_matches_reference(load_complex(path), *want)
+
 
 @pytest.mark.parametrize("seed", range(6))
 def test_filtration_reorder_matches_loop_reference(seed):
