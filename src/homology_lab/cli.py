@@ -29,7 +29,7 @@ from . import io as files
 from .complexes import generate
 from .errors import InputError, InternalError
 from .homology import (
-    betti_via_tracking,
+    _betti_via_tracking,
     detect_cycle_stochastic,
     sample_cycles,
     test_equivalent,
@@ -70,8 +70,8 @@ def _echo_oracle(args, layer_size: int) -> bool:
     return layer_size <= ORACLE_GATE and not args.no_oracle
 
 
-def _confidence(result) -> str:
-    return "low" if result.low_confidence else "high"
+def _confidence(low: bool) -> str:
+    return "low" if low else "high"
 
 
 def emit_plot_data(rows, out) -> str:
@@ -104,7 +104,7 @@ def _cmd_betti(args) -> dict:
         est = estimate_normalized_betti(k, args.r, _params(args))
         result["normalized"] = est.value
         result["estimate"] = est.value
-        result["confidence"] = _confidence(est)
+        result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, k.size(args.r)):
             result["exact_betti"] = exact_betti(k, args.r)
     return result
@@ -141,14 +141,14 @@ def _cmd_persistent_betti(args) -> dict:
     else:
         est = estimate_normalized_persistent_betti(pair, args.r, _params(args))
         result["normalized"] = est.value
-        result["confidence"] = _confidence(est)
+        result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, pair.k1.size(args.r)):
             result["exact_persistent_betti"] = exact_persistent_betti(pair, args.r)
     return result
 
 
 def _verdict(v) -> dict:
-    return {"answer": v.answer, "method": v.method, "confidence": _confidence(v)}
+    return {"answer": v.answer, "method": v.method, "confidence": _confidence(v.low_confidence)}
 
 
 def _cmd_test_trivial(args) -> dict:
@@ -197,8 +197,10 @@ def _cmd_track(args) -> dict:
 def _cmd_betti_track(args) -> dict:
     k = files.load_complex(args.input)
     cycles = sample_cycles(k, args.r, s=args.samples, seed=args.seed)
-    value = betti_via_tracking(k, args.r, cycles, mode=args.mode, params=_params(args))
+    value, low = _betti_via_tracking(k, args.r, cycles, args.mode, _params(args))
     result = {"betti_lower_bound": value, "samples": args.samples, "r": args.r}
+    if args.mode == "stochastic":
+        result["confidence"] = _confidence(low)
     if _echo_oracle(args, k.size(args.r)):
         result["exact_betti"] = exact_betti(k, args.r)
     return result

@@ -25,7 +25,7 @@ from .errors import (
     TrivialCocycleSpace,
 )
 from .homology import _random_combinations, _require_cycles
-from .operators import PINV_RTOL, boundary_matrix
+from .operators import _boundary, _pinv_sym, boundary_matrix
 
 
 @dataclass(frozen=True)
@@ -55,29 +55,17 @@ def evaluate(k: SimplicialComplex, w: Cochain, c: Chain) -> float:
     return float(np.dot(w.values, dense))
 
 
-def _delta_matrix(k: SimplicialComplex, r: int) -> np.ndarray | None:
-    """Coboundary matrix (transpose of the (r+1)-boundary), or None if no
-    (r+1)-simplices exist."""
-    if k.size(r) == 0:
-        raise EmptyLayer(f"no simplices of dimension {r}")
-    if k.size(r + 1) == 0:
-        return None
-    return boundary_matrix(k, r + 1).toarray().astype(float).T
-
-
 def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain) -> Cochain:
     """Orthogonal projection onto the kernel of the coboundary map.
 
     Uses a thresholded pseudoinverse of delta delta^T; with no (r+1)-simplices
     the coboundary is the zero map and the projection is the identity.
     """
-    delta = _delta_matrix(k, r)
-    if delta is None:
-        return Cochain(r=r, values=np.array(w.values, dtype=float), cocycle=True)
-    gram = delta @ delta.T
-    pinv = np.linalg.pinv(gram, rcond=PINV_RTOL, hermitian=True)
+    if k.size(r) == 0:
+        raise EmptyLayer(f"no simplices of dimension {r}")
+    delta = _boundary(k, r + 1).toarray().astype(float).T
     values = np.asarray(w.values, dtype=float)
-    projected = values - delta.T @ (pinv @ (delta @ values))
+    projected = values - delta.T @ (_pinv_sym(delta @ delta.T) @ (delta @ values))
     return Cochain(r=r, values=projected, cocycle=True)
 
 
@@ -87,9 +75,7 @@ def cocycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     :class:`TrivialCocycleSpace` when it is empty."""
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    if k.size(r + 1) == 0:
-        return [{j: 1} for j in range(k.size(r))]
-    basis = exact.reduce_columns(boundary_matrix(k, r + 1).entries.T, track=True).kernel
+    basis = exact.reduce_columns(_boundary(k, r + 1).T, track=True).kernel
     if not basis:
         raise TrivialCocycleSpace(f"the degree-{r} cocycle space is zero")
     return basis

@@ -25,7 +25,7 @@ from .errors import (
     TrivialKernel,
     ZeroChain,
 )
-from .operators import _boundary_columns, boundary_matrix
+from .operators import _boundary, _boundary_columns, boundary_matrix
 from .spectra import HARMONIC_CUT, EstimatorParams, cycle_basis, hodge_basis, tracked_rank
 from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
 
@@ -111,7 +111,7 @@ class Verdict:
 
 def _cofaces(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     """Sparse columns of the (r+1)-boundary; none without (r+1)-simplices."""
-    return exact.sparse_columns(boundary_matrix(k, r + 1).entries) if k.size(r + 1) else []
+    return exact.sparse_columns(_boundary(k, r + 1))
 
 
 def _vector(c: Chain) -> exact.Vector:
@@ -246,16 +246,25 @@ def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact"
     :func:`spectra.tracked_rank` of the unit cycles C, whose Q_H Q_H^T C is
     within margin * |C| of P_H C, so the result stays a lower bound.
     """
+    return _betti_via_tracking(k, r, cycles, mode, params)[0]
+
+
+def _betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str,
+                        params: EstimatorParams | None) -> tuple[int, bool]:
+    """:func:`betti_via_tracking` and its ``low_confidence``: set only
+    stochastically, when the harmonic basis did not converge or a tracked
+    singular value lies within the margin of the cut."""
     _check_mode(mode)
     cycles = list(cycles)
     _require_cycles(k, r, cycles)
     reps = [c for c in cycles if not c.is_zero()]
     if not reps:
-        return 0
+        return 0, False
     if mode == "exact":
         boundary = exact.reduce_columns(_cofaces(k, r))
-        return sum(boundary.add(_vector(c)) for c in reps)
+        return sum(boundary.add(_vector(c)) for c in reps), False
     unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
     unit /= np.linalg.norm(unit, axis=0)
-    q, margin, _ = hodge_basis(k, r, (params or EstimatorParams()).seed)
-    return tracked_rank(q, unit, margin)[0]
+    q, margin, converged = hodge_basis(k, r, (params or EstimatorParams()).seed)
+    count, near = tracked_rank(q, unit, margin)
+    return count, near or not converged

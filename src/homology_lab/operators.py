@@ -1,9 +1,12 @@
 """Boundary and Laplacian operators, persistent block structure, Schur complements.
 
 Signs follow the sorted-vertex orientation: the face obtained by deleting the
-vertex in position i of a sorted simplex enters with sign (-1)^i.  Integer
-matrices are exact; only the pseudoinverse-based persistent path is floating
-point.
+vertex in position i of a sorted simplex enters with sign (-1)^i.  A missing
+layer is read in one place, :func:`_boundary`: the map below dimension 1, and
+a map into or out of an empty layer, is the int zero matrix of the right
+shape, so callers need no branch of their own.  Integer matrices are exact;
+only the pseudoinverse-based paths are floating point, and they share one
+thresholded pseudoinverse, :func:`_pinv_sym`.
 """
 
 from __future__ import annotations
@@ -53,19 +56,21 @@ def coboundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
     return boundary_matrix(k, r + 1).entries.T.tocsc()
 
 
+def _boundary(k: SimplicialComplex, r: int) -> sp.csc_matrix:
+    """Entries of the r-boundary, |S_{r-1}| x |S_r|; a map into or out of an
+    empty layer, and the map below dimension 1, is the int zero matrix."""
+    if r >= 1 and k.size(r) and k.size(r - 1):
+        return boundary_matrix(k, r).entries
+    return sp.csc_matrix((k.size(r - 1) if r >= 1 else 0, k.size(r)), dtype=int)
+
+
 def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
     """Combinatorial Laplacian: up-term plus down-term, missing layers read as zero maps."""
     if r < 0:
         raise BadParameter("dimension must be non-negative")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    terms = []
-    if k.size(r + 1):
-        d_up = boundary_matrix(k, r + 1).entries
-        terms.append(d_up @ d_up.T)
-    if r >= 1 and k.size(r - 1):
-        d = boundary_matrix(k, r).entries
-        terms.append(d.T @ d)
+    terms = [m @ m.T for m in (_boundary(k, r + 1), _boundary(k, r).T) if m.nnz]
     if not terms:
         return sp.csr_matrix((k.size(r), k.size(r)), dtype=int)
     return sum(terms[1:], terms[0]).tocsr()
@@ -103,23 +108,15 @@ def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
     return _split_boundary(pair, r)[0]
 
 
-def _split_boundary(pair: FiltrationPair, r: int) -> tuple[PersistentBlocks, sp.csc_matrix | None]:
-    """:func:`persistent_blocks` and the (r+1)-boundary of k2 they are cut from,
-    None when k2 has no (r+1)-simplices."""
+def _split_boundary(pair: FiltrationPair, r: int) -> tuple[PersistentBlocks, sp.csc_matrix]:
+    """:func:`persistent_blocks` and the (r+1)-boundary of k2 they are cut from."""
     k1, k2 = pair.k1, pair.k2
     if k1.size(r) == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
     n_old_rows = k1.size(r)
     n_old_cols = k1.size(r + 1)
-    n_rows = k2.size(r)
-    n_cols = k2.size(r + 1)
 
-    if n_cols == 0:
-        zero = sp.csc_matrix((n_old_rows, 0), dtype=int)
-        g = sp.csc_matrix((n_rows - n_old_rows, 0), dtype=int)
-        return PersistentBlocks(r=r, b=zero, r_block=zero.copy(), g=g), None
-
-    full = boundary_matrix(k2, r + 1).entries
+    full = _boundary(k2, r + 1)
     b = full[:n_old_rows, :n_old_cols]
     r_blk = full[:n_old_rows, n_old_cols:]
     g = full[n_old_rows:, n_old_cols:]
@@ -129,10 +126,8 @@ def _split_boundary(pair: FiltrationPair, r: int) -> tuple[PersistentBlocks, sp.
             "an old (r+1)-simplex touches a new r-face; closure is broken"
         )
     # B must literally be k1's own boundary under the shared prefix ordering.
-    if n_old_cols > 0 and k1.size(r + 1) > 0:
-        own = boundary_matrix(k1, r + 1).entries
-        if (b - own).nnz != 0:
-            raise StructuralViolation("prefix block differs from k1's boundary matrix")
+    if (b - _boundary(k1, r + 1)).nnz != 0:
+        raise StructuralViolation("prefix block differs from k1's boundary matrix")
     return PersistentBlocks(r=r, b=b.tocsc(), r_block=r_blk.tocsc(), g=g.tocsc()), full
 
 
@@ -185,11 +180,6 @@ def persistent_up_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:
 def persistent_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:
     """Persistent Laplacian on k1's r-simplices; its kernel dimension is the
     persistent Betti number."""
-    k1 = pair.k1
-    if k1.size(r) == 0:
-        raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    total = persistent_up_laplacian(pair, r)
-    if r >= 1 and k1.size(r - 1) > 0:
-        d = boundary_matrix(k1, r).toarray().astype(float)
-        total = total + d.T @ d
-    return total
+    up = persistent_up_laplacian(pair, r)  # raises EmptyLayer when k1 has no r-simplices
+    d = _boundary(pair.k1, r).toarray().astype(float)
+    return up + d.T @ d

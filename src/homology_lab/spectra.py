@@ -46,7 +46,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import _split_boundary, boundary_matrix, laplacian
+from .operators import _boundary, _split_boundary, laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -58,24 +58,22 @@ def exact_rank(m) -> int:
     return exact.rank(m)
 
 
-def _boundary_rank(k: SimplicialComplex, r: int) -> int:
-    """Exact rank of the r-boundary map; a map into or out of an empty layer is zero."""
-    return exact_rank(boundary_matrix(k, r).entries) if r >= 1 and k.size(r) and k.size(r - 1) else 0
+def _rank(m) -> int:
+    """:func:`exact_rank`, with no reduction of a zero map."""
+    return exact_rank(m) if m.nnz else 0
 
 
 def exact_betti(k: SimplicialComplex, r: int) -> int:
     """Betti number |S_r| - rank(boundary_r) - rank(boundary_{r+1}), exactly over Q."""
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    return k.size(r) - _boundary_rank(k, r) - _boundary_rank(k, r + 1)
+    return k.size(r) - _rank(_boundary(k, r)) - _rank(_boundary(k, r + 1))
 
 
 def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     """Exact sparse basis of the r-cycles, ker(boundary_r): all of C_r when
     there is no (r-1)-layer."""
-    if r == 0 or k.size(r - 1) == 0:
-        return [{j: 1} for j in range(k.size(r))]
-    return exact.reduce_columns(boundary_matrix(k, r).entries, track=True).kernel
+    return exact.reduce_columns(_boundary(k, r), track=True).kernel
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
@@ -96,10 +94,9 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """
     n1 = pair.k1.size(r)
     blocks, d = _split_boundary(pair, r)  # raises EmptyLayer when n1 is 0
-    route_a = route_b = n1 - _boundary_rank(pair.k1, r)
-    if d is not None:
-        route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
-        route_b -= exact_rank(d.T) - exact_rank(blocks.g)
+    route_a = route_b = n1 - _rank(_boundary(pair.k1, r))
+    route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
+    route_b -= _rank(d.T) - _rank(blocks.g)
     if route_a != route_b:
         raise RouteDisagreement(route_a, route_b)
     return route_a
@@ -177,35 +174,27 @@ class RankEstimate:
     degree: int
     delta: float
     stderr: float
-    probe_kind: str
 
     def absolute(self, n: int) -> float:
         return self.normalized * n
 
 
-def _probe_matrix(n: int, n_v: int, probe_kind: str, seed) -> tuple[np.ndarray, int]:
-    """Stack n_v probe columns; returns (V, padded dimension).
+def _probe_matrix(n: int, n_v: int, seed) -> np.ndarray:
+    """Stack n_v Rademacher probe columns, entries +-1/sqrt(n).
 
     One Generator seeded with ``seed`` draws the probes in order, so column l
-    is probe l and a larger batch starts with the smaller one.  Entries are
-    +-1/sqrt(n), or the Walsh-Hadamard column of a uniformly drawn index.
+    is probe l and a larger batch starts with the smaller one.  The bits are
+    drawn probe-major and written row-major for the CSR kernel.
     """
-    rng = np.random.default_rng(seed)
-    if probe_kind == "rademacher":  # probe-major bits, written row-major for the CSR kernel
-        scale = 1.0 / math.sqrt(n)
-        v = np.multiply(rng.integers(0, 2, size=(n_v, n)).T, 2.0 * scale, out=np.empty((n, n_v)))
-        v -= scale  # bits 0, 1 -> -scale, +scale exactly
-        return v, n
-    if probe_kind == "hadamard_column":
-        n_pad = 1 << max(0, (n - 1).bit_length())
-        cols = rng.integers(0, n_pad, size=n_v)
-        parity = np.bitwise_count(np.arange(n_pad)[:, None] & cols) & 1
-        return (1.0 - 2.0 * parity) / math.sqrt(n_pad), n_pad
-    raise BadParameter(f"unknown probe kind {probe_kind!r}")
+    scale = 1.0 / math.sqrt(n)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n_v, n)).T
+    v = np.multiply(bits, 2.0 * scale, out=np.empty((n, n_v)))
+    v -= scale  # bits 0, 1 -> -scale, +scale exactly
+    return v
 
 
-def _prepare(a, n_v: int, probe_kind: str, seed):
-    """Checked CSR operator mapped to B = 2A - I (padded), probes, N, padded N."""
+def _prepare(a, n_v: int, seed):
+    """Checked CSR operator mapped to B = 2A - I, and the probes."""
     if n_v < 1:
         raise BadParameter("need at least one probe")
     a = sp.csr_matrix(a, dtype=float)
@@ -217,16 +206,10 @@ def _prepare(a, n_v: int, probe_kind: str, seed):
     bound = power_iteration_bound(a)
     if bound > 1.0 + 1e-6:
         raise SpectralNormExceeded(f"power-iteration norm bound {bound:.6g} exceeds 1")
-    v, n_pad = _probe_matrix(n, n_v, probe_kind, seed)
-    if n_pad != n:  # empty rows appended; the caller's arrays are shared, not resized
-        indptr = np.pad(a.indptr, (0, n_pad - n), mode="edge")
-        a = sp.csr_matrix((a.data, a.indices, indptr), shape=(n_pad, n_pad))
-    return 2.0 * a - sp.identity(n_pad, format="csr"), v, n, n_pad
+    return 2.0 * a - sp.identity(n, format="csr"), _probe_matrix(n, n_v, seed)
 
 
-def _finalize(per_probe: np.ndarray, n: int, n_pad: int, filt: ChebyshevStepFilter,
-              n_v: int, probe_kind: str) -> RankEstimate:
-    per_probe = per_probe * (n_pad / n)
+def _finalize(per_probe: np.ndarray, filt: ChebyshevStepFilter, n_v: int) -> RankEstimate:
     raw = float(per_probe.mean())
     stderr = float(per_probe.std(ddof=1) / math.sqrt(n_v)) if n_v > 1 else 0.0
     return RankEstimate(
@@ -236,7 +219,6 @@ def _finalize(per_probe: np.ndarray, n: int, n_pad: int, filt: ChebyshevStepFilt
         degree=filt.degree,
         delta=filt.delta,
         stderr=stderr,
-        probe_kind=probe_kind,
     )
 
 
@@ -255,13 +237,12 @@ def _chebyshev_blocks(b: sp.csr_matrix, x: np.ndarray, steps: int):
         yield blocks[1 - k % 2]
 
 
-def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
-                    probe_kind: str = "rademacher", seed=None) -> RankEstimate:
+def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200, seed=None) -> RankEstimate:
     """Estimate rank(A)/N for a symmetric PSD matrix with spectrum in [0, 1]:
     the mean over probes v of the filtered forms sum_j c_j v^T T_j(B) v,
     B = 2A - 1.  Deterministic for a fixed seed.  The doubling identities
     give every form from T_0 v ... T_ceil(m/2) v: ceil(m/2) sparse products."""
-    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
+    b, v = _prepare(a, n_v, seed)
     half = (filt.degree + 1) // 2
     forms = np.empty((2 * half + 1, n_v))  # rows 2k, 2k + 1: <s_k, s_k>, <s_k, s_k+1>
     for k, s in enumerate(_chebyshev_blocks(b, v, half)):
@@ -272,7 +253,7 @@ def stochastic_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     j = np.arange(2, 2 * half + 1)  # v^T T_j v = 2<s_k, s_k> - T_0, 2 (-1)^k <s_k, s_k+1> - T_1
     forms[2:] = np.where(j % 4 == 3, -2.0, 2.0)[:, None] * forms[2:] - forms[j % 2]
     per_probe = np.asarray(filt.coeffs) @ forms[: filt.degree + 1]
-    return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
+    return _finalize(per_probe, filt, n_v)
 
 
 MAX_MOMENT_DEGREE = 30  # binomial coefficients stay safely representable
@@ -290,8 +271,7 @@ def _power_expansion_coeffs(j: int) -> list[tuple[int, float]]:
     return out
 
 
-def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
-                       probe_kind: str = "rademacher", seed=None) -> RankEstimate:
+def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200, seed=None) -> RankEstimate:
     """Same estimand as :func:`stochastic_rank`, evaluated through moments.
 
     Each probe's quadratic forms v^T T_j v are reassembled from the power
@@ -300,7 +280,7 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     """
     if filt.degree > MAX_MOMENT_DEGREE:
         raise DegreeTooHigh(f"power expansion is limited to degree {MAX_MOMENT_DEGREE}")
-    b, v, n, n_pad = _prepare(a, n_v, probe_kind, seed)
+    b, v = _prepare(a, n_v, seed)
     moments = np.empty((filt.degree + 1, n_v))
     w = v
     moments[0] = np.einsum("ij,ij->j", v, w)
@@ -311,7 +291,7 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200,
     for j, c in enumerate(filt.coeffs):
         for power, coeff in _power_expansion_coeffs(j):
             per_probe += c * coeff * moments[power]
-    return _finalize(per_probe, n, n_pad, filt, n_v, probe_kind)
+    return _finalize(per_probe, filt, n_v)
 
 
 def power_iteration_bound(a) -> float:
@@ -356,7 +336,7 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
     lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: abs() sorts indices in place
     n = lap.shape[0]
-    shifted = _shifted(lap)
+    shifted = None  # built at the first filter step: a small layer may need none
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, min(HARMONIC_BLOCK, n)))
     filtered = False
@@ -378,6 +358,7 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
             filtered = False
             continue
         a = min(theta[-1], 0.99)  # T_24 of M, which maps [a, 1] onto [-1, 1]; the sign of s_24 is +
+        shifted = shifted or _shifted(lap)
         *_, x = _chebyshev_blocks(shifted(2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)), x, HARMONIC_DEGREE)
         filtered = True
     return x[:, :h], margin, False

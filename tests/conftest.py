@@ -190,8 +190,11 @@ def complete_graph(n: int, tail: int = 0):
 
 
 def count_boundary_builds(monkeypatch) -> list[int]:
-    """Record the dimension r of every ``boundary_matrix`` build made from now on."""
-    from homology_lab import cli, cohomology, homology, operators, spectra
+    """Record the dimension r of every ``boundary_matrix`` build made from now on,
+    through every ``homology_lab`` module that binds the name."""
+    import sys
+
+    from homology_lab import cli, operators  # noqa: F401 -- cli imports every module
 
     builds = []
 
@@ -200,8 +203,9 @@ def count_boundary_builds(monkeypatch) -> list[int]:
         return real(k, r)
 
     real = operators.boundary_matrix
-    for module in (cli, homology, cohomology, operators, spectra):
-        monkeypatch.setattr(module, "boundary_matrix", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homology_lab.") and getattr(module, "boundary_matrix", None) is real:
+            monkeypatch.setattr(module, "boundary_matrix", counted)
     return builds
 
 

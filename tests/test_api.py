@@ -78,13 +78,13 @@ PARAMETERS = {
     "persistent_blocks": ["pair", "r"],
     "persistent_laplacian": ["pair", "r"],
     "persistent_up_laplacian": ["pair", "r"],
-    "power_moments_rank": ["a", "filt", "n_v", "probe_kind", "seed"],
+    "power_moments_rank": ["a", "filt", "n_v", "seed"],
     "project_to_cocycle": ["k", "r", "w"],
     "random_cocycle": ["k", "r", "seed"],
     "sample_cycles": ["k", "r", "s", "seed"],
     "schur_complement": ["index_set", "m"],
     "spec_matrix": ["k", "r"],
-    "stochastic_rank": ["a", "filt", "n_v", "probe_kind", "seed"],
+    "stochastic_rank": ["a", "filt", "n_v", "seed"],
     "test_equivalent": ["c1", "c2", "k", "mode", "params"],
     "test_equivalent_cohomological": ["c1", "c2", "k", "seed", "witnesses"],
     "test_trivial": ["c", "k", "mode", "params"],
@@ -99,4 +99,4 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 101
+    assert sum(map(len, PARAMETERS.values())) == 99

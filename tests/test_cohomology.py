@@ -65,6 +65,24 @@ def test_projection_identity_without_higher_simplices(hollow_triangle):
     assert proj.cocycle
 
 
+@pytest.mark.parametrize("name", sorted(canonical_complexes()))
+def test_missing_layers_read_as_zero_maps(name):
+    # the boundary below dimension 1 and above the top layer is the zero map:
+    # every 0-chain is a cycle, every top-layer cochain a cocycle, and the
+    # projection returns a top-layer cochain's values bit for bit
+    from homology_lab.cohomology import cocycle_basis
+    from homology_lab.spectra import cycle_basis
+
+    k = canonical_complexes()[name]
+    top = max(k.layers)
+    assert cycle_basis(k, 0) == [{j: 1} for j in range(k.size(0))]
+    assert cocycle_basis(k, top) == [{j: 1} for j in range(k.size(top))]
+    values = np.random.default_rng(top).standard_normal(k.size(top))
+    values[0] = -0.0
+    proj = project_to_cocycle(k, top, Cochain(r=top, values=values))
+    assert proj.values.tobytes() == values.tobytes() and proj.cocycle
+
+
 def test_projection_lands_in_kernel(filled_triangle):
     w = basis_cochain(filled_triangle, 1, 1)
     proj = project_to_cocycle(filled_triangle, 1, w)

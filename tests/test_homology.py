@@ -257,6 +257,21 @@ def test_harmonic_basis_doubles_its_block_until_the_kernel_fits(monkeypatch, tai
     assert sorted(set(widths)) == [24, 48, min(96, k.size(1))]
 
 
+@pytest.mark.parametrize("m, built", [(6, 0), (40, 1)])
+def test_harmonic_basis_builds_the_filter_operator_at_its_first_filter_step(monkeypatch, m, built):
+    # a layer that fits in the first 24-column block is solved by the first
+    # Ritz step, with no filter step; a larger one builds the operator once
+    from homology_lab import spectra
+    from homology_lab.operators import laplacian
+
+    calls = []
+    real = spectra._shifted
+    monkeypatch.setattr(spectra, "_shifted", lambda lap: calls.append(lap.shape) or real(lap))
+    q, _, converged = spectra.harmonic_basis(laplacian(generate("circle", m=m), 1), 0)
+    assert converged and q.shape[1] == 1
+    assert calls == [(m, m)] * built
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_harmonic_basis_filters_a_block_that_meets_the_top_eigenspace(seed):
     # seven disjoint 4-cycles: L_1 over its infinity norm has eigenvalue 1
@@ -478,6 +493,15 @@ def test_sample_cycles_tree_graph():
 def test_betti_via_tracking_hollow(hollow_triangle):
     cycles = sample_cycles(hollow_triangle, 1, s=5, seed=4)
     assert betti_via_tracking(hollow_triangle, 1, cycles, mode="exact") == 1
+
+
+def test_exact_class_queries_on_the_top_layer_see_no_boundaries():
+    # with no (r+1)-simplices the boundary space is zero: distinct vertices
+    # are independent 0-classes, and none is trivial at any stage
+    k = build_complex([[0], [1], [2]])
+    cycles = [Chain.make(0, {1: 1}), Chain.make(0, {2: 1}), Chain.make(0, {1: 1, 3: -1})]
+    assert betti_via_tracking(k, 0, cycles, mode="exact") == 3
+    assert not any(s.answer for s in track_classes([k, k], cycles[:1]).stages)
 
 
 def test_betti_via_tracking_figure_eight(figure_eight):

@@ -239,6 +239,24 @@ def test_cli_betti_track(tmp_path, capsys):
     assert result["exact_betti"] == 1
 
 
+def test_cli_stochastic_betti_track_reports_confidence(tmp_path, capsys, monkeypatch):
+    # a converged basis with no singular value near the cut reads "high"; a
+    # basis that did not converge reads "low"; the exact route reports none
+    from homology_lab import homology
+
+    save_complex(generate("hollow_triangle"), tmp_path / "k.jsonl")
+    argv = ("betti-track", "--input", str(tmp_path / "k.jsonl"), "--r", "1", "--samples", "5",
+            "--seed", "9")
+    assert "confidence" not in json.loads(run_cli(capsys, *argv)[1])
+    code, out, _ = run_cli(capsys, *argv, "--mode", "stochastic")
+    assert code == 0 and json.loads(out)["confidence"] == "high"
+    real = homology.hodge_basis
+    monkeypatch.setattr(homology, "hodge_basis", lambda k, r, seed: (*real(k, r, seed)[:2], False))
+    code, out, _ = run_cli(capsys, *argv, "--mode", "stochastic")
+    assert code == 0 and json.loads(out)["confidence"] == "low"
+    assert json.loads(out)["betti_lower_bound"] == 1
+
+
 def test_cli_betti_track_builds_and_reductions(tmp_path, capsys, monkeypatch):
     # sample_cycles builds and reduces d_1, betti_via_tracking builds and
     # reduces d_2, and the exact echo builds and ranks both again

@@ -132,11 +132,13 @@ def test_blocks_no_triangles_anywhere():
 @pytest.mark.parametrize("seed", range(8))
 def test_blocks_reassemble_full_boundary(seed):
     pair = random_rips_filtration(seed)
-    for r in (1, 2):
-        if pair.k1.size(r) == 0 or pair.k2.size(r + 1) == 0:
+    for r in (1, 2):  # max_dim 2: at r = 2 (and r = 1 without triangles) D is the zero map
+        if pair.k1.size(r) == 0:
             continue
         blocks = persistent_blocks(pair, r)
-        full = boundary_matrix(pair.k2, r + 1).toarray()
+        assert all(m.dtype.kind == "i" for m in (blocks.b, blocks.r_block, blocks.g))
+        full = (boundary_matrix(pair.k2, r + 1).toarray() if pair.k2.size(r + 1)
+                else np.zeros((pair.k2.size(r), 0), dtype=int))
         top = np.hstack([blocks.b.toarray(), blocks.r_block.toarray()])
         bottom = np.hstack(
             [np.zeros((blocks.g.shape[0], blocks.b.shape[1]), dtype=int), blocks.g.toarray()]

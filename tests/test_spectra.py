@@ -349,18 +349,17 @@ def test_probe_sequence_is_prefix_stable():
     # starts with the smaller batch, so chunked evaluation reproduces it
     from homology_lab.spectra import _probe_matrix
 
-    for probe_kind in ("rademacher", "hadamard_column"):
-        small, _ = _probe_matrix(16, 4, probe_kind, seed=42)
-        large, _ = _probe_matrix(16, 12, probe_kind, seed=42)
-        assert np.array_equal(small, large[:, :4]), probe_kind
+    small = _probe_matrix(16, 4, seed=42)
+    large = _probe_matrix(16, 12, seed=42)
+    assert np.array_equal(small, large[:, :4])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 540])
 def test_rademacher_entries_are_exactly_plus_or_minus_one_over_root_n(n):
     from homology_lab.spectra import _probe_matrix
 
-    v, n_pad = _probe_matrix(n, 200, "rademacher", seed=3)
-    assert (v.shape, n_pad) == ((n, 200), n)
+    v = _probe_matrix(n, 200, seed=3)
+    assert v.shape == (n, 200)
     assert v.flags.c_contiguous
     assert np.all(np.abs(v) == 1.0 / np.sqrt(n))
     assert np.any(v > 0) and np.any(v < 0)
@@ -371,7 +370,7 @@ def test_rademacher_entries_are_exactly_plus_or_minus_one_over_root_n(n):
 def test_rademacher_block_equals_the_byte_transposed_construction(n, n_v, seed):
     from homology_lab.spectra import _probe_matrix
 
-    v, _ = _probe_matrix(n, n_v, "rademacher", seed=seed)
+    v = _probe_matrix(n, n_v, seed=seed)
     former = np.random.default_rng(seed).integers(0, 2, size=(n_v, n)).astype(np.int8)
     former = former.T.astype(float, order="C")
     scale = 1.0 / np.sqrt(n)
@@ -380,7 +379,7 @@ def test_rademacher_block_equals_the_byte_transposed_construction(n, n_v, seed):
     assert np.array_equal(v, former) and v.flags.c_contiguous
 
 
-@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+@pytest.mark.parametrize("probe_kind", ["rademacher"])  # the one probe kind
 def test_probe_matrix_builds_one_generator_and_spawns_no_seeds(monkeypatch, probe_kind):
     from homology_lab.spectra import _probe_matrix
 
@@ -404,42 +403,18 @@ def test_probe_matrix_builds_one_generator_and_spawns_no_seeds(monkeypatch, prob
     monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    _probe_matrix(40, 200, probe_kind, seed=9)
+    _probe_matrix(40, 200, seed=9)
     assert (len(made), spawned) == (1, [])
 
 
-def test_hadamard_probes_pad_to_power_of_two():
-    a = np.diag([0.9] * 5 + [0.0] * 5)  # N = 10, padded internally to 16
-    est = stochastic_rank(a, chebyshev_filter(0.01, 64), n_v=400,
-                          probe_kind="hadamard_column", seed=5)
-    assert abs(est.normalized - 0.5) <= 0.05
-
-
-@pytest.mark.parametrize("n", [1, 5, 16, 540])
-def test_hadamard_probes_match_the_per_column_parity(n):
-    # column l is the Walsh-Hadamard column of the l-th index drawn from the
-    # seed's generator: entry i is (-1)^popcount(i & col) / sqrt(n_pad)
-    from homology_lab.spectra import _probe_matrix
-
-    n_v = 200
-    got, n_pad = _probe_matrix(n, n_v, "hadamard_column", seed=7)
-    assert n_pad == 1 << max(0, (n - 1).bit_length())
-    want = np.empty((n_pad, n_v))
-    for l, col in enumerate(np.random.default_rng(7).integers(0, n_pad, size=n_v).tolist()):
-        want[:, l] = [-1.0 if bin(i & col).count("1") % 2 else 1.0 for i in range(n_pad)]
-    assert np.array_equal(got, want / np.sqrt(n_pad))
-
-
-def _recurrence_reference(a, filt, n_v, probe_kind, seed):
+def _recurrence_reference(a, filt, n_v, seed):
     """Mean over probes of sum_j c_j v^T T_j(2A - 1) v, with T_j v built by the
-    three-term recurrence one probe column at a time, on the padded dense B."""
+    three-term recurrence one probe column at a time, on the dense B."""
     from homology_lab.spectra import _probe_matrix
 
     a = sp.csr_matrix(a).toarray()
-    n = a.shape[0]
-    v, n_pad = _probe_matrix(n, n_v, probe_kind, seed)
-    b = -np.eye(n_pad)
-    b[:n, :n] += 2.0 * a
+    v = _probe_matrix(a.shape[0], n_v, seed)
+    b = 2.0 * a - np.eye(a.shape[0])
     per_probe = []
     for x in v.T:
         t_prev, t_cur = x, b @ x
@@ -447,7 +422,7 @@ def _recurrence_reference(a, filt, n_v, probe_kind, seed):
         for c in filt.coeffs[2:]:
             t_prev, t_cur = t_cur, 2.0 * (b @ t_cur) - t_prev
             total += c * (x @ t_cur)
-        per_probe.append(total * n_pad / n)
+        per_probe.append(total)
     return float(np.mean(per_probe))
 
 
@@ -464,7 +439,7 @@ def _spectrum_past_one(n=40):
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
-@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+@pytest.mark.parametrize("probe_kind", ["rademacher"])  # the one probe kind
 @pytest.mark.parametrize("fmt", ["dense", "csr"])
 @pytest.mark.parametrize("spectrum", ["unit", "past_one"])
 def test_stochastic_rank_matches_the_three_term_recurrence(degree, probe_kind, fmt, spectrum):
@@ -479,15 +454,14 @@ def test_stochastic_rank_matches_the_three_term_recurrence(degree, probe_kind, f
         assert np.linalg.eigvalsh(a)[-1] == pytest.approx(1.05)
         assert power_iteration_bound(a) <= 1.0 + 1e-6
     filt = chebyshev_filter(0.05, degree)
-    got = stochastic_rank(a if fmt == "dense" else sp.csr_matrix(a), filt, n_v=12,
-                          probe_kind=probe_kind, seed=2)
-    want = _recurrence_reference(a, filt, 12, probe_kind, 2)
+    got = stochastic_rank(a if fmt == "dense" else sp.csr_matrix(a), filt, n_v=12, seed=2)
+    want = _recurrence_reference(a, filt, 12, 2)
     assert got.raw == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
 def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
-    # every product is one call of the CSR kernel on the whole (padded) probe block
+    # every product is one call of the CSR kernel on the whole probe block
     from homology_lab import spectra
 
     calls = []
@@ -498,13 +472,10 @@ def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
         return kernel(n_row, n_col, n_vecs, indptr, indices, data, x, y)
 
     monkeypatch.setattr(spectra, "csr_matvecs", counting)
-    n_v = 8
-    for probe_kind, n_pad in (("rademacher", 10), ("hadamard_column", 16)):
-        calls.clear()
-        stochastic_rank(np.diag([0.9] * 5 + [0.0] * 5), chebyshev_filter(0.05, degree),
-                        n_v=n_v, probe_kind=probe_kind, seed=0)
-        assert len(calls) == -(-degree // 2)  # ceil(m / 2)
-        assert set(calls) == {(n_pad, n_pad, n_v, n_pad * n_v, n_pad * n_v)}
+    n, n_v = 10, 8
+    stochastic_rank(np.diag([0.9] * 5 + [0.0] * 5), chebyshev_filter(0.05, degree), n_v=n_v, seed=0)
+    assert len(calls) == -(-degree // 2)  # ceil(m / 2)
+    assert set(calls) == {(n, n, n_v, n * n_v, n * n_v)}
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 3), (40, 40, 24), (33, 60, 200)])
@@ -547,11 +518,11 @@ def test_stochastic_rank_holds_few_probe_blocks():
     assert peak < 4 * 560 * n_v * 8
 
 
-@pytest.mark.parametrize("probe_kind", ["rademacher", "hadamard_column"])
+@pytest.mark.parametrize("probe_kind", ["rademacher"])  # the one probe kind
 @pytest.mark.parametrize("estimator", [stochastic_rank, power_moments_rank])
 def test_estimate_is_the_same_for_dense_and_csr_input(estimator, probe_kind):
-    # n = 40 is not a power of two: Hadamard probes pad the CSR operator,
-    # which must leave the caller's matrix as it was
+    # the estimate must not depend on the input format, and must leave the
+    # caller's matrix as it was
     rng = np.random.default_rng(3)
     a, _ = _random_psd(rng, 40)
     a[np.abs(a) < 0.02] = 0.0
@@ -559,8 +530,8 @@ def test_estimate_is_the_same_for_dense_and_csr_input(estimator, probe_kind):
     csr = sp.csr_matrix(a)
     before = (csr.shape, csr.data.copy(), csr.indices.copy(), csr.indptr.copy())
     filt = chebyshev_filter(0.05, 16)
-    dense_est = estimator(a, filt, n_v=24, probe_kind=probe_kind, seed=8)
-    sparse_est = estimator(csr, filt, n_v=24, probe_kind=probe_kind, seed=8)
+    dense_est = estimator(a, filt, n_v=24, seed=8)
+    sparse_est = estimator(csr, filt, n_v=24, seed=8)
     assert sparse_est.raw == pytest.approx(dense_est.raw, rel=1e-12)
     assert sparse_est.stderr == pytest.approx(dense_est.stderr, rel=1e-12)
     after = (csr.shape, csr.data, csr.indices, csr.indptr)
