@@ -18,7 +18,13 @@ from homology_lab import (
 from homology_lab.errors import EmptyLayer
 from homology_lab.operators import laplacian_divisor
 
-from conftest import oracle_rank, random_rips, random_rips_filtration
+from conftest import (
+    canonical_complexes,
+    count_boundary_builds,
+    oracle_rank,
+    random_rips,
+    random_rips_filtration,
+)
 from test_complexes import five_point_complex
 
 
@@ -45,6 +51,46 @@ def test_boundary_matches_spec_matrix_on_paper_complex():
 def test_boundary_empty_layer():
     with pytest.raises(EmptyLayer):
         boundary_matrix(generate("hollow_triangle"), 2)
+
+
+def _layer_cases(above_top):
+    """(name, r) for every canonical complex and r = 0..top (+ 1 above it)."""
+    return [
+        (name, r)
+        for name, k in sorted(canonical_complexes().items())
+        for r in range(max(k.layers) + 1 + above_top)
+    ]
+
+
+def _dense_boundary(k, r):
+    if r >= 1 and k.size(r) and k.size(r - 1):
+        return boundary_matrix(k, r).toarray()
+    return np.zeros((k.size(r - 1) if r >= 1 else 0, k.size(r)), dtype=int)
+
+
+@pytest.mark.parametrize("name, r", _layer_cases(above_top=1))
+def test_boundary_reads_a_missing_layer_as_the_int_zero_map(monkeypatch, name, r):
+    # below dimension 1 and above the top layer the map is an int CSC zero of
+    # shape |S_{r-1}| x |S_r|, made with no build; otherwise it is the one
+    # boundary_matrix build
+    from homology_lab.operators import _boundary
+
+    k = canonical_complexes()[name]
+    builds = count_boundary_builds(monkeypatch)
+    m = _boundary(k, r)
+    assert m.format == "csc" and m.dtype.kind == "i"
+    assert m.shape == (k.size(r - 1) if r >= 1 else 0, k.size(r))
+    assert np.array_equal(m.toarray(), _dense_boundary(k, r))
+    assert builds == ([r] if 1 <= r <= max(k.layers) else [])
+
+
+@pytest.mark.parametrize("name, r", _layer_cases(above_top=0))
+def test_laplacian_is_up_term_plus_down_term_with_zero_maps(name, r):
+    k = canonical_complexes()[name]
+    up, down = _dense_boundary(k, r + 1), _dense_boundary(k, r)
+    lap = laplacian(k, r)
+    assert lap.format == "csr" and lap.dtype.kind == "i"
+    assert np.array_equal(lap.toarray(), up @ up.T + down.T @ down)
 
 
 def test_coboundary_is_transpose():
