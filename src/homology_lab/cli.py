@@ -214,7 +214,7 @@ def _cmd_gen(args) -> dict:
         kwargs["points"] = json.loads(Path(args.points).read_text())
         kwargs["threshold"] = args.threshold
         kwargs["max_dim"] = args.max_dim
-    k = generate(args.kind, seed=args.seed, **kwargs)
+    k = generate(args.kind, **kwargs)
     files.save_complex(k, args.out)
     return {"kind": args.kind, "out": args.out,
             "sizes": {str(r): k.size(r) for r in range(k.dim() + 1)}}

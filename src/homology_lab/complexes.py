@@ -239,9 +239,6 @@ class FiltrationPair:
     k2: SimplicialComplex
     embed: Mapping[int, tuple[int, ...]]
 
-    def new_count(self, r: int) -> int:
-        return self.k2.size(r) - self.k1.size(r)
-
 
 def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> FiltrationPair:
     """Check k1 <= k2 and reorder k2 so k1's simplices form each layer prefix."""
@@ -288,17 +285,18 @@ class Chain:
         """Build a chain from (vertex tuple, coefficient) pairs."""
         if not terms:
             raise EmptyInput("no terms")
-        rs = {len(as_simplex(v)) - 1 for v, _ in terms}
+        simplices = [as_simplex(v) for v, _ in terms]
+        rs = {len(s) - 1 for s in simplices}
         if len(rs) != 1:
             raise BadParameter("mixed-dimension terms")
         r = rs.pop()
+        # a simplex with a vertex past the complex's is absent: as -1s, no id overflows int64
+        where = k._find(r, [s if s[-1] < k.n else (-1,) * (r + 1) for s in simplices]).tolist()
         coeffs: dict[int, Fraction] = {}
-        for v, c in terms:
-            s = as_simplex(v)
-            if not k.contains(s):
+        for s, i, (_, c) in zip(simplices, where, terms):
+            if i < 0:
                 raise BadParameter(f"simplex {s} is not in the complex")
-            i = k.index_of(r, s)
-            coeffs[i] = coeffs.get(i, Fraction(0)) + Fraction(c)
+            coeffs[i + 1] = coeffs.get(i + 1, Fraction(0)) + Fraction(c)
         return Chain.make(r, coeffs)
 
     def is_zero(self) -> bool:
@@ -357,8 +355,7 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
 
 def generate(kind: str, *, m: int | None = None,
              points: Sequence[Sequence[float]] | None = None,
-             threshold: float | None = None, max_dim: int = 2,
-             seed: int | None = None) -> SimplicialComplex:
+             threshold: float | None = None, max_dim: int = 2) -> SimplicialComplex:
     """Canonical and point-cloud complex generators.
 
     Kinds: point, circle (m >= 3 vertices), hollow_triangle, filled_triangle,

@@ -1,10 +1,12 @@
 """Cycle detection, triviality and equivalence testing, and class tracking.
 
-Input chains are checked from the signed faces of their own simplices, with
-no boundary matrix.  The exact paths run entirely over the rationals.  The
-stochastic paths draw no probes and compute no rank: a cycle c is a boundary
-exactly when its projection onto the kernel of the Hodge Laplacian vanishes,
-and the basis Q_H of :func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
+A triviality or equivalence test is :func:`track_classes` over one stage, so
+each mode has one verdict path.  Input chains are checked from the signed
+faces of their own simplices, with no boundary matrix.  The exact paths run
+entirely over the rationals.  The stochastic paths draw no probes and compute
+no rank: a cycle c is a boundary exactly when its projection onto the kernel
+of the Hodge Laplacian vanishes, and the basis Q_H of
+:func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
 """
 
 from __future__ import annotations
@@ -124,13 +126,11 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams | None) -> Verdict:
-    """:func:`test_trivial` on a checked cycle."""
+def _trivial(k: SimplicialComplex, c: Chain, params: EstimatorParams | None) -> Verdict:
+    """The stochastic verdict on a checked cycle: its harmonic weight
+    |Q_H^T c|^2 / |c|^2 cut at ``HARMONIC_CUT`` (see :class:`Verdict`)."""
     if c.is_zero() or k.size(c.r + 1) == 0:
-        return Verdict(answer=c.is_zero(), method=mode)
-    if mode == "exact":
-        boundary = exact.reduce_columns(_cofaces(k, c.r))
-        return Verdict(answer=boundary.contains(_vector(c)), method="exact")
+        return Verdict(answer=c.is_zero(), method="stochastic")
     q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed)
     vec = np.array([float(x) for x in c.dense(k.size(c.r))])
     weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
@@ -140,21 +140,17 @@ def _trivial(k: SimplicialComplex, c: Chain, mode: str, params: EstimatorParams 
 
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
                  params: EstimatorParams | None = None) -> Verdict:
-    """Is the cycle a boundary?  Exactly: one reduction of the (r+1)-boundary,
-    then a column-space membership test of the cycle.  Stochastically: its
-    harmonic weight |Q_H^T c|^2 / |c|^2 is cut at ``HARMONIC_CUT`` (see
-    :class:`Verdict`)."""
-    _check_mode(mode)
-    _require_cycles(k, c.r, [c])
-    return _trivial(k, c, mode, params)
+    """Is the cycle a boundary?  :func:`track_classes` over the one stage k:
+    exactly, membership in one reduction of the (r+1)-boundary;
+    stochastically, its harmonic weight cut as in :func:`_trivial`."""
+    return track_classes([k], [c], mode, params).stages[0]
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
-    """Are two cycles homologous?  Reduces to triviality of their difference."""
-    _check_mode(mode)
-    _require_cycles(k, c1.r, [c1, c2])
-    return _trivial(k, c1 - c2, mode, params)
+    """Are two cycles homologous, that is, is their difference a boundary?
+    :func:`track_classes` of the pair over the one stage k."""
+    return track_classes([k], [c1, c2], mode, params).stages[0]
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,10 @@ def track_classes(stages, cycles, mode: str = "exact",
     Consecutive stages must nest.  Each stage is reordered onto its
     predecessor's prefix, so the cycles, checked once on the first stage,
     keep their indices and stay cycles through every stage.  Exactly, one
-    reduction of the last stage's (r+1)-boundary grows stage by stage.
+    reduction of the last stage's (r+1)-boundary grows stage by stage, and
+    each verdict is whether the target lies in its span: the zero chain
+    always does, with no build, and without (r+1)-simplices the span is zero.
+    Stochastically, each stage's verdict is :func:`_trivial`'s.
     """
     _check_mode(mode)
     stages = list(stages)
@@ -194,9 +193,10 @@ def track_classes(stages, cycles, mode: str = "exact",
     _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
     kind = "trivial" if len(cycles) == 1 else "equivalent"
-    if mode == "stochastic" or target.is_zero():
-        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, mode, params) for k in ordered))
-    cofaces, vec = _cofaces(ordered[-1], target.r), _vector(target)
+    if mode == "stochastic":
+        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, params) for k in ordered))
+    vec = _vector(target)
+    cofaces = _cofaces(ordered[-1], target.r) if vec else []  # the zero chain needs no build
     boundary, verdicts = exact.Reduction(), []
     for k in ordered:
         for col in cofaces[boundary.added:k.size(target.r + 1)]:

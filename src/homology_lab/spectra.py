@@ -175,9 +175,6 @@ class RankEstimate:
     delta: float
     stderr: float
 
-    def absolute(self, n: int) -> float:
-        return self.normalized * n
-
 
 def _probe_matrix(n: int, n_v: int, seed) -> np.ndarray:
     """Stack n_v Rademacher probe columns, entries +-1/sqrt(n).
@@ -315,6 +312,7 @@ def power_iteration_bound(a) -> float:
 
 
 HARMONIC_BLOCK, HARMONIC_CAP = 24, 192  # first and largest block of harmonic_basis
+HARMONIC_GUARD = 8  # non-harmonic Ritz pairs it keeps in a block below the cap
 HARMONIC_DEGREE = 24  # Chebyshev degree of its filter steps
 HARMONIC_EPS = 1e-8  # largest value plus residual of a harmonic Ritz pair, and margin to stop at
 HARMONIC_STEPS = 50  # filter steps before it gives up
@@ -328,11 +326,13 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     the map sending [a, 1] onto [-1, 1], a the largest Ritz value capped at
     0.99: a block that meets the eigenspace of 1 leaves no interval.  Q_H holds
     the leading Ritz pairs with value plus residual at most ``HARMONIC_EPS``;
-    when after a step no pair's value minus residual exceeds it, the zero
-    cluster fills the block, which doubles.  The margin |R| / (theta_1 - r_1),
-    R the residuals of Q_H and the next pair (theta_1, r_1), bounds
-    |Q_H Q_H^T - P_H| (Parlett 1998) unless the Gaussian start missed a
-    direction below theta_1, which happens only with small probability.
+    when after a step fewer than ``HARMONIC_GUARD`` pairs have value minus
+    residual above it, the block doubles, so that the next pair stays apart
+    from the kernel (Zhou et al.'s extra states); at the cap it ends when no
+    such pair is left.  The margin |R| / (theta_1 - r_1), R the residuals of
+    Q_H and the next pair (theta_1, r_1), bounds |Q_H Q_H^T - P_H| (Parlett
+    1998) unless the Gaussian start missed a direction below theta_1, which
+    happens only with small probability.
     A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
     lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: abs() sorts indices in place
     n = lap.shape[0]
@@ -351,8 +351,9 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
                   if h < x.shape[1] and theta[h] > res[h] else math.inf)
         if margin <= HARMONIC_EPS:
             return x[:, :h], margin, True
-        if filtered and not np.any(theta - res > HARMONIC_EPS):  # the zero cluster fills the block
-            if x.shape[1] >= min(HARMONIC_CAP, n):
+        full = x.shape[1] >= min(HARMONIC_CAP, n)
+        if filtered and np.count_nonzero(theta - res > HARMONIC_EPS) < (1 if full else HARMONIC_GUARD):
+            if full:  # the zero cluster fills the largest block
                 return x[:, :h], 0.0 if h == n else math.inf, h == n
             x = np.hstack([x, rng.standard_normal((n, min(2 * x.shape[1], HARMONIC_CAP, n) - x.shape[1]))])
             filtered = False

@@ -69,7 +69,7 @@ PARAMETERS = {
     "exact_betti": ["k", "r"],
     "exact_persistent_betti": ["pair", "r"],
     "exact_rank": ["m"],
-    "generate": ["kind", "m", "max_dim", "points", "seed", "threshold"],
+    "generate": ["kind", "m", "max_dim", "points", "threshold"],
     "is_cycle_exact": ["c", "k"],
     "laplacian": ["k", "r"],
     "manual_cocycle": ["k", "r", "seed"],
@@ -99,4 +99,4 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 99
+    assert sum(map(len, PARAMETERS.values())) == 98

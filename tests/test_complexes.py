@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homology_lab import (
+    Chain,
+    SimplicialComplex,
     boundary_matrix,
     build_complex,
     generate,
@@ -341,6 +344,26 @@ def test_filtration_reorder_matches_loop_reference(seed):
         with pytest.raises(NotASubcomplex) as want:
             reference_filtration_layers(k2, k1)
         assert err.value.simplex == want.value.simplex
+
+
+def test_chain_from_simplices_finds_every_term_in_one_lookup(monkeypatch, filled_square):
+    k = filled_square
+    want = Chain.make(1, {k.index_of(1, (0, 2)): Fraction(3, 2), k.index_of(1, (0, 1)): 2})
+    finds = []
+    real = SimplicialComplex._find
+    monkeypatch.setattr(SimplicialComplex, "_find", lambda self, r, q: finds.append(len(q)) or real(self, r, q))
+    assert Chain.from_simplices(k, [([2, 0], 1), ([0, 1], 2), ([0, 2], Fraction(1, 2))]) == want
+    assert finds == [3]
+    # terms are still judged in order: the first absent simplex or bad
+    # coefficient raises, and a vertex id past int64 is merely absent
+    with pytest.raises(BadParameter, match=r"simplex \(0, 9\) is not in the complex"):
+        Chain.from_simplices(k, [([0, 1], 1), ([0, 9], 1), ([0, 2], "x")])
+    with pytest.raises(ValueError):
+        Chain.from_simplices(k, [([0, 1], "x"), ([0, 9], 1)])
+    with pytest.raises(BadParameter, match=rf"simplex \(0, {2**70}\) is not in the complex"):
+        Chain.from_simplices(k, [([0, 1], 1), ([0, 2**70], 1)])
+    with pytest.raises(BadParameter, match="mixed-dimension terms"):
+        Chain.from_simplices(k, [([0, 1], 1), ([0], 1)])
 
 
 def test_lookup_rejects_absent_unsorted_and_out_of_range_rows(filled_square):

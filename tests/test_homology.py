@@ -19,6 +19,7 @@ from homology_lab import (
     track_classes,
     validate_filtration,
 )
+from homology_lab import Verdict
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_trivial as check_trivial
@@ -257,6 +258,29 @@ def test_harmonic_basis_doubles_its_block_until_the_kernel_fits(monkeypatch, tai
     assert sorted(set(widths)) == [24, 48, min(96, k.size(1))]
 
 
+def test_harmonic_basis_keeps_guard_columns_past_a_kernel_just_below_its_block(monkeypatch):
+    # the 990 shortest edges of 300 random points have beta_1 = 23: a
+    # 24-column block kept one non-harmonic column, whose Ritz value converged
+    # too slowly for 50 steps; with fewer than HARMONIC_GUARD such columns the
+    # block doubles to 48, and the basis converges
+    from homology_lab.operators import laplacian
+    from homology_lab.spectra import harmonic_basis
+
+    pts = np.random.default_rng([300, 0]).random((300, 2))
+    i, j = np.triu_indices(len(pts), 1)
+    d = np.sort(np.linalg.norm(pts[i] - pts[j], axis=1))
+    k = generate("vietoris_rips", points=pts, threshold=(d[989] + d[990]) / 2)
+    assert k.size(1) == 990 and exact_betti(k, 1) == 23
+    estimate = estimate_normalized_betti(k, 1, EstimatorParams(seed=0))
+    assert estimate.betti() == 23 and not estimate.low_confidence
+    widths = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda x: widths.append(x.shape[1]) or qr(x))
+    q, margin, converged = harmonic_basis(laplacian(k, 1), 0)
+    assert converged and q.shape[1] == 23 and margin < 1e-6
+    assert sorted(set(widths)) == [24, 48]
+
+
 @pytest.mark.parametrize("m, built", [(6, 0), (40, 1)])
 def test_harmonic_basis_builds_the_filter_operator_at_its_first_filter_step(monkeypatch, m, built):
     # a layer that fits in the first 24-column block is solved by the first
@@ -377,7 +401,13 @@ def test_class_functions_reject_an_unknown_mode(hollow_triangle, call):
 
 def test_equivalent_reflexive(hollow_triangle):
     c = loop_chain(hollow_triangle)
-    assert check_equivalent(hollow_triangle, c, c, mode="exact").answer
+    assert check_equivalent(hollow_triangle, c, c, mode="exact") == Verdict(answer=True, method="exact")
+    # the difference is the zero chain, which lies in every boundary span,
+    # the zero span of a top layer included
+    for k, r in ((generate("filled_triangle"), 1), (generate("torus"), 1), (generate("sphere2"), 2),
+                 (generate("circle", m=5), 0)):
+        for c in sample_cycles(k, r, s=3, seed=0):
+            assert check_equivalent(k, c, c, mode="exact") == Verdict(answer=True, method="exact")
 
 
 def test_filled_square_paths_equivalent(filled_square):
@@ -495,13 +525,22 @@ def test_betti_via_tracking_hollow(hollow_triangle):
     assert betti_via_tracking(hollow_triangle, 1, cycles, mode="exact") == 1
 
 
-def test_exact_class_queries_on_the_top_layer_see_no_boundaries():
+def test_exact_class_queries_on_the_top_layer_see_no_boundaries(monkeypatch):
     # with no (r+1)-simplices the boundary space is zero: distinct vertices
-    # are independent 0-classes, and none is trivial at any stage
+    # are independent 0-classes, and none is trivial at any stage; only the
+    # zero chain is, in both modes, and neither mode builds a boundary
     k = build_complex([[0], [1], [2]])
     cycles = [Chain.make(0, {1: 1}), Chain.make(0, {2: 1}), Chain.make(0, {1: 1, 3: -1})]
+    builds = count_boundary_builds(monkeypatch)
     assert betti_via_tracking(k, 0, cycles, mode="exact") == 3
     assert not any(s.answer for s in track_classes([k, k], cycles[:1]).stages)
+    for mode in ("exact", "stochastic"):
+        for c in cycles:
+            assert check_trivial(k, c, mode=mode) == Verdict(answer=False, method=mode)
+        assert check_trivial(k, Chain.make(0, {}), mode=mode) == Verdict(answer=True, method=mode)
+        assert check_equivalent(k, cycles[0], cycles[1], mode=mode) == Verdict(answer=False, method=mode)
+        assert check_equivalent(k, cycles[2], cycles[2], mode=mode) == Verdict(answer=True, method=mode)
+    assert builds == []
 
 
 def test_betti_via_tracking_figure_eight(figure_eight):
@@ -599,24 +638,28 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
     stages = [rips(0, t) for t in (0.3, 0.33, 0.36)]
     c1, c2 = sample_cycles(stages[0], 1, s=2, seed=0)
     builds = count_boundary_builds(monkeypatch)
+    reductions = count_reductions(monkeypatch)
 
     def count(call) -> int:
         builds.clear()
+        reductions.clear()
         call()
         return len(builds)
 
-    per_query = 1 if mode == "exact" else 2
+    # exact: one plain reduction of d_2 per query, stochastic: none
+    per_query, reduced = (1, [False]) if mode == "exact" else (2, [])
     assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == per_query
+    assert reductions == reduced
     assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == per_query
-    reductions = count_reductions(monkeypatch)
+    assert reductions == reduced
+    # the zero target c1 - c1 is in every span: it needs no boundary
+    assert count(lambda: check_equivalent(stages[0], c1, c1, mode=mode)) == 0
     for s in (1, 2, 3):
         # exact: the last stage's d_2, reduced once and grown stage by stage
         builds_per_track = 1 if mode == "exact" else 2 * s
         for cycles in ([c1], [c1, c2]):
-            reductions.clear()
             assert count(lambda: track_classes(stages[:s], cycles, mode=mode)) == builds_per_track
-            if mode == "exact":
-                assert reductions == [False]
+            assert reductions == reduced
     for n in (1, 4, 10):
         cycles = sample_cycles(stages[0], 1, s=n, seed=1)
         assert count(lambda: betti_via_tracking(stages[0], 1, cycles, mode=mode)) == per_query
