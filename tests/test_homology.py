@@ -6,6 +6,7 @@ import pytest
 from homology_lab import (
     Chain,
     EstimatorParams,
+    Verdict,
     betti_via_tracking,
     boundary_matrix,
     build_complex,
@@ -19,7 +20,6 @@ from homology_lab import (
     track_classes,
     validate_filtration,
 )
-from homology_lab import Verdict
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_trivial as check_trivial
