@@ -48,6 +48,27 @@ def _combine(a: int, v: Vector, b: int, p: Vector) -> Vector:
     return out
 
 
+def _reduce(pivots: dict, v: Vector, t: Vector | None) -> tuple[Vector, Vector | None]:
+    """v and its record t, reduced until v's largest index is no pivot or v vanishes."""
+    while v:
+        low = max(v)
+        hit = pivots.get(low)
+        if hit is None:
+            break
+        p, tp = hit
+        a, b = p[low], v[low]
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+        v = _combine(a, v, b, p)
+        if t is not None:
+            t = _combine(a, t, b, tp)
+        g = gcd(*v.values(), *(t.values() if t is not None else ()))
+        if g > 1:
+            v = {i: x // g for i, x in v.items()}
+            t = {i: x // g for i, x in t.items()} if t is not None else None
+    return v, t
+
+
 class Reduction:
     """Fraction-free column reduction of a growing list of vectors.
 
@@ -71,32 +92,13 @@ class Reduction:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, v: Vector, t: Vector | None) -> tuple[Vector, Vector | None]:
-        while v:
-            low = max(v)
-            hit = self.pivots.get(low)
-            if hit is None:
-                break
-            p, tp = hit
-            a, b = p[low], v[low]
-            g = gcd(a, b) if a > 0 else -gcd(a, b)
-            a, b = a // g, b // g
-            v = _combine(a, v, b, p)
-            if t is not None:
-                t = _combine(a, t, b, tp)
-            g = gcd(*v.values(), *(t.values() if t is not None else ()))
-            if g > 1:
-                v = {i: x // g for i, x in v.items()}
-                t = {i: x // g for i, x in t.items()} if t is not None else None
-        return v, t
-
     def add(self, values) -> bool:
         """Reduce a vector (mapping or dense sequence) and store it as a new
         pivot unless it vanishes; returns whether the rank grew."""
         v, scale = _cleared(values)
         t = {self.added: scale} if self.track else None
         self.added += 1
-        v, t = self._reduce(v, t)
+        v, t = _reduce(self.pivots, v, t)
         if v:
             self.pivots[max(v)] = (v, t)
             return True
@@ -104,9 +106,18 @@ class Reduction:
             self.kernel.append(t)
         return False
 
+    def rank_modulo(self, vectors) -> int:
+        """The rank of the vectors modulo the span of everything added, left as it is."""
+        pivots = dict(self.pivots)
+        for values in vectors:
+            v, _ = _reduce(pivots, _cleared(values)[0], None)
+            if v:
+                pivots[max(v)] = (v, None)
+        return len(pivots) - self.rank
+
     def contains(self, values) -> bool:
         """Whether a vector lies in the span of everything added."""
-        return not self._reduce(_cleared(values)[0], None)[0]
+        return not self.rank_modulo([values])
 
 
 def sparse_columns(m) -> list[Vector]:

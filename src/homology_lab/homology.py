@@ -1,18 +1,19 @@
 """Cycle detection, triviality and equivalence testing, and class tracking.
 
-A triviality or equivalence test is :func:`track_classes` over one stage, so
-each mode has one verdict path.  Input chains are checked from the signed
-faces of their own simplices, with no boundary matrix.  The exact paths run
-entirely over the rationals.  The stochastic paths draw no probes and compute
-no rank: a cycle c is a boundary exactly when its projection onto the kernel
-of the Hodge Laplacian vanishes, and the basis Q_H of
-:func:`spectra.hodge_basis` gives its weight |Q_H^T c|^2.
+Every class question is one count, by :func:`_class_ranks` in one path per
+mode: how many classes some r-cycles span modulo the boundaries.  Betti by
+tracking is that count; triviality and equivalence ask whether it is 0 for c
+or c1 - c2.  Input chains are checked from the signed faces of their own
+simplices, with no boundary matrix.  The exact path runs over the rationals;
+the stochastic path counts with :func:`spectra.tracked_rank` against the
+harmonic basis Q_H of :func:`spectra.hodge_basis`, and draws no probes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,14 +29,14 @@ from .errors import (
     ZeroChain,
 )
 from .operators import _boundary, _boundary_columns, boundary_matrix
-from .spectra import HARMONIC_CUT, EstimatorParams, cycle_basis, hodge_basis, tracked_rank
+from .spectra import EstimatorParams, cycle_basis, hodge_basis, tracked_rank
 from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
 
 
 def _boundaries(k: SimplicialComplex, r: int, chains) -> list[exact.Vector]:
     """Each r-chain's exact boundary as a sparse rational vector indexed from 0,
-    empty exactly for a cycle, from the signed faces of the chain's own
-    simplices; raises :class:`DimensionMismatch` on a chain of another
+    empty exactly for a cycle, summed in integers over the signed faces of the
+    chain's own simplices; raises :class:`DimensionMismatch` on a chain of another
     dimension or with an index outside the layer."""
     size = k.size(r)
     for c in chains:
@@ -48,15 +49,16 @@ def _boundaries(k: SimplicialComplex, r: int, chains) -> list[exact.Vector]:
                 raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
     if r == 0 or not chains:
         return [{} for _ in chains]
-    faces = _boundary_columns(k, r, [j - 1 for c in chains for j in c.coeffs])
+    cleared = [exact._cleared(c.coeffs) for c in chains]
+    faces = _boundary_columns(k, r, [j - 1 for ints, _ in cleared for j in ints])
     columns = zip(faces.indices.reshape(-1, r + 1).tolist(), faces.data.reshape(-1, r + 1).tolist())
     out = []
-    for c in chains:
+    for ints, scale in cleared:
         b = {}
-        for cj in c.coeffs.values():
+        for cj in ints.values():
             for i, v in zip(*next(columns)):
                 b[i] = b.get(i, 0) + v * cj
-        out.append({i: x for i, x in b.items() if x})
+        out.append({i: Fraction(x, scale) for i, x in b.items() if x})
     return out
 
 
@@ -70,6 +72,19 @@ def _require_cycles(k: SimplicialComplex, r: int, chains) -> None:
     as in :func:`_boundaries`, then :class:`NotACycle`."""
     if any(_boundaries(k, r, chains)):
         raise NotACycle("input chain has nonzero boundary")
+
+
+def _unit_columns(chains, n: int) -> np.ndarray:
+    """The nonzero chains as the unit columns of an n-row float array.  Each is
+    cleared to integers and divided by its largest entry first, so that
+    coefficients of any size reach float with no overflow and no NaN."""
+    out = np.zeros((n, len(chains)))
+    for j, c in enumerate(chains):
+        ints, _ = exact._cleared(c.coeffs)
+        top = max(map(abs, ints.values()))
+        for i, x in ints.items():
+            out[i - 1, j] = x / top
+    return out / np.linalg.norm(out, axis=0)
 
 
 def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=None) -> str:
@@ -89,8 +104,7 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
     if not _boundaries(k, c.r, [c])[0]:
         return "likely_cycle"
     d = boundary_matrix(k, c.r).entries
-    vec = np.array([float(x) for x in c.dense(k.size(c.r))])
-    vec /= np.linalg.norm(vec)
+    vec = _unit_columns([c], k.size(c.r))[:, 0]
     p = float(np.linalg.norm(d.T @ (d @ vec) / ((c.r + 1) * k.size(c.r))) ** 2)
     trials = math.ceil(1.0 / eta)
     rng = np.random.default_rng(seed)
@@ -101,24 +115,12 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a triviality or equivalence test.  Only stochastic tests set
-    ``low_confidence``: when the unit cycle's harmonic weight lies within the
-    margin of :func:`spectra.harmonic_basis` of ``HARMONIC_CUT``, or when that
-    basis did not converge, as for a kernel past the block cap."""
+    """Outcome of a triviality or equivalence test: whether a class count of
+    :func:`_class_ranks` is 0, and whether it is low-confidence (stochastic only)."""
 
     answer: bool
     method: str
     low_confidence: bool = False
-
-
-def _cofaces(k: SimplicialComplex, r: int) -> list[exact.Vector]:
-    """Sparse columns of the (r+1)-boundary; none without (r+1)-simplices."""
-    return exact.sparse_columns(_boundary(k, r + 1))
-
-
-def _vector(c: Chain) -> exact.Vector:
-    """The chain as a sparse rational column, indexed from 0."""
-    return {i - 1: x for i, x in c.coeffs.items()}
 
 
 def _check_mode(mode: str) -> None:
@@ -126,30 +128,43 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _trivial(k: SimplicialComplex, c: Chain, params: EstimatorParams | None) -> Verdict:
-    """The stochastic verdict on a checked cycle: its harmonic weight
-    |Q_H^T c|^2 / |c|^2 cut at ``HARMONIC_CUT`` (see :class:`Verdict`)."""
-    if c.is_zero() or k.size(c.r + 1) == 0:
-        return Verdict(answer=c.is_zero(), method="stochastic")
-    q, margin, converged = hodge_basis(k, c.r, (params or EstimatorParams()).seed)
-    vec = np.array([float(x) for x in c.dense(k.size(c.r))])
-    weight = float(np.sum((q.T @ vec) ** 2) / (vec @ vec))
-    return Verdict(answer=weight <= HARMONIC_CUT, method="stochastic",
-                   low_confidence=abs(weight - HARMONIC_CUT) <= margin or not converged)
+def _class_ranks(stages, r: int, chains, mode: str,
+                 params: EstimatorParams | None) -> list[tuple[int, bool]]:
+    """Per stage, how many classes the checked r-cycles span modulo its
+    boundaries, and whether that is low-confidence.  With no nonzero chain it
+    is 0, with no build.  Exactly, the rank modulo one reduction of the last
+    stage's (r+1)-boundary, grown by each stage's columns.  Stochastically,
+    :func:`spectra.tracked_rank` of the unit chains against each stage's
+    harmonic basis, low when it is near the cut or the basis did not converge."""
+    chains = [c for c in chains if not c.is_zero()]
+    if not chains:
+        return [(0, False)] * len(stages)
+    out = []
+    if mode == "exact":
+        vecs = [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
+        cofaces = exact.sparse_columns(_boundary(stages[-1], r + 1))
+        boundary = exact.reduce_columns(cofaces[:stages[0].size(r + 1)])
+        for k in stages:
+            for col in cofaces[boundary.added:k.size(r + 1)]:
+                boundary.add(col)
+            out.append((boundary.rank_modulo(vecs), False))
+        return out
+    for k in stages:
+        q, margin, converged = hodge_basis(k, r, (params or EstimatorParams()).seed)
+        count, near = tracked_rank(q, _unit_columns(chains, k.size(r)), margin)
+        out.append((count, near or not converged))
+    return out
 
 
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
                  params: EstimatorParams | None = None) -> Verdict:
-    """Is the cycle a boundary?  :func:`track_classes` over the one stage k:
-    exactly, membership in one reduction of the (r+1)-boundary;
-    stochastically, its harmonic weight cut as in :func:`_trivial`."""
+    """Is the cycle a boundary?  :func:`track_classes` over the one stage k."""
     return track_classes([k], [c], mode, params).stages[0]
 
 
 def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
                     params: EstimatorParams | None = None) -> Verdict:
-    """Are two cycles homologous, that is, is their difference a boundary?
-    :func:`track_classes` of the pair over the one stage k."""
+    """Is c1 - c2 a boundary?  :func:`track_classes` of the pair over the one stage k."""
     return track_classes([k], [c1, c2], mode, params).stages[0]
 
 
@@ -168,11 +183,8 @@ def track_classes(stages, cycles, mode: str = "exact",
 
     Consecutive stages must nest.  Each stage is reordered onto its
     predecessor's prefix, so the cycles, checked once on the first stage,
-    keep their indices and stay cycles through every stage.  Exactly, one
-    reduction of the last stage's (r+1)-boundary grows stage by stage, and
-    each verdict is whether the target lies in its span: the zero chain
-    always does, with no build, and without (r+1)-simplices the span is zero.
-    Stochastically, each stage's verdict is :func:`_trivial`'s.
+    keep their indices and stay cycles through every stage.  The target, c or
+    c1 - c2, is trivial where its class count of :func:`_class_ranks` is 0.
     """
     _check_mode(mode)
     stages = list(stages)
@@ -192,17 +204,10 @@ def track_classes(stages, cycles, mode: str = "exact",
 
     _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
-    kind = "trivial" if len(cycles) == 1 else "equivalent"
-    if mode == "stochastic":
-        return ClassReport(kind=kind, stages=tuple(_trivial(k, target, params) for k in ordered))
-    vec = _vector(target)
-    cofaces = _cofaces(ordered[-1], target.r) if vec else []  # the zero chain needs no build
-    boundary, verdicts = exact.Reduction(), []
-    for k in ordered:
-        for col in cofaces[boundary.added:k.size(target.r + 1)]:
-            boundary.add(col)
-        verdicts.append(Verdict(answer=boundary.contains(vec), method="exact"))
-    return ClassReport(kind=kind, stages=tuple(verdicts))
+    ranks = _class_ranks(ordered, target.r, [target], mode, params)
+    return ClassReport(kind="trivial" if len(cycles) == 1 else "equivalent",
+                       stages=tuple(Verdict(answer=count == 0, method=mode, low_confidence=low)
+                                    for count, low in ranks))
 
 
 def _random_combinations(basis: list[exact.Vector], rng):
@@ -238,33 +243,17 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
 
 def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact",
                        params: EstimatorParams | None = None) -> int:
-    """Betti lower bound from sampled cycles: the rank of the cycles modulo
-    the boundary space B.
-
-    Exactly: one reduction of the (r+1)-boundary, extended by every cycle;
-    the rank increases count dim(B + span(cycles)) - dim B.  Stochastically:
-    :func:`spectra.tracked_rank` of the unit cycles C, whose Q_H Q_H^T C is
-    within margin * |C| of P_H C, so the result stays a lower bound.
-    """
+    """Betti lower bound from sampled cycles: their class count of
+    :func:`_class_ranks`, dim(B + span(cycles)) - dim B for the boundaries B.
+    Stochastically Q_H Q_H^T C is within margin * |C| of P_H C for the unit
+    cycles C, so the count stays a lower bound."""
     return _betti_via_tracking(k, r, cycles, mode, params)[0]
 
 
 def _betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str,
                         params: EstimatorParams | None) -> tuple[int, bool]:
-    """:func:`betti_via_tracking` and its ``low_confidence``: set only
-    stochastically, when the harmonic basis did not converge or a tracked
-    singular value lies within the margin of the cut."""
+    """:func:`betti_via_tracking` and its ``low_confidence``."""
     _check_mode(mode)
     cycles = list(cycles)
     _require_cycles(k, r, cycles)
-    reps = [c for c in cycles if not c.is_zero()]
-    if not reps:
-        return 0, False
-    if mode == "exact":
-        boundary = exact.reduce_columns(_cofaces(k, r))
-        return sum(boundary.add(_vector(c)) for c in reps), False
-    unit = np.array([[float(x) for x in c.dense(k.size(r))] for c in reps]).T
-    unit /= np.linalg.norm(unit, axis=0)
-    q, margin, converged = hodge_basis(k, r, (params or EstimatorParams()).seed)
-    count, near = tracked_rank(q, unit, margin)
-    return count, near or not converged
+    return _class_ranks([k], r, cycles, mode, params)[0]

@@ -395,7 +395,7 @@ def hodge_basis(k: SimplicialComplex, r: int, seed) -> tuple[np.ndarray, float, 
     return harmonic_basis(laplacian(k, r), seed)
 
 
-HARMONIC_CUT = 1e-6  # a unit cycle is trivial iff its harmonic weight is at most this
+HARMONIC_CUT = 1e-6  # least squared cut of tracked_rank on unit columns
 
 
 def tracked_rank(q: np.ndarray, cols: np.ndarray, margin: float) -> tuple[int, bool]:

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from homology_lab import exact_persistent_betti, exact_rank, generate, validate_filtration
 from homology_lab.exact import (
+    Reduction,
     kernel_basis,
     rank,
     reduce_columns,
@@ -106,6 +108,28 @@ def test_kernel_vectors_annihilate(m):
 def test_column_space_membership_agrees_with_oracle(m, target):
     v = target[:len(m)]
     assert reduce_columns(m).contains(v) == oracle_solvable(m, v)
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("seed", range(30))
+def test_rank_modulo_is_the_rank_gain_and_leaves_the_reduction_as_it_is(seed, track):
+    # B and C share a low-rank part, so C has dependent columns and columns in
+    # span(B); rank_modulo(C) is rank(B | C) - rank(B) by the Fraction oracle
+    rng = np.random.default_rng(seed)
+    n, inner, nb, nc = (int(x) for x in rng.integers(1, 9, size=4))
+    a = rng.integers(-3, 4, size=(n, inner))
+    b = a @ rng.integers(-2, 3, size=(inner, nb))
+    c = np.hstack([a @ rng.integers(-2, 3, size=(inner, nc)), rng.integers(-2, 3, size=(n, nc % 3))])
+    c = [{i: Fraction(int(x), j + 2) for i, x in enumerate(col) if x} for j, col in enumerate(c.T)]
+    reduction = Reduction(sparse_columns(b), track=track)
+    before = copy.deepcopy((reduction.pivots, reduction.added, reduction.kernel))
+    both = np.hstack([b, np.array([[v.get(i, 0) for v in c] for i in range(n)], dtype=object)])
+    assert reduction.rank_modulo(c) == oracle_rank(both) - oracle_rank(b)
+    assert reduction.rank_modulo([]) == 0
+    for v in c:
+        assert reduction.contains(v) == (reduction.rank_modulo([v]) == 0) == oracle_solvable(
+            b, [v.get(i, 0) for i in range(n)])
+    assert (reduction.pivots, reduction.added, reduction.kernel) == before
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -138,6 +138,17 @@ def test_detect_cycle_zero_chain(hollow_triangle):
         detect_cycle_stochastic(hollow_triangle, Chain.make(1, {}), eta=0.1)
 
 
+@pytest.mark.parametrize("exponent", [400, -400])
+def test_detect_cycle_measures_an_edge_of_any_scale(hollow_triangle, exponent):
+    # the unit chain sets the success probability: an edge times 10^400 did
+    # not convert to float, and one times 10^-400 became 0 and passed as a cycle
+    edge = Chain.make(1, {1: Fraction(10) ** exponent})
+    got = [detect_cycle_stochastic(hollow_triangle, edge, eta=0.1, seed=seed) for seed in range(40)]
+    assert got == [detect_cycle_stochastic(hollow_triangle, Chain.make(1, {1: 1}), eta=0.1, seed=seed)
+                   for seed in range(40)]
+    assert "not_cycle" in got
+
+
 # --- triviality ------------------------------------------------------------------
 
 def test_boundary_loop_trivial_in_filled(filled_triangle):
@@ -242,6 +253,34 @@ def test_stochastic_verdicts_above_the_oracle_gate_are_right_and_confident(point
     assert all(check_trivial(k, c).answer for c in boundaries)
 
 
+@pytest.mark.parametrize("exponent", [400, -400])
+def test_stochastic_class_queries_take_chains_of_any_scale(filled_triangle, exponent):
+    # coefficients past the float range: Rips cycles times 10^400 raised
+    # OverflowError, and the filled triangle's loop times 10^-400 had a NaN
+    # weight, a confident wrong "not trivial"; now each scaled chain reads
+    # the unit column of the unscaled one
+    k = rips(0, 0.3)
+    d2 = boundary_matrix(k, 2).toarray()
+    boundary = Chain.make(1, {i + 1: int(x) for i, x in
+                              enumerate(d2 @ np.random.default_rng(0).integers(-2, 3, k.size(2))) if x})
+    cycles = sample_cycles(k, 1, s=4, seed=1) + [boundary]
+    cases = [(k, c) for c in cycles] + [(filled_triangle, loop_chain(filled_triangle))]
+
+    def scaled(c):
+        return Chain.make(c.r, {i: x * Fraction(10) ** exponent for i, x in c.coeffs.items()})
+
+    params = EstimatorParams(seed=0)
+    for stage, c in cases:
+        verdict = check_trivial(stage, scaled(c), mode="stochastic", params=params)
+        assert verdict == check_trivial(stage, c, mode="stochastic", params=params)
+        assert verdict.answer == check_trivial(stage, c).answer and not verdict.low_confidence
+    assert check_equivalent(k, scaled(cycles[0]), cycles[1], mode="stochastic", params=params) == \
+        check_equivalent(k, cycles[0], cycles[1], mode="stochastic", params=params)
+    assert betti_via_tracking(k, 1, [scaled(c) for c in cycles], mode="stochastic", params=params) == \
+        betti_via_tracking(k, 1, cycles, mode="stochastic", params=params) == \
+        betti_via_tracking(k, 1, cycles)
+
+
 @pytest.mark.parametrize("tail", [0, 40])
 def test_harmonic_basis_doubles_its_block_until_the_kernel_fits(monkeypatch, tail):
     # K_12 has beta_1 = 55 > 48: the block goes 24, 48, then 96 (or the whole
@@ -331,6 +370,51 @@ def test_stochastic_verdicts_are_low_confidence_when_the_kernel_outgrows_the_blo
     for est in (estimate_normalized_betti(k, 1, params),
                 estimate_normalized_persistent_betti(validate_filtration(k, k), 1, params)):
         assert est.low_confidence and est.betti() <= 209
+
+
+def test_stochastic_class_queries_on_a_top_layer_match_the_exact_ones():
+    # seven disjoint 4-cycles have no triangles, so every nonzero cycle is
+    # nontrivial; the stochastic verdicts read the top layer's harmonic basis
+    # and agree with the exact ones, with high confidence
+    from homology_lab.homology import _betti_via_tracking
+
+    k = build_complex([[4 * c + i, 4 * c + (i + 1) % 4] for c in range(7) for i in range(4)])
+    assert k.size(2) == 0
+    squares = [Chain.make(1, {4 * c + 1: 1, 4 * c + 2: 1, 4 * c + 3: 1, 4 * c + 4: -1}) for c in range(7)]
+    cycles = squares + sample_cycles(k, 1, s=3, seed=0) + [Chain.make(1, {})]
+    queries = (
+        lambda mode, params: [check_trivial(k, c, mode, params) for c in cycles],
+        lambda mode, params: [check_equivalent(k, a, b, mode, params) for a in cycles[5:] for b in cycles[6:]],
+        lambda mode, params: [v for tracked in ([cycles[0]], cycles[1:3], [cycles[1], cycles[1]])
+                              for v in track_classes([k, k], tracked, mode, params).stages],
+    )
+    for seed in range(3):
+        params = EstimatorParams(seed=seed)
+        for query in queries:
+            exact, stochastic = query("exact", params), query("stochastic", params)
+            assert [v.answer for v in stochastic] == [v.answer for v in exact]
+            assert {v.answer for v in exact} == {True, False}
+            assert not any(v.low_confidence for v in stochastic)
+        assert _betti_via_tracking(k, 1, cycles, "stochastic", params) == (7, False)
+        assert betti_via_tracking(k, 1, cycles) == 7
+
+
+def test_stochastic_class_queries_on_a_top_layer_past_the_block_cap_are_low_confidence():
+    # K_22's edges alone: beta_1 = 210 > 192 on the top layer, where the
+    # verdicts used to be confident by a shortcut; they read the capped basis
+    from homology_lab.homology import _betti_via_tracking
+
+    k = build_complex(complete_graph(22))
+    assert exact_betti(k, 1) == 210 and k.size(2) == 0
+    cycles = sample_cycles(k, 1, s=2, seed=1) + [loop_chain(k)]
+    params = EstimatorParams(seed=0)
+    for c in cycles:
+        assert check_trivial(k, c, mode="stochastic", params=params).low_confidence
+    assert check_equivalent(k, cycles[0], cycles[1], mode="stochastic", params=params).low_confidence
+    assert all(v.low_confidence
+               for v in track_classes([k, k], cycles[:1], mode="stochastic", params=params).stages)
+    count, low = _betti_via_tracking(k, 1, cycles, "stochastic", params)
+    assert low and count <= 210
 
 
 def test_stochastic_verdicts_are_low_confidence_when_the_iteration_is_cut_short(monkeypatch):

@@ -198,6 +198,37 @@ def test_cli_test_trivial_and_equiv(tmp_path, capsys):
     assert json.loads(out)["answer"] is True
 
 
+
+@pytest.mark.parametrize("exponent", [400, -400])
+def test_cli_stochastic_class_queries_take_chains_of_any_scale(tmp_path, capsys, exponent):
+    # a sampled Rips cycle times 10^400 made stochastic test-trivial raise an
+    # uncaught OverflowError; the filled triangle's loop times 10^-400 was
+    # called nontrivial with high confidence, and an edge times 10^-400 a cycle
+    from homology_lab import sample_cycles
+
+    rips = generate("vietoris_rips", points=np.random.default_rng(0).random((30, 2)).tolist(),
+                    threshold=0.3)
+    filled = generate("filled_triangle")
+    cases = [(rips, sample_cycles(rips, 1, s=1, seed=1)[0]),
+             (filled, Chain.from_simplices(filled, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)]))]
+    scale = Fraction(10) ** exponent
+    for k, c in cases:
+        save_complex(k, tmp_path / "k.jsonl")
+        save_chain(Chain.make(1, {i: x * scale for i, x in c.coeffs.items()}), tmp_path / "c.json")
+        argv = ("test-trivial", "--input", str(tmp_path / "k.jsonl"), "--chain", str(tmp_path / "c.json"),
+                "--seed", "0")
+        exact, stochastic = (run_cli(capsys, *argv, "--mode", mode) for mode in ("exact", "stochastic"))
+        assert exact[0] == stochastic[0] == 0
+        assert json.loads(stochastic[1])["answer"] == json.loads(exact[1])["answer"]
+        assert json.loads(stochastic[1])["confidence"] == "high"
+    assert json.loads(exact[1])["answer"] is True
+    save_complex(generate("hollow_triangle"), tmp_path / "k.jsonl")
+    save_chain(Chain.make(1, {1: scale}), tmp_path / "c.json")
+    answers = {json.loads(run_cli(capsys, "detect-cycle", "--input", str(tmp_path / "k.jsonl"), "--chain",
+                                  str(tmp_path / "c.json"), "--seed", str(seed))[1])["answer"]
+               for seed in range(20)}
+    assert "not_cycle" in answers
+
 def test_cli_detect_cycle(tmp_path, capsys):
     k = generate("hollow_triangle")
     save_complex(k, tmp_path / "k.jsonl")
