@@ -5,7 +5,9 @@ record: ``run`` writes the resolved seed back into it, and every result JSON
 on stdout embeds it as ``config``, one key per flag (dashes become
 underscores) plus ``subcommand``.  So every output replays from its own
 JSON.  ``--seed`` is taken by every subcommand and ``--mode`` by those with
-a stochastic route, which reads only the seed (``EstimatorParams``).  A
+a stochastic route.  The seed draws a stochastic ``betti``'s and
+``persistent-betti``'s harmonic start (``EstimatorParams``), ``betti-track``'s
+samples, and random trials; stochastic class verdicts draw nothing.  A
 stochastic answer reports ``confidence``; ``--no-oracle`` drops the exact
 echo, the only exact computation of a stochastic ``betti``,
 ``persistent-betti`` or ``betti-track``.  Diagnostics go to stderr; exit
@@ -61,10 +63,6 @@ def _resolve_seed(value: int | None) -> int:
     raise InputError(f"{name} must be a non-negative integer, not {text!r}")
 
 
-def _params(args) -> EstimatorParams:
-    return EstimatorParams(seed=args.seed)
-
-
 def _echo_oracle(args, layer_size: int) -> bool:
     """Whether the output also carries the exact answer."""
     return layer_size <= ORACLE_GATE and not args.no_oracle
@@ -101,7 +99,7 @@ def _cmd_betti(args) -> dict:
         result["betti"] = betti
         result["normalized"] = betti / k.size(args.r)
     else:
-        est = estimate_normalized_betti(k, args.r, _params(args))
+        est = estimate_normalized_betti(k, args.r, EstimatorParams(seed=args.seed))
         result["normalized"] = est.value
         result["estimate"] = est.value
         result["confidence"] = _confidence(est.low_confidence)
@@ -139,7 +137,7 @@ def _cmd_persistent_betti(args) -> dict:
         result["persistent_betti"] = betti
         result["normalized"] = betti / pair.k1.size(args.r)
     else:
-        est = estimate_normalized_persistent_betti(pair, args.r, _params(args))
+        est = estimate_normalized_persistent_betti(pair, args.r, EstimatorParams(seed=args.seed))
         result["normalized"] = est.value
         result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, pair.k1.size(args.r)):
@@ -154,7 +152,7 @@ def _verdict(v) -> dict:
 def _cmd_test_trivial(args) -> dict:
     k = files.load_complex(args.input)
     c = files.load_chain(args.chain)
-    return _verdict(test_trivial(k, c, mode=args.mode, params=_params(args)))
+    return _verdict(test_trivial(k, c, mode=args.mode))
 
 
 def _cmd_test_equiv(args) -> dict:
@@ -174,7 +172,7 @@ def _cmd_test_equiv(args) -> dict:
         return out
     if args.witnesses != WITNESSES or args.dump_witness:
         raise InputError("--witnesses and --dump-witness belong to --method cohomology")
-    return _verdict(test_equivalent(k, c1, c2, mode=args.mode, params=_params(args)))
+    return _verdict(test_equivalent(k, c1, c2, mode=args.mode))
 
 
 def _cmd_detect_cycle(args) -> dict:
@@ -189,7 +187,7 @@ def _cmd_track(args) -> dict:
     chains = [files.load_chain(args.chain)]
     if args.chain2:
         chains.append(files.load_chain(args.chain2))
-    report = track_classes(stages, chains, mode=args.mode, params=_params(args))
+    report = track_classes(stages, chains, mode=args.mode)
     return {"kind": report.kind,
             "stages": [{"stage": i, **_verdict(s)} for i, s in enumerate(report.stages, start=1)]}
 
@@ -197,7 +195,7 @@ def _cmd_track(args) -> dict:
 def _cmd_betti_track(args) -> dict:
     k = files.load_complex(args.input)
     cycles = sample_cycles(k, args.r, s=args.samples, seed=args.seed)
-    value, low = _betti_via_tracking(k, args.r, cycles, args.mode, _params(args))
+    value, low = _betti_via_tracking(k, args.r, cycles, args.mode)
     result = {"betti_lower_bound": value, "samples": args.samples, "r": args.r}
     if args.mode == "stochastic":
         result["confidence"] = _confidence(low)

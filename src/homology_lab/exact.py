@@ -29,8 +29,8 @@ def _cleared(values) -> tuple[Vector, int]:
     that cleared its denominators."""
     items = values.items() if isinstance(values, Mapping) else enumerate(values)
     items = [(i, x) for i, x in items if x]
-    if all(type(x) is int for _, x in items):
-        return dict(items), 1
+    if all(type(x) is int or type(x) is Fraction and x.denominator == 1 for _, x in items):
+        return {i: x.numerator for i, x in items}, 1
     items = [(i, Fraction(x)) for i, x in items]
     scale = lcm(*(x.denominator for _, x in items))
     return {i: int(x * scale) for i, x in items}, scale

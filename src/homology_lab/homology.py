@@ -5,8 +5,8 @@ mode: how many classes some r-cycles span modulo the boundaries.  Betti by
 tracking is that count; triviality and equivalence ask whether it is 0 for c
 or c1 - c2.  Input chains are checked from the signed faces of their own
 simplices, with no boundary matrix.  The exact path runs over the rationals;
-the stochastic path counts with :func:`spectra.tracked_rank` against the
-harmonic basis Q_H of :func:`spectra.hodge_basis`, and draws no probes.
+the stochastic path counts their least-squares residuals against the same
+(r+1)-boundary with :func:`spectra.residual_rank`, and draws nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ZeroChain,
 )
 from .operators import _boundary, _boundary_columns, boundary_matrix
-from .spectra import EstimatorParams, cycle_basis, hodge_basis, tracked_rank
+from .spectra import cycle_basis, residual_rank
 from .spectra import exact_rank  # noqa: F401 -- perfbench's tracer test reads homology.exact_rank
 
 
@@ -128,44 +128,38 @@ def _check_mode(mode: str) -> None:
         raise BadParameter(f"unknown mode {mode!r}")
 
 
-def _class_ranks(stages, r: int, chains, mode: str,
-                 params: EstimatorParams | None) -> list[tuple[int, bool]]:
+def _class_ranks(stages, r: int, chains, mode: str) -> list[tuple[int, bool]]:
     """Per stage, how many classes the checked r-cycles span modulo its
     boundaries, and whether that is low-confidence.  With no nonzero chain it
-    is 0, with no build.  Exactly, the rank modulo one reduction of the last
-    stage's (r+1)-boundary, grown by each stage's columns.  Stochastically,
-    :func:`spectra.tracked_rank` of the unit chains against each stage's
-    harmonic basis, low when it is near the cut or the basis did not converge."""
+    is 0, with no build.  Both modes build the last stage's (r+1)-boundary
+    once, and each stage reads its column prefix: exactly, one reduction grown
+    by each stage's columns; stochastically, :func:`spectra.residual_rank`."""
     chains = [c for c in chains if not c.is_zero()]
     if not chains:
         return [(0, False)] * len(stages)
+    d = _boundary(stages[-1], r + 1)
+    if mode == "stochastic":
+        cols = _unit_columns(chains, stages[-1].size(r))
+        return [residual_rank(d[:, :k.size(r + 1)], cols) for k in stages]
+    vecs = [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
+    cofaces = exact.sparse_columns(d)
+    boundary = exact.reduce_columns(cofaces[:stages[0].size(r + 1)])
     out = []
-    if mode == "exact":
-        vecs = [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
-        cofaces = exact.sparse_columns(_boundary(stages[-1], r + 1))
-        boundary = exact.reduce_columns(cofaces[:stages[0].size(r + 1)])
-        for k in stages:
-            for col in cofaces[boundary.added:k.size(r + 1)]:
-                boundary.add(col)
-            out.append((boundary.rank_modulo(vecs), False))
-        return out
     for k in stages:
-        q, margin, converged = hodge_basis(k, r, (params or EstimatorParams()).seed)
-        count, near = tracked_rank(q, _unit_columns(chains, k.size(r)), margin)
-        out.append((count, near or not converged))
+        for col in cofaces[boundary.added:k.size(r + 1)]:
+            boundary.add(col)
+        out.append((boundary.rank_modulo(vecs), False))
     return out
 
 
-def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact",
-                 params: EstimatorParams | None = None) -> Verdict:
+def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact") -> Verdict:
     """Is the cycle a boundary?  :func:`track_classes` over the one stage k."""
-    return track_classes([k], [c], mode, params).stages[0]
+    return track_classes([k], [c], mode).stages[0]
 
 
-def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact",
-                    params: EstimatorParams | None = None) -> Verdict:
+def test_equivalent(k: SimplicialComplex, c1: Chain, c2: Chain, mode: str = "exact") -> Verdict:
     """Is c1 - c2 a boundary?  :func:`track_classes` of the pair over the one stage k."""
-    return track_classes([k], [c1, c2], mode, params).stages[0]
+    return track_classes([k], [c1, c2], mode).stages[0]
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,7 @@ class ClassReport:
     stages: tuple[Verdict, ...]
 
 
-def track_classes(stages, cycles, mode: str = "exact",
-                  params: EstimatorParams | None = None) -> ClassReport:
+def track_classes(stages, cycles, mode: str = "exact") -> ClassReport:
     """Follow one or two cycles through a filtration chain.
 
     Consecutive stages must nest.  Each stage is reordered onto its
@@ -204,7 +197,7 @@ def track_classes(stages, cycles, mode: str = "exact",
 
     _require_cycles(ordered[0], cycles[0].r, cycles)
     target = cycles[0] if len(cycles) == 1 else cycles[0] - cycles[1]
-    ranks = _class_ranks(ordered, target.r, [target], mode, params)
+    ranks = _class_ranks(ordered, target.r, [target], mode)
     return ClassReport(kind="trivial" if len(cycles) == 1 else "equivalent",
                        stages=tuple(Verdict(answer=count == 0, method=mode, low_confidence=low)
                                     for count, low in ranks))
@@ -241,19 +234,17 @@ def sample_cycles(k: SimplicialComplex, r: int, s: int, seed=None) -> list[Chain
     return [Chain.make(r, {i + 1: v for i, v in next(draws).items()}) for _ in range(s)]
 
 
-def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact",
-                       params: EstimatorParams | None = None) -> int:
+def betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str = "exact") -> int:
     """Betti lower bound from sampled cycles: their class count of
     :func:`_class_ranks`, dim(B + span(cycles)) - dim B for the boundaries B.
-    Stochastically Q_H Q_H^T C is within margin * |C| of P_H C for the unit
-    cycles C, so the count stays a lower bound."""
-    return _betti_via_tracking(k, r, cycles, mode, params)[0]
+    Stochastically, a solve cut short by its step limit leaves residuals too
+    large, so a low-confidence count may exceed the bound."""
+    return _betti_via_tracking(k, r, cycles, mode)[0]
 
 
-def _betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str,
-                        params: EstimatorParams | None) -> tuple[int, bool]:
+def _betti_via_tracking(k: SimplicialComplex, r: int, cycles, mode: str) -> tuple[int, bool]:
     """:func:`betti_via_tracking` and its ``low_confidence``."""
     _check_mode(mode)
     cycles = list(cycles)
     _require_cycles(k, r, cycles)
-    return _class_ranks([k], r, cycles, mode, params)[0]
+    return _class_ranks([k], r, cycles, mode)[0]

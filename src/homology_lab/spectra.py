@@ -4,11 +4,11 @@ stochastic rank estimator.
 The exact side reduces everything to ranks, pivots and kernels of sparse
 boundary matrices, from the fraction-free reduction in :mod:`exact`: both
 routes of the persistent oracle too, so no exact answer touches a float.
-Every stochastic answer (Betti and persistent Betti estimates, class
-verdicts) reads one orthonormal basis Q_H of the kernel of a Hodge Laplacian,
-from Chebyshev-filtered subspace iteration (:func:`harmonic_basis`, via
-:func:`hodge_basis`): beta_r is its column count, and persistent beta_r the
-rank of Q_H2^T Q_H1 (:func:`tracked_rank`).  No stochastic answer draws a
+A stochastic beta_r is the column count of an orthonormal basis Q_H of the
+kernel of a Hodge Laplacian, from Chebyshev-filtered subspace iteration
+(:func:`harmonic_basis`, via :func:`hodge_basis`).  Every class count (class
+verdicts, and persistent beta_r from k1's Q_H) is :func:`residual_rank`, by
+least squares against the (r+1)-boundary.  No stochastic answer draws a
 probe, computes an exact rank or reads a dense spectrum.
 
 :func:`stochastic_rank` and :func:`power_moments_rank` estimate rank(A)/N by
@@ -395,19 +395,49 @@ def hodge_basis(k: SimplicialComplex, r: int, seed) -> tuple[np.ndarray, float, 
     return harmonic_basis(laplacian(k, r), seed)
 
 
-HARMONIC_CUT = 1e-6  # least squared cut of tracked_rank on unit columns
+CLASS_CUT = 1e-3  # least singular value of a class's residual, over |C|
+RESIDUAL_TOL = 1e-10  # |d^T r| of a column at which residual_rank stops it
+RESIDUAL_STEPS = 1000  # CGLS steps before residual_rank gives up
 
 
-def tracked_rank(q: np.ndarray, cols: np.ndarray, margin: float) -> tuple[int, bool]:
-    """How many singular values of Q_H^T C lie above the cut
-    max(margin, sqrt(HARMONIC_CUT)) |C|, and whether one lies within
-    margin |C| of it.  When Q_H Q_H^T C is within margin |C| of P_H C, whose
-    rank is the number of classes C spans, Weyl's inequality keeps the count
-    at or below that number."""
-    scale = float(np.linalg.norm(cols, 2))
-    cut = max(margin, math.sqrt(HARMONIC_CUT)) * scale
-    sigma = np.linalg.svd(q.T @ cols, compute_uv=False)
-    return int(np.count_nonzero(sigma > cut)), bool(np.any(np.abs(sigma - cut) <= margin * scale))
+def residual_rank(d, cols: np.ndarray, margin: float = 0.0) -> tuple[int, bool]:
+    """How many singular values of the least-squares residual R = C - dZ lie
+    above max(margin, CLASS_CUT) |C|, and whether that is low-confidence; R is
+    P_H C for cycles C, so this is the float :meth:`exact.Reduction.rank_modulo`.
+    CGLS (Hestenes & Stiefel 1952) from Z = 0 updates R, its columns in
+    lockstep with one product by d and one by d^T per step, each until
+    |d^T r| <= ``RESIDUAL_TOL``.  Low when one runs past ``RESIDUAL_STEPS``,
+    or a singular value is within margin |C| + eps of the cut: eps = |d^T R|_F
+    / sigma_min(d) bounds |R - P_H C|, sigma_min estimated (not certified)
+    from the Lanczos tridiagonal G G^T that CG's coefficients give."""
+    d = sp.csc_matrix(d, dtype=float)
+    res = np.array(cols, dtype=float)
+    scale = float(np.linalg.norm(res, 2))
+    s = d.T @ res
+    p = s
+    gamma = np.einsum("ij,ij->j", s, s)
+    running = gamma > RESIDUAL_TOL ** 2
+    steps = []  # per step, every column's alpha and beta, both 0 once it stops
+    while running.any() and len(steps) < RESIDUAL_STEPS:
+        q = d @ p
+        alpha = np.divide(gamma, np.einsum("ij,ij->j", q, q), out=np.zeros_like(gamma), where=running)
+        res -= q * alpha
+        s = d.T @ res
+        gamma, old = np.einsum("ij,ij->j", s, s), gamma
+        running = gamma > RESIDUAL_TOL ** 2
+        beta = np.divide(gamma, old, out=np.zeros_like(gamma), where=running)
+        p = s + p * beta
+        steps.append((alpha, beta))
+    eps = 0.0
+    if steps:  # G of a column that ran every step: 1 / sqrt(alpha) on the diagonal, sqrt(beta / alpha) below
+        j = np.flatnonzero(steps[-1][0])[0]
+        alpha, beta = np.array([a[j] for a, _ in steps]), np.array([b[j] for _, b in steps[:-1]])
+        g = np.diag(1.0 / np.sqrt(alpha)) + np.diag(np.sqrt(beta / alpha[:-1]), -1)
+        eps = math.sqrt(gamma.sum()) / np.linalg.svd(g, compute_uv=False)[-1]
+    cut = max(margin, CLASS_CUT) * scale
+    sigma = np.linalg.svd(res, compute_uv=False)
+    return (int(np.count_nonzero(sigma > cut)),
+            bool(running.any() or np.any(np.abs(sigma - cut) <= margin * scale + eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +454,9 @@ class EstimatorParams:
 
 @dataclass(frozen=True)
 class BettiEstimate:
-    """(Persistent) Betti count from harmonic bases over the layer size.
-    ``low_confidence`` when a basis did not converge, which makes the count a
-    lower bound past the block cap, or when a tracked singular value lies
-    within the margin of the cut of :func:`tracked_rank`."""
+    """(Persistent) Betti count over the layer size, low-confidence when the
+    harmonic basis did not converge (past the block cap the count is then a
+    lower bound) or when :func:`residual_rank` is."""
 
     value: float
     layer_size: int
@@ -451,19 +480,16 @@ def estimate_normalized_betti(k: SimplicialComplex, r: int,
 def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
                                          params: EstimatorParams = EstimatorParams()) -> BettiEstimate:
     """Persistent beta_r / |S_r(k1)| by homology tracking: the dimension of
-    the image of H_r(k1) in H_r(k2) is the rank of Q_H2^T Q_H1, Q_H1 padded
-    with zeros onto k2's prefix, since a k1-cycle is a k2-boundary exactly
-    when its projection onto k2's harmonic space vanishes.  It is counted by
-    :func:`tracked_rank` with the sum of both margins.  An empty Q_H1 gives 0
-    without k2's basis."""
+    the image of H_r(k1) in H_r(k2) is the number of classes that k1's
+    harmonic basis Q_H1, padded with zeros onto k2's prefix, spans modulo
+    k2's boundaries: :func:`residual_rank` against k2's (r+1)-boundary with
+    Q_H1's margin.  An empty Q_H1 gives 0 with no build."""
     n = pair.k1.size(r)
     if n == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
     q1, margin1, converged = hodge_basis(pair.k1, r, params.seed)
     if not q1.shape[1]:
         return BettiEstimate(value=0.0, layer_size=n, low_confidence=not converged)
-    q2, margin2, converged2 = hodge_basis(pair.k2, r, params.seed)
     padded = np.vstack([q1, np.zeros((pair.k2.size(r) - n, q1.shape[1]))])
-    count, near = tracked_rank(q2, padded, margin1 + margin2)
-    return BettiEstimate(value=count / n, layer_size=n,
-                         low_confidence=near or not (converged and converged2))
+    count, low = residual_rank(_boundary(pair.k2, r + 1), padded, margin1)
+    return BettiEstimate(value=count / n, layer_size=n, low_confidence=low or not converged)

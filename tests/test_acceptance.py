@@ -227,8 +227,7 @@ def test_criterion_7_triviality_and_equivalence():
         trials = 200
         for t in range(trials):
             k, c, exact_answer = labelled[t % len(labelled)]
-            params = EstimatorParams(seed=30_000 + t)
-            verdict = hl.test_trivial(k, c, mode="stochastic", params=params)
+            verdict = hl.test_trivial(k, c, mode="stochastic")
             if verdict.answer == exact_answer:
                 agree += 1
             elif not verdict.low_confidence:

@@ -57,7 +57,7 @@ def test_cli_options_are_pinned():
 
 
 PARAMETERS = {
-    "betti_via_tracking": ["cycles", "k", "mode", "params", "r"],
+    "betti_via_tracking": ["cycles", "k", "mode", "r"],
     "boundary_matrix": ["k", "r"],
     "build_complex": ["autoclose", "simplices"],
     "chebyshev_filter": ["delta", "m"],
@@ -85,10 +85,10 @@ PARAMETERS = {
     "schur_complement": ["index_set", "m"],
     "spec_matrix": ["k", "r"],
     "stochastic_rank": ["a", "filt", "n_v", "seed"],
-    "test_equivalent": ["c1", "c2", "k", "mode", "params"],
+    "test_equivalent": ["c1", "c2", "k", "mode"],
     "test_equivalent_cohomological": ["c1", "c2", "k", "seed", "witnesses"],
-    "test_trivial": ["c", "k", "mode", "params"],
-    "track_classes": ["cycles", "mode", "params", "stages"],
+    "test_trivial": ["c", "k", "mode"],
+    "track_classes": ["cycles", "mode", "stages"],
     "validate_filtration": ["k1", "k2"],
     "vietoris_rips": ["max_dim", "points", "threshold"],
 }
@@ -99,4 +99,4 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 98
+    assert sum(map(len, PARAMETERS.values())) == 94

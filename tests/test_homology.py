@@ -184,11 +184,10 @@ def test_trivial_agrees_with_membership_oracle(filled_square):
 
 
 def test_trivial_stochastic_matches_exact(filled_square, hollow_triangle):
-    params = EstimatorParams(seed=5)
     for k in (filled_square, hollow_triangle):
         for c in sample_cycles(k, 1, s=4, seed=1):
             exact = check_trivial(k, c, mode="exact").answer
-            sto = check_trivial(k, c, mode="stochastic", params=params)
+            sto = check_trivial(k, c, mode="stochastic")
             assert sto.answer == exact and not sto.low_confidence
 
 
@@ -221,13 +220,13 @@ def test_harmonic_weight_is_within_the_margin_of_the_projection(seed):
 
 @pytest.mark.parametrize("seed", [0, 1], ids=["seed0", "seed1"])
 def test_stochastic_verdicts_on_rips_are_right_and_confident(seed):
-    # the sampled nontrivial cycles have harmonic weights from 0.002 up, far
-    # above the cut; each Gaussian start must find the same kernel
+    # the nontrivial cycles of sample seed 1 have harmonic weights from 0.002
+    # up, far above the cut; each seed samples its own ten cycles per complex
     for rips_seed in range(20):
         k = generate("vietoris_rips",
                      points=np.random.default_rng(rips_seed).random((30, 2)).tolist(), threshold=0.3)
-        for c in sample_cycles(k, 1, s=10, seed=1):
-            verdict = check_trivial(k, c, mode="stochastic", params=EstimatorParams(seed=seed))
+        for c in sample_cycles(k, 1, s=10, seed=1 + seed):
+            verdict = check_trivial(k, c, mode="stochastic")
             assert verdict.answer == check_trivial(k, c).answer and not verdict.low_confidence
 
 
@@ -246,9 +245,8 @@ def test_stochastic_verdicts_above_the_oracle_gate_are_right_and_confident(point
     rng = np.random.default_rng(0)
     boundaries = [Chain.make(1, {i + 1: int(x) for i, x in enumerate(d2 @ rng.integers(-2, 3, k.size(2)))
                                  if x}) for _ in range(4)]
-    params = EstimatorParams(seed=0)
     for c in boundaries + sample_cycles(k, 1, s=6, seed=1):
-        verdict = check_trivial(k, c, mode="stochastic", params=params)
+        verdict = check_trivial(k, c, mode="stochastic")
         assert verdict.answer == check_trivial(k, c).answer and not verdict.low_confidence
     assert all(check_trivial(k, c).answer for c in boundaries)
 
@@ -269,15 +267,14 @@ def test_stochastic_class_queries_take_chains_of_any_scale(filled_triangle, expo
     def scaled(c):
         return Chain.make(c.r, {i: x * Fraction(10) ** exponent for i, x in c.coeffs.items()})
 
-    params = EstimatorParams(seed=0)
     for stage, c in cases:
-        verdict = check_trivial(stage, scaled(c), mode="stochastic", params=params)
-        assert verdict == check_trivial(stage, c, mode="stochastic", params=params)
+        verdict = check_trivial(stage, scaled(c), mode="stochastic")
+        assert verdict == check_trivial(stage, c, mode="stochastic")
         assert verdict.answer == check_trivial(stage, c).answer and not verdict.low_confidence
-    assert check_equivalent(k, scaled(cycles[0]), cycles[1], mode="stochastic", params=params) == \
-        check_equivalent(k, cycles[0], cycles[1], mode="stochastic", params=params)
-    assert betti_via_tracking(k, 1, [scaled(c) for c in cycles], mode="stochastic", params=params) == \
-        betti_via_tracking(k, 1, cycles, mode="stochastic", params=params) == \
+    assert check_equivalent(k, scaled(cycles[0]), cycles[1], mode="stochastic") == \
+        check_equivalent(k, cycles[0], cycles[1], mode="stochastic")
+    assert betti_via_tracking(k, 1, [scaled(c) for c in cycles], mode="stochastic") == \
+        betti_via_tracking(k, 1, cycles, mode="stochastic") == \
         betti_via_tracking(k, 1, cycles)
 
 
@@ -349,24 +346,30 @@ def test_harmonic_basis_filters_a_block_that_meets_the_top_eigenspace(seed):
         q, margin, converged = harmonic_basis(laplacian(k, 1), seed)
     assert converged and q.shape[1] == exact_betti(k, 1) == 7 and margin < 1e-6
     square = Chain.make(1, {1: 1, 2: 1, 3: 1, 4: -1})  # 01 + 12 + 23 - 03
-    verdict = check_trivial(k, square, mode="stochastic", params=EstimatorParams(seed=seed))
+    verdict = check_trivial(k, square, mode="stochastic")
     assert not verdict.answer and not verdict.low_confidence
 
 
-def test_stochastic_verdicts_are_low_confidence_when_the_kernel_outgrows_the_block_cap():
-    # K_22 plus one filled triangle: beta_1 = 209 > 192; the Betti estimates
-    # read the same capped basis and are flagged lower bounds
+def test_stochastic_verdicts_are_exact_and_confident_when_the_kernel_outgrows_the_block_cap():
+    # K_22 plus one filled triangle: beta_1 = 209 > 192.  The class queries
+    # count residuals against d_2 and read no harmonic basis, so they are
+    # exact and confident; the Betti estimates read the capped basis and are
+    # flagged lower bounds
+    from homology_lab.homology import _betti_via_tracking
+
     k = build_complex(complete_graph(22) + [[0, 1, 2]])
     assert exact_betti(k, 1) == 209
     triangle = Chain.from_simplices(k, [([1, 2], 1), ([0, 2], -1), ([0, 1], 1)])
     cycles = sample_cycles(k, 1, s=4, seed=1)
+    verdicts = [check_trivial(k, c, mode="stochastic") for c in cycles + [triangle]]
+    verdicts.append(check_equivalent(k, cycles[0], cycles[1], mode="stochastic"))
+    verdicts += track_classes([k, k], cycles[:1], mode="stochastic").stages
+    assert verdicts == [Verdict(answer=a, method="stochastic") for a in [False] * 4 + [True] + [False] * 3]
+    assert [v.answer for v in verdicts[:6]] == [check_trivial(k, c).answer for c in cycles + [triangle]] + \
+        [check_equivalent(k, cycles[0], cycles[1]).answer]
+    assert _betti_via_tracking(k, 1, cycles, "stochastic") == (4, False)
+    assert betti_via_tracking(k, 1, cycles) == 4
     params = EstimatorParams(seed=0)
-    for c in cycles + [triangle]:
-        assert check_trivial(k, c, mode="stochastic", params=params).low_confidence
-    assert check_equivalent(k, cycles[0], cycles[1], mode="stochastic", params=params).low_confidence
-    assert all(v.low_confidence
-               for v in track_classes([k, k], cycles[:1], mode="stochastic", params=params).stages)
-    assert betti_via_tracking(k, 1, cycles, mode="stochastic", params=params) <= exact_betti(k, 1)
     for est in (estimate_normalized_betti(k, 1, params),
                 estimate_normalized_persistent_betti(validate_filtration(k, k), 1, params)):
         assert est.low_confidence and est.betti() <= 209
@@ -374,8 +377,9 @@ def test_stochastic_verdicts_are_low_confidence_when_the_kernel_outgrows_the_blo
 
 def test_stochastic_class_queries_on_a_top_layer_match_the_exact_ones():
     # seven disjoint 4-cycles have no triangles, so every nonzero cycle is
-    # nontrivial; the stochastic verdicts read the top layer's harmonic basis
-    # and agree with the exact ones, with high confidence
+    # nontrivial; the stochastic verdicts read residuals against the zero map
+    # d_2, the cycles themselves, and agree with the exact ones, with high
+    # confidence
     from homology_lab.homology import _betti_via_tracking
 
     k = build_complex([[4 * c + i, 4 * c + (i + 1) % 4] for c in range(7) for i in range(4)])
@@ -383,58 +387,64 @@ def test_stochastic_class_queries_on_a_top_layer_match_the_exact_ones():
     squares = [Chain.make(1, {4 * c + 1: 1, 4 * c + 2: 1, 4 * c + 3: 1, 4 * c + 4: -1}) for c in range(7)]
     cycles = squares + sample_cycles(k, 1, s=3, seed=0) + [Chain.make(1, {})]
     queries = (
-        lambda mode, params: [check_trivial(k, c, mode, params) for c in cycles],
-        lambda mode, params: [check_equivalent(k, a, b, mode, params) for a in cycles[5:] for b in cycles[6:]],
-        lambda mode, params: [v for tracked in ([cycles[0]], cycles[1:3], [cycles[1], cycles[1]])
-                              for v in track_classes([k, k], tracked, mode, params).stages],
+        lambda mode: [check_trivial(k, c, mode) for c in cycles],
+        lambda mode: [check_equivalent(k, a, b, mode) for a in cycles[5:] for b in cycles[6:]],
+        lambda mode: [v for tracked in ([cycles[0]], cycles[1:3], [cycles[1], cycles[1]])
+                      for v in track_classes([k, k], tracked, mode).stages],
     )
-    for seed in range(3):
-        params = EstimatorParams(seed=seed)
-        for query in queries:
-            exact, stochastic = query("exact", params), query("stochastic", params)
-            assert [v.answer for v in stochastic] == [v.answer for v in exact]
-            assert {v.answer for v in exact} == {True, False}
-            assert not any(v.low_confidence for v in stochastic)
-        assert _betti_via_tracking(k, 1, cycles, "stochastic", params) == (7, False)
-        assert betti_via_tracking(k, 1, cycles) == 7
+    for query in queries:
+        exact, stochastic = query("exact"), query("stochastic")
+        assert [v.answer for v in stochastic] == [v.answer for v in exact]
+        assert {v.answer for v in exact} == {True, False}
+        assert not any(v.low_confidence for v in stochastic)
+    assert _betti_via_tracking(k, 1, cycles, "stochastic") == (7, False)
+    assert betti_via_tracking(k, 1, cycles) == 7
 
 
-def test_stochastic_class_queries_on_a_top_layer_past_the_block_cap_are_low_confidence():
-    # K_22's edges alone: beta_1 = 210 > 192 on the top layer, where the
-    # verdicts used to be confident by a shortcut; they read the capped basis
+def test_stochastic_class_queries_on_a_top_layer_past_the_block_cap_are_exact_and_confident():
+    # K_22's edges alone: beta_1 = 210 > 192 on the top layer.  d_2 is the
+    # zero map, so every residual is the cycle itself and each nonzero cycle
+    # is its own class, past any cap
     from homology_lab.homology import _betti_via_tracking
 
     k = build_complex(complete_graph(22))
     assert exact_betti(k, 1) == 210 and k.size(2) == 0
     cycles = sample_cycles(k, 1, s=2, seed=1) + [loop_chain(k)]
-    params = EstimatorParams(seed=0)
-    for c in cycles:
-        assert check_trivial(k, c, mode="stochastic", params=params).low_confidence
-    assert check_equivalent(k, cycles[0], cycles[1], mode="stochastic", params=params).low_confidence
-    assert all(v.low_confidence
-               for v in track_classes([k, k], cycles[:1], mode="stochastic", params=params).stages)
-    count, low = _betti_via_tracking(k, 1, cycles, "stochastic", params)
-    assert low and count <= 210
+    verdicts = [check_trivial(k, c, mode="stochastic") for c in cycles]
+    verdicts.append(check_equivalent(k, cycles[0], cycles[1], mode="stochastic"))
+    verdicts += track_classes([k, k], cycles[:1], mode="stochastic").stages
+    assert verdicts == [Verdict(answer=False, method="stochastic")] * 6
+    assert [v.answer for v in verdicts[:4]] == [check_trivial(k, c).answer for c in cycles] + \
+        [check_equivalent(k, cycles[0], cycles[1]).answer]
+    assert _betti_via_tracking(k, 1, cycles, "stochastic") == (3, False)
+    assert betti_via_tracking(k, 1, cycles) == 3
 
 
 def test_stochastic_verdicts_are_low_confidence_when_the_iteration_is_cut_short(monkeypatch):
-    # an iteration stopped by its step limit can report a finite margin, far
-    # above 1e-8: its verdicts must still be flagged
+    # the solver needs about 70 steps on these 713 edges; stopped by its step
+    # limit, a boundary's residual is still far above the cut, so its
+    # verdict is wrong and must be flagged, as must every other one
     from homology_lab import spectra
-    from homology_lab.operators import laplacian
 
     k = generate("vietoris_rips", points=np.random.default_rng(0).random((150, 2)).tolist(),
                  threshold=0.16)
-    cycles = sample_cycles(k, 1, s=4, seed=1)
-    finite = 0
-    for steps in range(1, 8):
-        monkeypatch.setattr(spectra, "HARMONIC_STEPS", steps)
-        _, margin, converged = spectra.harmonic_basis(laplacian(k, 1), 0)
-        if not converged:
-            finite += margin < np.inf
-            assert all(check_trivial(k, c, mode="stochastic", params=EstimatorParams(seed=0))
-                       .low_confidence for c in cycles)
-    assert finite
+    d2 = boundary_matrix(k, 2).toarray()
+    rng = np.random.default_rng(0)
+    boundaries = [Chain.make(1, {i + 1: int(x) for i, x in enumerate(d2 @ rng.integers(-2, 3, k.size(2)))
+                                 if x}) for _ in range(2)]
+    chains = sample_cycles(k, 1, s=4, seed=1) + boundaries
+    exact = [check_trivial(k, c).answer for c in chains]
+    assert exact == [False] * 4 + [True] * 2
+    wrong = 0
+    for steps in (0, 1, 4, 16, 48):
+        monkeypatch.setattr(spectra, "RESIDUAL_STEPS", steps)
+        verdicts = [check_trivial(k, c, mode="stochastic") for c in chains]
+        assert all(v.low_confidence for v in verdicts)
+        wrong += sum(v.answer != want for v, want in zip(verdicts, exact))
+    assert wrong
+    monkeypatch.undo()
+    assert [check_trivial(k, c, mode="stochastic") for c in chains] == \
+        [Verdict(answer=a, method="stochastic") for a in exact]
 
 
 def test_stochastic_class_queries_draw_no_probes_and_compute_no_rank(monkeypatch, filled_square):
@@ -716,9 +726,8 @@ def rips(seed, threshold, n_points=30):
 
 @pytest.mark.parametrize("mode", ["exact", "stochastic"])
 def test_class_queries_build_each_boundary_once(monkeypatch, mode):
-    # input cycles are checked from their own faces, with no build; an exact
-    # query builds d_2 once, and a stochastic one builds d_1 and d_2 for
-    # each stage's Hodge Laplacian
+    # input cycles are checked from their own faces, with no build; a query
+    # in either mode builds d_2 once, and a track the last stage's d_2 once
     stages = [rips(0, t) for t in (0.3, 0.33, 0.36)]
     c1, c2 = sample_cycles(stages[0], 1, s=2, seed=0)
     builds = count_boundary_builds(monkeypatch)
@@ -731,7 +740,8 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
         return len(builds)
 
     # exact: one plain reduction of d_2 per query, stochastic: none
-    per_query, reduced = (1, [False]) if mode == "exact" else (2, [])
+    reduced = [False] if mode == "exact" else []
+    per_query = 1
     assert count(lambda: check_trivial(stages[0], c1, mode=mode)) == per_query
     assert reductions == reduced
     assert count(lambda: check_equivalent(stages[0], c1, c2, mode=mode)) == per_query
@@ -739,8 +749,8 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
     # the zero target c1 - c1 is in every span: it needs no boundary
     assert count(lambda: check_equivalent(stages[0], c1, c1, mode=mode)) == 0
     for s in (1, 2, 3):
-        # exact: the last stage's d_2, reduced once and grown stage by stage
-        builds_per_track = 1 if mode == "exact" else 2 * s
+        # the last stage's d_2, exactly reduced once and grown stage by stage
+        builds_per_track = 1
         for cycles in ([c1], [c1, c2]):
             assert count(lambda: track_classes(stages[:s], cycles, mode=mode)) == builds_per_track
             assert reductions == reduced
@@ -756,19 +766,17 @@ def test_class_queries_build_each_boundary_once(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["exact", "stochastic"])
 def test_track_classes_matches_the_verdicts_on_each_reordered_stage(mode):
-    params = EstimatorParams(seed=0)
     for seed in range(10):
         stages = [rips(seed, t, n_points=20) for t in (0.25, 0.3, 0.36)]
         ordered = stages[:1]
         for k in stages[1:]:
             ordered.append(validate_filtration(ordered[-1], k).k2)
         c1, c2 = sample_cycles(stages[0], 1, s=2, seed=seed)
-        one = track_classes(stages, [c1], mode=mode, params=params)
-        two = track_classes(stages, [c1, c2], mode=mode, params=params)
+        one = track_classes(stages, [c1], mode=mode)
+        two = track_classes(stages, [c1, c2], mode=mode)
         assert (one.kind, two.kind) == ("trivial", "equivalent")
-        assert one.stages == tuple(check_trivial(k, c1, mode=mode, params=params) for k in ordered)
-        assert two.stages == tuple(check_equivalent(k, c1, c2, mode=mode, params=params)
-                                   for k in ordered)
+        assert one.stages == tuple(check_trivial(k, c1, mode=mode) for k in ordered)
+        assert two.stages == tuple(check_equivalent(k, c1, c2, mode=mode) for k in ordered)
 
 
 LOOP = Chain.make(1, {1: 1, 2: 1, 5: -1})  # [0,1] + [1,2] - [0,2] in the filled square
@@ -809,3 +817,71 @@ def test_class_functions_keep_their_error_classes(filled_square, call, case):
         return
     with pytest.raises(error):
         CLASS_CALLS[call](filled_square, bad, good)
+
+
+# --- class counts past the harmonic basis's block cap, and a known-answer family ---------
+
+def wedge_of_triangles(m):
+    """m hollow triangles sharing vertex 0: beta_1 = m, and no 2-simplex."""
+    return build_complex([e for w in range(m) for e in ([0, 2 * w + 1], [0, 2 * w + 2],
+                                                        [2 * w + 1, 2 * w + 2])])
+
+
+def test_stochastic_class_counts_on_a_wedge_past_the_block_cap_are_right_and_confident():
+    # beta_1 = 250 > 192, where the harmonic basis ended empty: a sampled
+    # cycle read "trivial" and ten of them counted 0, both flagged
+    k = wedge_of_triangles(250)
+    assert exact_betti(k, 1) == 250
+    cycles = sample_cycles(k, 1, 10, seed=1)
+    assert check_trivial(k, cycles[0], mode="stochastic") == Verdict(answer=False, method="stochastic")
+    from homology_lab.homology import _betti_via_tracking
+
+    assert _betti_via_tracking(k, 1, cycles, "stochastic") == (10, False)
+    assert betti_via_tracking(k, 1, cycles, mode="stochastic") == betti_via_tracking(k, 1, cycles) == 10
+
+
+def test_stochastic_persistent_betti_reads_no_harmonic_basis_of_k2(monkeypatch):
+    # an 8-cycle k1 inside k2 = k1 plus 200 disjoint hollow triangles: k2 has
+    # beta_1 = 201 > 192, whose capped basis made the persistent count 0;
+    # now only k1's basis is built
+    from homology_lab import spectra
+
+    k1 = [[v, (v + 1) % 8] for v in range(8)]
+    k2 = k1 + [[8 + 3 * w + a, 8 + 3 * w + b] for w in range(200) for a, b in ((0, 1), (0, 2), (1, 2))]
+    pair = validate_filtration(build_complex(k1), build_complex(k2))
+    sizes = []
+    real = spectra.hodge_basis
+    monkeypatch.setattr(spectra, "hodge_basis", lambda k, r, seed: sizes.append(k.size(r)) or real(k, r, seed))
+    est = estimate_normalized_persistent_betti(pair, 1)
+    assert (est.betti(), est.low_confidence) == (1, False)
+    assert sizes == [8]
+
+
+def torus_grid(m):
+    """The m x m triangulated torus: vertex (i, j) is i m + j, and each square
+    of the grid is cut along its diagonal."""
+    def v(i, j):
+        return i % m * m + j % m
+    return build_complex([tri for i in range(m) for j in range(m)
+                          for tri in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])], autoclose=True)
+
+
+def test_torus_grid_answers_are_known_in_both_modes():
+    # the 20 x 20 torus: |S| = (400, 1200, 800) and beta = (1, 2, 1) over Q,
+    # known without any oracle; a row loop is nontrivial, a triangle's
+    # boundary trivial, and sampled cycles span both 1-classes
+    m = 20
+    k = torus_grid(m)
+    assert [k.size(r) for r in range(3)] == [400, 1200, 800]
+    for r, want in enumerate((1, 2, 1)):
+        assert exact_betti(k, r) == want
+        est = estimate_normalized_betti(k, r, EstimatorParams(seed=0))
+        assert (est.betti(), est.low_confidence) == (want, False)
+    row = Chain.from_simplices(k, [([j, j + 1], 1) for j in range(m - 1)] + [([0, m - 1], -1)])
+    triangle = Chain.from_simplices(k, [([m, m + 1], 1), ([0, m + 1], -1), ([0, m], 1)])
+    cycles = sample_cycles(k, 1, s=6, seed=0)
+    for mode in ("exact", "stochastic"):
+        assert check_trivial(k, row, mode) == Verdict(answer=False, method=mode)
+        assert check_trivial(k, triangle, mode) == Verdict(answer=True, method=mode)
+        assert betti_via_tracking(k, 1, cycles, mode) == 2

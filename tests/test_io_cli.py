@@ -271,21 +271,61 @@ def test_cli_betti_track(tmp_path, capsys):
 
 
 def test_cli_stochastic_betti_track_reports_confidence(tmp_path, capsys, monkeypatch):
-    # a converged basis with no singular value near the cut reads "high"; a
-    # basis that did not converge reads "low"; the exact route reports none
-    from homology_lab import homology
+    # a converged solve with no singular value near the cut reads "high"; a
+    # solve stopped by its step limit reads "low", and with no step the
+    # residuals are the five independent cycles themselves; the exact route
+    # reports none
+    from homology_lab import spectra
 
-    save_complex(generate("hollow_triangle"), tmp_path / "k.jsonl")
+    save_complex(generate("torus"), tmp_path / "k.jsonl")
     argv = ("betti-track", "--input", str(tmp_path / "k.jsonl"), "--r", "1", "--samples", "5",
             "--seed", "9")
     assert "confidence" not in json.loads(run_cli(capsys, *argv)[1])
     code, out, _ = run_cli(capsys, *argv, "--mode", "stochastic")
     assert code == 0 and json.loads(out)["confidence"] == "high"
-    real = homology.hodge_basis
-    monkeypatch.setattr(homology, "hodge_basis", lambda k, r, seed: (*real(k, r, seed)[:2], False))
+    assert json.loads(out)["betti_lower_bound"] == json.loads(out)["exact_betti"] == 2
+    monkeypatch.setattr(spectra, "RESIDUAL_STEPS", 0)
     code, out, _ = run_cli(capsys, *argv, "--mode", "stochastic")
     assert code == 0 and json.loads(out)["confidence"] == "low"
-    assert json.loads(out)["betti_lower_bound"] == 1
+    assert json.loads(out)["betti_lower_bound"] == 5
+
+
+def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
+    # the class solver and the harmonic basis need numpy and scipy.sparse
+    # only; scipy.sparse.linalg or scipy.linalg would add to the import time
+    # and memory of every run
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from homology_lab import sample_cycles
+
+    torus = generate("torus")
+    save_complex(torus, tmp_path / "torus.jsonl")
+    save_complex(generate("hollow_triangle"), tmp_path / "k1.jsonl")
+    save_complex(generate("filled_triangle"), tmp_path / "k2.jsonl")
+    (tmp_path / "filt.json").write_text(json.dumps({"k1": "k1.jsonl", "k2": "k2.jsonl"}))
+    save_chain(Chain.make(1, {1: 1, 2: -1, 3: 1}), tmp_path / "loop.json")
+    save_chain(sample_cycles(torus, 1, 1, seed=0)[0], tmp_path / "c.json")
+    stochastic = ["--mode", "stochastic", "--seed", "0"]
+    argvs = [
+        ["test-trivial", "--input", str(tmp_path / "torus.jsonl"), "--chain", str(tmp_path / "c.json")],
+        ["track", "--stages", str(tmp_path / "k1.jsonl"), str(tmp_path / "k2.jsonl"),
+         "--chain", str(tmp_path / "loop.json")],
+        ["betti-track", "--input", str(tmp_path / "torus.jsonl"), "--r", "1"],
+        ["persistent-betti", "--input", str(tmp_path / "filt.json"), "--r", "1"],
+    ]
+    script = ("import sys\nfrom homology_lab.cli import run\n"
+              f"assert [run(argv + {stochastic!r}) for argv in {argvs!r}] == [0] * {len(argvs)}\n"
+              "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *answers, loaded = proc.stdout.splitlines()
+    assert len(answers) == len(argvs) and '"confidence": "low"' not in proc.stdout
+    assert loaded == "[]"
 
 
 def test_cli_betti_track_builds_and_reductions(tmp_path, capsys, monkeypatch):
