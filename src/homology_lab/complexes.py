@@ -207,10 +207,16 @@ class SpecMatrix:
         return self.entries.shape
 
 
-def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray, cols=slice(None)):
-    """CSC matrix from the r-simplices ``cols`` (0-based, all by default) to layer r-1, with
-    ``signs[i]`` at each one's face omitting its i-th vertex; rows sorted in each column."""
-    where = k._find(r - 1, _faces(k._rows[r][cols])).reshape(-1, r + 1)
+def _face_rows(k: SimplicialComplex, r: int, cols=slice(None)) -> np.ndarray:
+    """Layer-(r-1) positions of the faces of the r-simplices ``cols`` (0-based, all by
+    default), one row each, the face omitting the i-th vertex in column i."""
+    return k._find(r - 1, _faces(k._rows[r][cols])).reshape(-1, r + 1)
+
+
+def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
+    """CSC matrix from the r-simplices to layer r-1, with ``signs[i]`` at each
+    one's face omitting its i-th vertex; rows sorted in each column."""
+    where = _face_rows(k, r)
     order = np.argsort(where, axis=1)
     return sp.csc_matrix((signs[order].ravel(), np.take_along_axis(where, order, axis=1).ravel(),
                           np.arange(0, where.size + 1, r + 1)),

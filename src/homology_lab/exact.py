@@ -6,9 +6,11 @@ persistent homology.  A column is reduced against the stored pivot columns,
 keyed by their largest nonzero index, until its own largest index is free or
 it vanishes.  Each step is ``a*v - b*p`` with ``a`` and ``b`` divided by their
 gcd, followed by division by the content gcd, so entries stay small and no
-fraction or modulus ever appears: the results are exact over Q.  Rational
-input has its denominators cleared per vector.  No floating point enters any
-code path here.
+fraction or modulus ever appears: the results are exact over Q.  One loop,
+:func:`_reduce`, does every step, with a tracked record riding on negative
+indices of the same vector.  Integer columns (:class:`Columns`, integer arrays
+and scipy matrices) enter as they are; only other input is cleared of its
+denominators, per vector.  No floating point enters any code path here.
 
 Reduced columns have distinct pivots, so those with a pivot below a row prefix
 span the column space's part on that prefix: one reduction of a boundary matrix
@@ -36,37 +38,29 @@ def _cleared(values) -> tuple[Vector, int]:
     return {i: int(x * scale) for i, x in items}, scale
 
 
-def _combine(a: int, v: Vector, b: int, p: Vector) -> Vector:
-    """a*v - b*p with cancelled entries dropped."""
-    out = {i: a * x for i, x in v.items()} if a != 1 else dict(v)
-    for i, y in p.items():
-        z = out.get(i, 0) - b * y
-        if z:
-            out[i] = z
-        else:
-            del out[i]
-    return out
-
-
-def _reduce(pivots: dict, v: Vector, t: Vector | None) -> tuple[Vector, Vector | None]:
-    """v and its record t, reduced until v's largest index is no pivot or v vanishes."""
-    while v:
-        low = max(v)
-        hit = pivots.get(low)
-        if hit is None:
-            break
-        p, tp = hit
+def _reduce(pivots: dict, v: Vector) -> Vector | None:
+    """Reduce the integer vector v until its largest index is a free pivot, where it is
+    stored (returns None), or is negative (returns the rest: a record, if tracked).
+    v is copied at its first step and then updated in place."""
+    owned = False
+    while v and (low := max(v)) >= 0:
+        p = pivots.get(low)
+        if p is None:
+            pivots[low] = v
+            return None
         a, b = p[low], v[low]
         g = gcd(a, b) if a > 0 else -gcd(a, b)
         a, b = a // g, b // g
-        v = _combine(a, v, b, p)
-        if t is not None:
-            t = _combine(a, t, b, tp)
-        g = gcd(*v.values(), *(t.values() if t is not None else ()))
-        if g > 1:
+        v = {i: a * x for i, x in v.items()} if a != 1 else v if owned else dict(v)
+        owned = True
+        for i, y in p.items():
+            if z := v.get(i, 0) - b * y:
+                v[i] = z
+            else:
+                del v[i]
+        if (g := gcd(*v.values())) > 1:
             v = {i: x // g for i, x in v.items()}
-            t = {i: x // g for i, x in t.items()} if t is not None else None
-    return v, t
+    return v
 
 
 class Reduction:
@@ -74,14 +68,14 @@ class Reduction:
 
     ``pivots`` maps each pivot index (the largest index of a stored reduced
     vector) to that vector, so its size is the rank of everything added.
-    With ``track`` the column operations are recorded, and every added
-    vector that reduces to zero leaves in ``kernel`` the primitive integer
-    combination of the added vectors (by position) that vanishes; its entry
-    at the vanishing vector's own position is positive.
+    With ``track`` the column operations are recorded (added vector j at
+    index -1 - j), and every added vector that reduces to zero leaves in
+    ``kernel`` the primitive integer combination of the added vectors (by
+    position) that vanishes, positive at the vanishing vector's own position.
     """
 
     def __init__(self, vectors: Iterable = (), track: bool = False):
-        self.pivots: dict[int, tuple[Vector, Vector | None]] = {}
+        self.pivots: dict[int, Vector] = {}
         self.kernel: list[Vector] = []
         self.track = track
         self.added = 0
@@ -93,38 +87,53 @@ class Reduction:
         return len(self.pivots)
 
     def add(self, values) -> bool:
-        """Reduce a vector (mapping or dense sequence) and store it as a new
-        pivot unless it vanishes; returns whether the rank grew."""
-        v, scale = _cleared(values)
-        t = {self.added: scale} if self.track else None
+        """Reduce a vector (mapping or dense sequence), its denominators cleared,
+        and store it as a new pivot unless it vanishes; returns whether the rank grew."""
+        return self._add(*_cleared(values))
+
+    def extend(self, columns) -> Reduction:
+        """Add integer columns (mappings to nonzero ints) as they are, uncleared; returns self."""
+        for v in columns:
+            self._add(v, 1)
+        return self
+
+    def _add(self, v: Vector, scale: int) -> bool:
+        if self.track:
+            v = {**v, -1 - self.added: scale}
         self.added += 1
-        v, t = _reduce(self.pivots, v, t)
-        if v:
-            self.pivots[max(v)] = (v, t)
-            return True
-        if t is not None:
-            self.kernel.append(t)
-        return False
+        rest = _reduce(self.pivots, v)
+        if rest is not None and self.track:
+            self.kernel.append({-1 - i: x for i, x in rest.items()})
+        return rest is None
 
     def rank_modulo(self, vectors) -> int:
         """The rank of the vectors modulo the span of everything added, left as it is."""
         pivots = dict(self.pivots)
-        for values in vectors:
-            v, _ = _reduce(pivots, _cleared(values)[0], None)
-            if v:
-                pivots[max(v)] = (v, None)
-        return len(pivots) - self.rank
+        return sum(_reduce(pivots, _cleared(values)[0]) is None for values in vectors)
 
     def contains(self, values) -> bool:
         """Whether a vector lies in the span of everything added."""
         return not self.rank_modulo([values])
 
 
+class Columns(list):
+    """A matrix of ``shape`` as its integer columns, mappings to nonzero ints."""
+
+    def __init__(self, columns, rows: int):
+        super().__init__(columns)
+        self.shape, self.nnz = (rows, len(self)), sum(map(len, self))
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        return Columns(got, self.shape[0]) if isinstance(i, slice) else got
+
+
 def sparse_columns(m) -> list[Vector]:
     """Columns of a matrix as sparse vectors, one per column.
 
     Accepts a scipy sparse matrix, a dense array or list of rows, or a
-    sequence of mappings, which are taken to be the columns already.
+    sequence of mappings (such as :class:`Columns`), which are taken to be the
+    columns already.
     """
     if hasattr(m, "tocsc"):
         c = m.tocsc()
@@ -142,8 +151,12 @@ def sparse_columns(m) -> list[Vector]:
 
 
 def reduce_columns(m, track: bool = False) -> Reduction:
-    """The column reduction of a matrix (anything :func:`sparse_columns` takes)."""
-    return Reduction(sparse_columns(m), track=track)
+    """The column reduction of a matrix (anything :func:`sparse_columns` takes).  An
+    untracked one of :class:`Columns`, or of an integer array or scipy matrix, takes
+    the integer columns as they are (:meth:`Reduction.extend`)."""
+    cols = sparse_columns(m)
+    ints = isinstance(m, Columns) or getattr(getattr(m, "dtype", None), "kind", None) in ("i", "u")
+    return Reduction().extend(cols) if ints and not track else Reduction(cols, track=track)
 
 
 def rank(m) -> int:

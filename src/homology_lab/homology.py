@@ -47,16 +47,13 @@ def _boundaries(k: SimplicialComplex, r: int, chains) -> list[exact.Vector]:
         for i in c.coeffs:
             if not 1 <= i <= size:
                 raise DimensionMismatch(f"chain index {i} outside the layer's 1..{size}")
-    if r == 0 or not chains:
-        return [{} for _ in chains]
     cleared = [exact._cleared(c.coeffs) for c in chains]
-    faces = _boundary_columns(k, r, [j - 1 for ints, _ in cleared for j in ints])
-    columns = zip(faces.indices.reshape(-1, r + 1).tolist(), faces.data.reshape(-1, r + 1).tolist())
+    columns = iter(_boundary_columns(k, r, [j - 1 for ints, _ in cleared for j in ints]))
     out = []
     for ints, scale in cleared:
         b = {}
         for cj in ints.values():
-            for i, v in zip(*next(columns)):
+            for i, v in next(columns).items():
                 b[i] = b.get(i, 0) + v * cj
         out.append({i: Fraction(x, scale) for i, x in b.items() if x})
     return out
@@ -137,19 +134,14 @@ def _class_ranks(stages, r: int, chains, mode: str) -> list[tuple[int, bool]]:
     chains = [c for c in chains if not c.is_zero()]
     if not chains:
         return [(0, False)] * len(stages)
-    d = _boundary(stages[-1], r + 1)
     if mode == "stochastic":
-        cols = _unit_columns(chains, stages[-1].size(r))
+        d, cols = _boundary(stages[-1], r + 1), _unit_columns(chains, stages[-1].size(r))
         return [residual_rank(d[:, :k.size(r + 1)], cols) for k in stages]
     vecs = [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
-    cofaces = exact.sparse_columns(d)
+    cofaces = _boundary_columns(stages[-1], r + 1)
     boundary = exact.reduce_columns(cofaces[:stages[0].size(r + 1)])
-    out = []
-    for k in stages:
-        for col in cofaces[boundary.added:k.size(r + 1)]:
-            boundary.add(col)
-        out.append((boundary.rank_modulo(vecs), False))
-    return out
+    return [(boundary.extend(cofaces[boundary.added:k.size(r + 1)]).rank_modulo(vecs), False)
+            for k in stages]
 
 
 def test_trivial(k: SimplicialComplex, c: Chain, mode: str = "exact") -> Verdict:

@@ -1,12 +1,14 @@
 """Boundary and Laplacian operators, persistent block structure, Schur complements.
 
 Signs follow the sorted-vertex orientation: the face obtained by deleting the
-vertex in position i of a sorted simplex enters with sign (-1)^i.  A missing
-layer is read in one place, :func:`_boundary`: the map below dimension 1, and
-a map into or out of an empty layer, is the int zero matrix of the right
-shape, so callers need no branch of their own.  Integer matrices are exact;
-only the pseudoinverse-based paths are floating point, and they share one
-thresholded pseudoinverse, :func:`_pinv_sym`.
+vertex in position i of a sorted simplex enters with sign (-1)^i.  Exact paths
+read a boundary's integer columns straight from the face positions, with no
+matrix, through :func:`_boundary_columns`: out of an empty layer there are no
+columns, and below dimension 1 only zero ones.  Float paths and block checks
+read the same rule as a CSC matrix through :func:`_boundary`, the int zero
+matrix of the right shape for a missing layer, so callers need no branch of
+their own.  Only the pseudoinverse-based paths are floating point, and they
+share one thresholded pseudoinverse, :func:`_pinv_sym`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import FiltrationPair, SimplicialComplex, _incidence
+from . import exact
+from .complexes import FiltrationPair, SimplicialComplex, _face_rows, _incidence
 from .errors import BadParameter, EmptyLayer, StructuralViolation
 
 PINV_RTOL = 1e-10  # singular values <= PINV_RTOL * sigma_max are treated as zero
@@ -43,12 +46,18 @@ def boundary_matrix(k: SimplicialComplex, r: int) -> BoundaryMatrix:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
-    return BoundaryMatrix(r=r, entries=_boundary_columns(k, r))
+    return BoundaryMatrix(r=r, entries=_incidence(k, r, (-1) ** np.arange(r + 1)))
 
 
-def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> sp.csc_matrix:
-    """Columns ``cols`` (0-based, all by default) of the r-boundary: r + 1 signed faces each."""
-    return _incidence(k, r, (-1) ** np.arange(r + 1), cols)
+def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> exact.Columns:
+    """Integer columns ``cols`` (0-based, all by default) of the r-boundary, each
+    {face position: (-1)^i} over its r + 1 faces, read with no matrix.  An empty
+    layer has no columns, and the map below dimension 1 has zero columns."""
+    if r < 1 or not k.size(r):
+        return exact.Columns([{} for _ in np.arange(k.size(r))[cols]], k.size(r - 1))
+    signs = [(-1) ** i for i in range(r + 1)]
+    return exact.Columns([dict(zip(w, signs)) for w in _face_rows(k, r, cols).tolist()],
+                         k.size(r - 1))
 
 
 def coboundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:

@@ -2,8 +2,9 @@
 stochastic rank estimator.
 
 The exact side reduces everything to ranks, pivots and kernels of sparse
-boundary matrices, from the fraction-free reduction in :mod:`exact`: both
-routes of the persistent oracle too, so no exact answer touches a float.
+boundaries, from the fraction-free reduction in :mod:`exact`: both routes of
+the persistent oracle too, so no exact answer touches a float.  Betti numbers
+and cycle bases read each boundary as integer columns, with no matrix.
 A stochastic beta_r is the column count of an orthonormal basis Q_H of the
 kernel of a Hodge Laplacian, from Chebyshev-filtered subspace iteration
 (:func:`harmonic_basis`, via :func:`hodge_basis`).  Every class count (class
@@ -46,7 +47,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import _boundary, _split_boundary, laplacian
+from .operators import _boundary, _boundary_columns, _split_boundary, laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +68,13 @@ def exact_betti(k: SimplicialComplex, r: int) -> int:
     """Betti number |S_r| - rank(boundary_r) - rank(boundary_{r+1}), exactly over Q."""
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    return k.size(r) - _rank(_boundary(k, r)) - _rank(_boundary(k, r + 1))
+    return k.size(r) - _rank(_boundary_columns(k, r)) - _rank(_boundary_columns(k, r + 1))
 
 
 def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     """Exact sparse basis of the r-cycles, ker(boundary_r): all of C_r when
     there is no (r-1)-layer."""
-    return exact.reduce_columns(_boundary(k, r), track=True).kernel
+    return exact.Reduction(_boundary_columns(k, r), track=True).kernel
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
@@ -94,7 +95,7 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     """
     n1 = pair.k1.size(r)
     blocks, d = _split_boundary(pair, r)  # raises EmptyLayer when n1 is 0
-    route_a = route_b = n1 - _rank(_boundary(pair.k1, r))
+    route_a = route_b = n1 - _rank(_boundary_columns(pair.k1, r))
     route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
     route_b -= _rank(d.T) - _rank(blocks.g)
     if route_a != route_b:

@@ -190,8 +190,11 @@ def complete_graph(n: int, tail: int = 0):
 
 
 def count_boundary_builds(monkeypatch) -> list[int]:
-    """Record the dimension r of every ``boundary_matrix`` build made from now on,
-    through every ``homology_lab`` module that binds the name."""
+    """Record the dimension r of every boundary build made from now on: each
+    ``boundary_matrix`` call, and each read of a whole r-boundary's integer columns
+    by ``operators._boundary_columns`` that finds faces (a zero map builds nothing,
+    and a chain's own columns are no build), through every ``homology_lab`` module
+    that binds either name."""
     import sys
 
     from homology_lab import cli, operators  # noqa: F401 -- cli imports every module
@@ -202,10 +205,19 @@ def count_boundary_builds(monkeypatch) -> list[int]:
         builds.append(r)
         return real(k, r)
 
-    real = operators.boundary_matrix
+    def read(k, r, cols=slice(None)):
+        out = real_read(k, r, cols)
+        if cols == slice(None) and out.nnz:
+            builds.append(r)
+        return out
+
+    real, real_read = operators.boundary_matrix, operators._boundary_columns
     for name, module in list(sys.modules.items()):
-        if name.startswith("homology_lab.") and getattr(module, "boundary_matrix", None) is real:
-            monkeypatch.setattr(module, "boundary_matrix", counted)
+        if name.startswith("homology_lab."):
+            for attr, real_fn, fake in (("boundary_matrix", real, counted),
+                                        ("_boundary_columns", real_read, read)):
+                if getattr(module, attr, None) is real_fn:
+                    monkeypatch.setattr(module, attr, fake)
     return builds
 
 
