@@ -173,6 +173,51 @@ def reference_boundary_of(k, c):
     return out
 
 
+def gf2_betti(k, r) -> int:
+    """Betti number over GF(2), each boundary column a bitset reduced by xor."""
+    def rank(r):
+        if r < 1 or not k.size(r):
+            return 0
+        index = {s: i for i, s in enumerate(k.layer(r - 1))}
+        pivots = {}
+        for s in k.layer(r):
+            x = sum(1 << index[f] for f in simplex_faces(s))
+            while x and (top := x.bit_length() - 1) in pivots:
+                x ^= pivots[top]
+            if x:
+                pivots[top] = x
+        return len(pivots)
+    return k.size(r) - rank(r) - rank(r + 1)
+
+
+def klein_grid(m):
+    """The m x m triangulated Klein bottle: vertex (i, j) is i m + j, columns
+    wrap as on a torus, rows wrap with j reflected, and each square of the grid
+    is cut along its diagonal."""
+    def v(i, j):
+        i, j = (i - m, -j) if i >= m else (i, j)
+        return i * m + j % m
+    return build_complex([tri for i in range(m) for j in range(m)
+                          for tri in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])], autoclose=True)
+
+
+# The 6-vertex real projective plane (the hemi-icosahedron): every pair of
+# vertices is an edge, and every edge lies in exactly two of the 10 triangles.
+RP2_TRIANGLES = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+                 [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+
+
+def rips_with_edges(n_points, per_point, seed, max_dim):
+    """Rips complex of ``n_points`` uniform points of the unit square with the
+    ``per_point * n_points`` shortest edges and their cliques up to ``max_dim``."""
+    pts = np.random.default_rng([n_points, seed]).random((n_points, 2))
+    d2 = np.sort(((pts[:, None] - pts[None]) ** 2).sum(axis=2)[np.triu_indices(n_points, 1)])
+    m = per_point * n_points
+    threshold = float(np.sqrt((d2[m - 1] + d2[m]) / 2))
+    return generate("vietoris_rips", points=pts.tolist(), threshold=threshold, max_dim=max_dim)
+
+
 def random_point_cloud(rng, n_points, dim=2, spread=1.0):
     return (rng.random((n_points, dim)) * spread).tolist()
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from homology_lab import exact_persistent_betti, exact_rank, generate, validate_filtration
 from homology_lab.exact import (
+    Columns,
     Reduction,
     kernel_basis,
     rank,
@@ -158,3 +159,65 @@ def test_rips_boundaries_agree_with_oracle(seed):
         u, w = np.array(padded).T, image
         want = oracle_rank(u) + oracle_rank(w) - oracle_rank(np.hstack([u, w]))
         assert exact_persistent_betti(pair, 1) == len(basis) - want
+
+
+def _integer_and_rational_reductions(cols, n_rows, extra):
+    """The integer path (columns taken as they are) and the cleared path (the same
+    columns divided by j + 2), with their ranks modulo ``extra``."""
+    ints = reduce_columns(Columns(cols, n_rows))
+    rational = Reduction([{i: Fraction(x, j + 2) for i, x in c.items()} for j, c in enumerate(cols)])
+    return [(r.rank, sorted(r.pivots), r.rank_modulo(extra), r.added) for r in (ints, rational)]
+
+
+def _random_columns(rng, n_rows, n_cols, boundary_like):
+    """Low-rank integer columns, or columns of r + 1 signed units at distinct rows
+    (shaped like a boundary), some of them sums of earlier ones."""
+    if not boundary_like:
+        inner = int(rng.integers(1, min(n_rows, n_cols) + 1))
+        m = rng.integers(-4, 5, size=(n_rows, inner)) @ rng.integers(-3, 4, size=(inner, n_cols))
+        m[rng.random(m.shape) < 0.3] = 0
+        return [{i: int(x) for i, x in enumerate(col) if x} for col in m.T]
+    r = int(rng.integers(1, 4))
+    cols = []
+    for _ in range(n_cols):
+        if cols and rng.random() < 0.25:
+            a, b = (cols[int(j)] for j in rng.integers(len(cols), size=2))
+            col = {i: a.get(i, 0) - b.get(i, 0) for i in a.keys() | b.keys()}
+            cols.append({i: x for i, x in col.items() if x})
+        else:
+            rows = rng.choice(n_rows, size=min(r + 1, n_rows), replace=False).tolist()
+            cols.append({i: (-1) ** s for s, i in enumerate(sorted(rows))})
+    return cols
+
+
+@pytest.mark.parametrize("boundary_like", [False, True], ids=["integer", "boundary"])
+@pytest.mark.parametrize("seed", range(25))
+def test_integer_columns_reduce_as_their_cleared_rational_copy(seed, boundary_like):
+    # up to 40 x 60: the same rank, pivots and rank modulo five more vectors
+    # (rational, so they are cleared) on both paths, and the oracle's rank
+    rng = np.random.default_rng([seed, boundary_like])
+    n_rows, n_cols = int(rng.integers(1, 41)), int(rng.integers(1, 61))
+    cols = _random_columns(rng, n_rows, n_cols, boundary_like)
+    extra = [{i: Fraction(x, 3) for i, x in c.items()}
+             for c in _random_columns(rng, n_rows, 5, boundary_like)]
+    ints, rational = _integer_and_rational_reductions(cols, n_rows, extra)
+    assert ints == rational
+    if seed < 5:
+        dense = np.array([[c.get(i, 0) for c in cols] for i in range(n_rows)])
+        assert ints[0] == oracle_rank(dense) == rank(dense)
+        assert ints[0] + len(kernel_basis(dense)) == n_cols
+
+
+def test_integer_columns_are_not_cleared_and_rational_ones_are(monkeypatch):
+    from homology_lab import exact
+
+    calls = []
+    real = exact._cleared
+    monkeypatch.setattr(exact, "_cleared", lambda values: calls.append(values) or real(values))
+    m = np.array([[2, 0, 2], [0, 3, 3], [1, 1, 2]])
+    assert rank(Columns(sparse_columns(m), 3)) == rank(m) == rank(sp.csc_matrix(m)) == 2
+    assert calls == []
+    fractions = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 1)]]
+    assert exact_rank(fractions) == 2 and len(calls) == 2
+    # a tracked reduction clears every input, integer or not
+    assert len(kernel_basis(m)) == 1 and len(calls) == 5

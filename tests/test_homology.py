@@ -33,12 +33,16 @@ from homology_lab.errors import (
 )
 
 from conftest import (
+    RP2_TRIANGLES,
     complete_graph,
     count_boundary_builds,
     count_reductions,
+    gf2_betti,
+    klein_grid,
     oracle_solvable,
     random_rips,
     reference_boundary_of,
+    rips_with_edges,
 )
 
 
@@ -885,3 +889,50 @@ def test_torus_grid_answers_are_known_in_both_modes():
         assert check_trivial(k, row, mode) == Verdict(answer=False, method=mode)
         assert check_trivial(k, triangle, mode) == Verdict(answer=True, method=mode)
         assert betti_via_tracking(k, 1, cycles, mode) == 2
+
+
+@pytest.mark.parametrize("m", [3, pytest.param(20, marks=pytest.mark.slow)])
+def test_klein_bottle_and_projective_plane_answers_are_rational(m):
+    # beta over Q differs from beta over GF(2) on both surfaces: torsion in
+    # H_1 over the integers, which GF(2) counts and Q does not
+    for k, sizes, want, mod2 in ((klein_grid(m), (m * m, 3 * m * m, 2 * m * m), (1, 1, 0), (1, 2, 1)),
+                                 (build_complex(RP2_TRIANGLES), (6, 15, 10), (1, 0, 0), (1, 1, 1))):
+        assert tuple(k.size(r) for r in range(3)) == sizes
+        assert tuple(exact_betti(k, r) for r in range(3)) == want
+        assert tuple(gf2_betti(k, r) for r in range(3)) == mod2
+
+
+@pytest.mark.parametrize("n_points,seed",
+                         [(300, 0), (400, 1), pytest.param(500, 2, marks=pytest.mark.slow)])
+def test_euler_characteristic_and_components_of_large_rips_complexes(n_points, seed):
+    # sum (-1)^r beta_r = sum (-1)^r |S_r| through the top layer, and beta_0
+    # counts the components that a union-find of the edges finds
+    k = rips_with_edges(n_points, 4, seed, max_dim=3)
+    layers = [r for r in range(4) if k.size(r)]
+    assert layers == [0, 1, 2, 3] and k.size(2) > 1000
+    betti = [exact_betti(k, r) for r in layers]
+    euler = sum((-1) ** r * k.size(r) for r in layers)
+    assert sum((-1) ** r * b for r, b in zip(layers, betti)) == euler
+    parent = list(range(n_points))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in k.layer(1):
+        parent[root(a)] = root(b)
+    assert betti[0] == len({root(v) for v in range(n_points)})
+
+
+def test_zero_chains_are_cycles_read_from_zero_columns(monkeypatch):
+    # the map below dimension 1 reads as zero columns, with no face lookup
+    from homology_lab import operators
+    from homology_lab.homology import _boundaries
+
+    k = random_rips(2, n_points=10)
+    chains = [Chain.make(0, {1: 1}), Chain.make(0, {}),
+              Chain.make(0, {2: Fraction(-3, 4), k.size(0): 5})]
+    monkeypatch.setattr(operators, "_face_rows", lambda *a: pytest.fail("faces read below dimension 1"))
+    assert _boundaries(k, 0, chains) == [{}, {}, {}]
+    assert all(is_cycle_exact(k, c) for c in chains)

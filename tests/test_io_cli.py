@@ -16,7 +16,13 @@ from homology_lab.io import (
     save_complex,
 )
 
-from conftest import complete_graph, count_boundary_builds, count_reductions
+from conftest import (
+    RP2_TRIANGLES,
+    complete_graph,
+    count_boundary_builds,
+    count_reductions,
+    klein_grid,
+)
 
 
 def test_complex_round_trip(tmp_path):
@@ -794,3 +800,14 @@ def test_cli_stochastic_betti_is_low_confidence_past_the_block_cap(tmp_path, cap
         result = json.loads(out)
         assert code == 0 and result["confidence"] == "low"
         assert result["normalized"] * 231 <= 209
+
+
+def test_cli_exact_betti_of_the_klein_bottle_and_projective_plane(tmp_path, capsys):
+    # the rational answers, not the GF(2) ones: (1, 1, 0) and (1, 0, 0)
+    for name, k, want in (("klein", klein_grid(8), (1, 1, 0)),
+                          ("rp2", build_complex(RP2_TRIANGLES), (1, 0, 0))):
+        save_complex(k, tmp_path / f"{name}.jsonl")
+        for r, beta in enumerate(want):
+            code, out, _ = run_cli(capsys, "betti", "--input", str(tmp_path / f"{name}.jsonl"),
+                                   "--r", str(r), "--mode", "exact")
+            assert code == 0 and json.loads(out)["betti"] == beta, (name, r)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -746,3 +748,21 @@ def test_persistent_betti_estimate_on_rips_filtrations_is_exact(n_points, seed, 
     assert want > 0
     est = estimate_normalized_persistent_betti(pair, 1, EstimatorParams(seed=0))
     assert est.betti() == want and not est.low_confidence
+
+
+def test_exact_betti_builds_no_scipy_matrix_and_clears_nothing(monkeypatch):
+    # every rank comes from the boundary's integer columns, uncleared; the
+    # answers are the Fraction oracle's, computed before scipy is stubbed out
+    cases = [(k, r) for k in [*canonical_complexes().values(), random_rips(5, n_points=14, max_dim=3)]
+             for r in range(4) if k.size(r)]
+    want = [oracle_betti(k, r) for k, r in cases]
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "lil_matrix", "dok_matrix",
+                 "csc_array", "csr_array", "coo_array"):
+        monkeypatch.setattr(sp, name, lambda *a, _name=name, **kw: pytest.fail(_name))
+    cleared = []
+    real = exact._cleared
+    monkeypatch.setattr(exact, "_cleared", lambda values: cleared.append(values) or real(values))
+    assert [exact_betti(k, r) for k, r in cases] == want
+    assert len(cases) > 20 and cleared == []
+    assert exact_rank([[Fraction(1, 2), Fraction(1, 4)], [Fraction(2), Fraction(1)]]) == 1
+    assert len(cleared) == 2  # rational input is still cleared, column by column
