@@ -25,7 +25,7 @@ from .errors import (
     TrivialCocycleSpace,
 )
 from .homology import _random_combinations, _require_cycles
-from .operators import _boundary, _pinv_sym, boundary_matrix
+from .operators import _boundary, _boundary_columns, _pinv_sym
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def cocycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     :class:`TrivialCocycleSpace` when it is empty."""
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    basis = exact.reduce_columns(_boundary(k, r + 1).T, track=True).kernel
+    basis = exact.reduce_columns(_boundary_columns(k, r + 1).T, track=True).kernel
     if not basis:
         raise TrivialCocycleSpace(f"the degree-{r} cocycle space is zero")
     return basis
@@ -105,10 +105,10 @@ def manual_cocycle(k: SimplicialComplex, r: int, seed=None) -> Cochain:
     if k.size(r) == 0 or k.size(r + 1) == 0:
         raise EmptyLayer(f"manual construction needs simplices at dimensions {r} and {r + 1}")
     rng = np.random.default_rng(seed)
-    columns = exact.sparse_columns(boundary_matrix(k, r + 1).entries)
+    columns = _boundary_columns(k, r + 1)
     values: dict[int, Fraction] = {}
-    for col, faces in enumerate(columns):
-        unassigned = [i for i in faces if i not in values]
+    for faces in columns:
+        unassigned = [i for i in sorted(faces) if i not in values]
         if not unassigned:
             continue  # checked with every other column below
         for i in unassigned[:-1]:
@@ -135,31 +135,28 @@ def _verify_cocycle(k: SimplicialComplex, r: int, columns, values) -> None:
 def pair_cocycle(k: SimplicialComplex, r: int) -> Cochain:
     """Two-simplex cocycle from a pair of faces private to one (r+1)-simplex.
 
-    Scans for two r-simplex rows of the boundary matrix that each carry a
-    single nonzero entry, located in the same column; the two values are set
-    to +-1 so the signed sum over that column vanishes.  Raises
+    Scans the boundary's integer columns, transposed, for two r-simplices whose
+    single coface is the same; the two values are set to +-1 so the signed sum
+    over it vanishes, verified exactly as in :func:`manual_cocycle`.  Raises
     :class:`NotFound` when no such pair exists.
     """
     if k.size(r) == 0 or k.size(r + 1) == 0:
         raise EmptyLayer(f"pair construction needs simplices at dimensions {r} and {r + 1}")
-    d = boundary_matrix(k, r + 1).entries.tocsr()
+    columns = _boundary_columns(k, r + 1)
     single: dict[int, list[tuple[int, int]]] = {}
-    for row in range(d.shape[0]):
-        start, end = d.indptr[row], d.indptr[row + 1]
-        if end - start == 1:
-            col = int(d.indices[start])
-            single.setdefault(col, []).append((row, int(d.data[start])))
+    for row, cofaces in enumerate(columns.T):
+        if len(cofaces) == 1:
+            (col, sign), = cofaces.items()
+            single.setdefault(col, []).append((row, sign))
     for col in sorted(single):
         rows = single[col]
         if len(rows) >= 2:
             (p, sp), (q, sq) = rows[0], rows[1]
-            values = np.zeros(k.size(r))
-            values[p] = 1.0
-            values[q] = -1.0 if sp == sq else 1.0
-            check = d.T @ values
-            if np.max(np.abs(check)) != 0.0:
-                raise ConstructionFailed(col + 1, k.layer(r + 1)[col])
-            return Cochain(r=r, values=values, cocycle=True)
+            values = {p: 1, q: -1 if sp == sq else 1}
+            _verify_cocycle(k, r, columns, values)
+            dense = np.zeros(k.size(r))
+            dense[[p, q]] = values[p], values[q]
+            return Cochain(r=r, values=dense, cocycle=True)
     raise NotFound("no column owns two single-entry rows")
 
 

@@ -127,6 +127,15 @@ class Columns(list):
         got = super().__getitem__(i)
         return Columns(got, self.shape[0]) if isinstance(i, slice) else got
 
+    @property
+    def T(self) -> Columns:
+        """The transpose: row i's entries, keyed by column position, as column i."""
+        rows: list[Vector] = [{} for _ in range(self.shape[0])]
+        for j, col in enumerate(self):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Columns(rows, self.shape[1])
+
 
 def sparse_columns(m) -> list[Vector]:
     """Columns of a matrix as sparse vectors, one per column.

@@ -4,11 +4,12 @@ Signs follow the sorted-vertex orientation: the face obtained by deleting the
 vertex in position i of a sorted simplex enters with sign (-1)^i.  Exact paths
 read a boundary's integer columns straight from the face positions, with no
 matrix, through :func:`_boundary_columns`: out of an empty layer there are no
-columns, and below dimension 1 only zero ones.  Float paths and block checks
-read the same rule as a CSC matrix through :func:`_boundary`, the int zero
-matrix of the right shape for a missing layer, so callers need no branch of
-their own.  Only the pseudoinverse-based paths are floating point, and they
-share one thresholded pseudoinverse, :func:`_pinv_sym`.
+columns, and below dimension 1 only zero ones; :func:`_prefix_boundary` checks
+the persistent block structure on them.  Float paths and :func:`persistent_blocks`
+read the same rule as a CSC matrix through :func:`_boundary`, the int zero matrix
+of the right shape for a missing layer, so callers need no branch of their own.
+Only the pseudoinverse-based paths are floating point, and they share one
+thresholded pseudoinverse, :func:`_pinv_sym`.
 """
 
 from __future__ import annotations
@@ -113,31 +114,27 @@ class PersistentBlocks:
 
 
 def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
-    """Split the (r+1)-boundary of k2 along the old/new simplex prefix."""
-    return _split_boundary(pair, r)[0]
+    """Split k2's (r+1)-boundary along the old/new prefix that :func:`_prefix_boundary` checks."""
+    _prefix_boundary(pair, r)
+    n1, m1 = pair.k1.size(r), pair.k1.size(r + 1)
+    full = _boundary(pair.k2, r + 1)
+    return PersistentBlocks(r=r, b=full[:n1, :m1], r_block=full[:n1, m1:], g=full[n1:, m1:])
 
 
-def _split_boundary(pair: FiltrationPair, r: int) -> tuple[PersistentBlocks, sp.csc_matrix]:
-    """:func:`persistent_blocks` and the (r+1)-boundary of k2 they are cut from."""
-    k1, k2 = pair.k1, pair.k2
-    if k1.size(r) == 0:
+def _prefix_boundary(pair: FiltrationPair, r: int) -> exact.Columns:
+    """k2's (r+1)-boundary as integer columns, checked to be [B R; 0 G] with B k1's own
+    boundary: raises :class:`StructuralViolation` if an old column has a new face or B
+    differs, and :class:`EmptyLayer` if k1 has no r-simplices."""
+    n1 = pair.k1.size(r)
+    if n1 == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    n_old_rows = k1.size(r)
-    n_old_cols = k1.size(r + 1)
-
-    full = _boundary(k2, r + 1)
-    b = full[:n_old_rows, :n_old_cols]
-    r_blk = full[:n_old_rows, n_old_cols:]
-    g = full[n_old_rows:, n_old_cols:]
-    lower_left = full[n_old_rows:, :n_old_cols]
-    if lower_left.nnz != 0:
-        raise StructuralViolation(
-            "an old (r+1)-simplex touches a new r-face; closure is broken"
-        )
-    # B must literally be k1's own boundary under the shared prefix ordering.
-    if (b - _boundary(k1, r + 1)).nnz != 0:
+    d = _boundary_columns(pair.k2, r + 1)
+    old = d[:pair.k1.size(r + 1)]
+    if any(max(faces) >= n1 for faces in old):
+        raise StructuralViolation("an old (r+1)-simplex touches a new r-face; closure is broken")
+    if old != _boundary_columns(pair.k1, r + 1):
         raise StructuralViolation("prefix block differs from k1's boundary matrix")
-    return PersistentBlocks(r=r, b=b.tocsc(), r_block=r_blk.tocsc(), g=g.tocsc()), full
+    return d
 
 
 def _pinv_sym(m: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@ stochastic rank estimator.
 
 The exact side reduces everything to ranks, pivots and kernels of sparse
 boundaries, from the fraction-free reduction in :mod:`exact`: both routes of
-the persistent oracle too, so no exact answer touches a float.  Betti numbers
-and cycle bases read each boundary as integer columns, with no matrix.
+the persistent oracle too, so no exact answer touches a float.  Betti numbers,
+cycle bases and both persistent routes read integer boundary columns, no matrix.
 A stochastic beta_r is the column count of an orthonormal basis Q_H of the
 kernel of a Hodge Laplacian, from Chebyshev-filtered subspace iteration
 (:func:`harmonic_basis`, via :func:`hodge_basis`).  Every class count (class
@@ -47,7 +47,7 @@ from .errors import (
     RouteDisagreement,
     SpectralNormExceeded,
 )
-from .operators import _boundary, _boundary_columns, _split_boundary, laplacian
+from .operators import _boundary, _boundary_columns, _prefix_boundary, laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +78,12 @@ def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
-    """Persistent Betti number dim Z_r(k1) - dim(Z_r(k1) ∩ B_r(k2)) by two
-    routes from exact ranks and pivots, which share dim Z_r(k1) = |S_r(k1)| -
-    rank of k1's r-boundary; route A's value is returned, and disagreement
-    raises :class:`RouteDisagreement`.  The split of
-    :func:`operators.persistent_blocks` first checks that k2's (r+1)-boundary
-    is D = [B R; 0 G], k1's simplices first, and raises
-    :class:`StructuralViolation` otherwise; both routes reduce that same D.
+    """Persistent Betti number dim Z_r(k1) - dim(Z_r(k1) ∩ B_r(k2)) by two routes from
+    exact ranks and pivots, which share dim Z_r(k1) = |S_r(k1)| - rank of k1's
+    r-boundary; route A's value is returned, and disagreement raises
+    :class:`RouteDisagreement`.  Both routes reduce the integer columns D of k2's
+    (r+1)-boundary, which :func:`operators._prefix_boundary` checks to be [B R; 0 G],
+    k1's simplices first, or raises :class:`StructuralViolation`.
 
     Route A subtracts the number of pivots below |S_r(k1)| in one plain
     column reduction of D: reduced columns have distinct pivots (a column's
@@ -93,11 +92,11 @@ def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
     rows: B_r(k2) ∩ C_r(k1) is D's image of ker [0 G], which has dimension
     |S_r+1(k2)| - rank G and contains ker D.
     """
-    n1 = pair.k1.size(r)
-    blocks, d = _split_boundary(pair, r)  # raises EmptyLayer when n1 is 0
+    n1, m1 = pair.k1.size(r), pair.k1.size(r + 1)
+    d = _prefix_boundary(pair, r)  # raises EmptyLayer when n1 is 0
     route_a = route_b = n1 - _rank(_boundary_columns(pair.k1, r))
     route_a -= sum(p < n1 for p in exact.reduce_columns(d).pivots)
-    route_b -= _rank(d.T) - _rank(blocks.g)
+    route_b -= _rank(d.T) - _rank(d[m1:].T[n1:])  # rank G by its rows: new columns' rows from n1
     if route_a != route_b:
         raise RouteDisagreement(route_a, route_b)
     return route_a

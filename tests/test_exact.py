@@ -221,3 +221,16 @@ def test_integer_columns_are_not_cleared_and_rational_ones_are(monkeypatch):
     assert exact_rank(fractions) == 2 and len(calls) == 2
     # a tracked reduction clears every input, integer or not
     assert len(kernel_basis(m)) == 1 and len(calls) == 5
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (6, 3), (17, 29), (40, 12)])
+def test_columns_transpose_is_scipys(shape):
+    # random integer matrices, the empty shapes among them: entries, shape, nnz
+    rng = np.random.default_rng(shape)
+    m = rng.integers(-3, 4, size=shape)
+    m[rng.random(shape) < 0.5] = 0
+    cols = Columns(sparse_columns(sp.csc_matrix(m)), shape[0])
+    t, want = cols.T, sp.csc_matrix(m).T
+    assert isinstance(t, Columns) and t == sparse_columns(want)
+    assert (t.shape, t.nnz) == (want.shape, want.nnz) == (shape[::-1], np.count_nonzero(m))
+    assert t.T == cols and t.T.shape == cols.shape and t.T.nnz == cols.nnz

@@ -14,6 +14,7 @@ from homology_lab import (
     estimate_normalized_betti,
     estimate_normalized_persistent_betti,
     exact_betti,
+    exact_persistent_betti,
     generate,
     is_cycle_exact,
     sample_cycles,
@@ -23,6 +24,7 @@ from homology_lab import (
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_trivial as check_trivial
+from homology_lab.cohomology import cocycle_basis
 from homology_lab.errors import (
     BadParameter,
     DimensionMismatch,
@@ -889,6 +891,22 @@ def test_torus_grid_answers_are_known_in_both_modes():
         assert check_trivial(k, row, mode) == Verdict(answer=False, method=mode)
         assert check_trivial(k, triangle, mode) == Verdict(answer=True, method=mode)
         assert betti_via_tracking(k, 1, cycles, mode) == 2
+
+
+def test_torus_inside_its_cone_answers_are_known():
+    # K = the 20 x 20 torus inside cone(K), the apex joined to every simplex:
+    # the cone is contractible, so every class of K dies in it, while K inside
+    # itself keeps beta = (1, 2, 1); the cocycles of K number
+    # |S_1| - rank d_2 = 1200 - 799 = 401 = beta_1 + rank d_1
+    k = torus_grid(20)
+    apex = k.n
+    cone = build_complex(k.simplices() + [s + (apex,) for s in k.simplices()], autoclose=True)
+    coned, same = validate_filtration(k, cone), validate_filtration(k, k)
+    assert [exact_persistent_betti(coned, r) for r in range(3)] == [1, 0, 0]
+    assert [exact_persistent_betti(same, r) for r in range(3)] == [1, 2, 1]
+    est = estimate_normalized_persistent_betti(coned, 1, EstimatorParams(seed=0))
+    assert (est.betti(), est.low_confidence) == (0, False)
+    assert len(cocycle_basis(k, 1)) == 401
 
 
 @pytest.mark.parametrize("m", [3, pytest.param(20, marks=pytest.mark.slow)])

@@ -17,15 +17,21 @@ from homology_lab import (
     exact_persistent_betti,
     exact_rank,
     generate,
+    persistent_blocks,
     power_moments_rank,
+    sample_cycles,
     stochastic_rank,
     validate_filtration,
 )
 from homology_lab import exact
+from homology_lab import test_equivalent_cohomological as check_cohomological
+from homology_lab.cohomology import cocycle_basis, manual_cocycle, pair_cocycle
 from homology_lab.complexes import FiltrationPair, SimplicialComplex
 from homology_lab.errors import (
     BadParameter,
+    ConstructionFailed,
     DegreeTooHigh,
+    NotFound,
     RouteDisagreement,
     SpectralNormExceeded,
     StructuralViolation,
@@ -232,6 +238,35 @@ def test_persistent_betti_raises_on_a_pair_out_of_prefix_order():
     pair = FiltrationPair(k1=hollow, k2=SimplicialComplex(filled.n, layers), embed={})
     with pytest.raises(StructuralViolation):
         exact_persistent_betti(pair, 0)
+
+
+def _with_layer(k, r, rows):
+    layers = dict(k._rows)
+    layers[r] = rows
+    return SimplicialComplex(k.n, layers)
+
+
+def _broken_pairs():
+    """Hand-built pairs whose k2 breaks the split [B R; 0 G] at r, with the
+    message of the check that fires: an old edge on a vertex row past k1's
+    prefix (lower left), or k1's simplices inside the prefix in another order."""
+    hollow, filled = generate("hollow_triangle"), generate("filled_triangle")
+    edge = build_complex([[0, 1]])
+    return {
+        "lower_left": (edge, _with_layer(hollow, 0, hollow._rows[0][[0, 2, 1]]), 0, "closure"),
+        "reversed_edges": (hollow, _with_layer(filled, 1, filled._rows[1][::-1]), 0, "prefix block"),
+        "rotated_edges": (filled, _with_layer(filled, 1, np.roll(filled._rows[1], 1, axis=0)), 1,
+                          "prefix block"),
+    }
+
+
+@pytest.mark.parametrize("caller", [exact_persistent_betti, persistent_blocks],
+                         ids=["exact_persistent_betti", "persistent_blocks"])
+@pytest.mark.parametrize("case", ["lower_left", "reversed_edges", "rotated_edges"])
+def test_both_structural_checks_fire_from_both_callers(case, caller):
+    k1, k2, r, match = _broken_pairs()[case]
+    with pytest.raises(StructuralViolation, match=match):
+        caller(FiltrationPair(k1=k1, k2=k2, embed={}), r)
 
 
 def test_persistent_betti_is_float_free_and_builds_at_most_four_boundaries(monkeypatch):
@@ -750,15 +785,20 @@ def test_persistent_betti_estimate_on_rips_filtrations_is_exact(n_points, seed, 
     assert est.betti() == want and not est.low_confidence
 
 
+def _stub_scipy_matrices(monkeypatch):
+    """Make every construction of a scipy sparse matrix fail the test."""
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "lil_matrix", "dok_matrix",
+                 "csc_array", "csr_array", "coo_array"):
+        monkeypatch.setattr(sp, name, lambda *a, _name=name, **kw: pytest.fail(_name))
+
+
 def test_exact_betti_builds_no_scipy_matrix_and_clears_nothing(monkeypatch):
     # every rank comes from the boundary's integer columns, uncleared; the
     # answers are the Fraction oracle's, computed before scipy is stubbed out
     cases = [(k, r) for k in [*canonical_complexes().values(), random_rips(5, n_points=14, max_dim=3)]
              for r in range(4) if k.size(r)]
     want = [oracle_betti(k, r) for k, r in cases]
-    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "lil_matrix", "dok_matrix",
-                 "csc_array", "csr_array", "coo_array"):
-        monkeypatch.setattr(sp, name, lambda *a, _name=name, **kw: pytest.fail(_name))
+    _stub_scipy_matrices(monkeypatch)
     cleared = []
     real = exact._cleared
     monkeypatch.setattr(exact, "_cleared", lambda values: cleared.append(values) or real(values))
@@ -766,3 +806,28 @@ def test_exact_betti_builds_no_scipy_matrix_and_clears_nothing(monkeypatch):
     assert len(cases) > 20 and cleared == []
     assert exact_rank([[Fraction(1, 2), Fraction(1, 4)], [Fraction(2), Fraction(1)]]) == 1
     assert len(cleared) == 2  # rational input is still cleared, column by column
+
+
+def test_persistent_betti_and_cocycles_build_no_scipy_matrix(monkeypatch):
+    # persistent Betti numbers, cocycle bases, the cohomological test and both
+    # cocycle constructions, their failures too, read integer face columns;
+    # the answers are computed before scipy is stubbed out
+    pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4, max_dim=3)
+    torus, sphere, filled = generate("torus"), generate("sphere2"), generate("filled_triangle")
+    c1, c2 = sample_cycles(torus, 1, s=2, seed=0)
+
+    def answers():
+        verdict = check_cohomological(torus, c1, c2, seed=0)
+        return ([exact_persistent_betti(pair, r) for r in (0, 1, 2)], cocycle_basis(torus, 1),
+                (verdict.equivalent, verdict.witnesses_used, verdict.witness.values.tolist()),
+                manual_cocycle(sphere, 1, seed=0).values.tolist(),
+                pair_cocycle(filled, 1).values.tolist())
+
+    want = answers()
+    _stub_scipy_matrices(monkeypatch)
+    assert answers() == want
+    assert want[0] == [1, 0, 0] and len(want[1]) == 8 and not want[2][0]
+    with pytest.raises(ConstructionFailed):
+        manual_cocycle(torus, 1, seed=0)
+    with pytest.raises(NotFound):
+        pair_cocycle(torus, 1)
