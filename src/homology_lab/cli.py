@@ -101,7 +101,6 @@ def _cmd_betti(args) -> dict:
     else:
         est = estimate_normalized_betti(k, args.r, EstimatorParams(seed=args.seed))
         result["normalized"] = est.value
-        result["estimate"] = est.value
         result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, k.size(args.r)):
             result["exact_betti"] = exact_betti(k, args.r)

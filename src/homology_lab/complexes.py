@@ -234,20 +234,18 @@ def spec_matrix(k: SimplicialComplex, r: int) -> SpecMatrix:
 
 @dataclass(frozen=True)
 class FiltrationPair:
-    """A validated inclusion k1 <= k2 with prefix-ordered index embeddings.
-
-    ``k2`` is stored reordered so that within each layer the simplices of
-    ``k1`` occupy indices 1..|S_r^{k1}|; ``embed[r]`` maps k1 layer-r indices
-    (1-based) to k2 indices, and is the identity prefix by construction.
+    """A validated inclusion k1 <= k2 in prefix order: ``k2`` is stored
+    reordered so that each layer r lists k1's layer r first, in k1's order,
+    so k1's simplex i is k2's simplex i (1-based) in every layer.
     """
 
     k1: SimplicialComplex
     k2: SimplicialComplex
-    embed: Mapping[int, tuple[int, ...]]
 
 
 def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> FiltrationPair:
-    """Check k1 <= k2 and reorder k2 so k1's simplices form each layer prefix."""
+    """Check k1 <= k2 and reorder k2 so each of its layers starts with k1's,
+    or raise :class:`NotASubcomplex` naming a simplex of k1 missing from k2."""
     layers = dict(k2._rows)
     for r, rows in k1._rows.items():
         where = k2._find(r, rows)
@@ -256,8 +254,7 @@ def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> Filtrat
         new = np.ones(len(layers[r]), dtype=bool)
         new[where] = False
         layers[r] = np.concatenate([rows, layers[r][new]])
-    embed = {r: tuple(range(1, len(rows) + 1)) for r, rows in k1._rows.items()}
-    return FiltrationPair(k1=k1, k2=SimplicialComplex(k2.n, layers), embed=embed)
+    return FiltrationPair(k1=k1, k2=SimplicialComplex(k2.n, layers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The public API in ``homology_lab.__all__``, its functions' parameters and
-the CLI's options are part of the behavioural contract: adding or removing a
-name, a parameter or a flag must change these lists on purpose."""
+"""The public API in ``homology_lab.__all__``, its functions' parameters, its
+dataclasses' fields and the CLI's options are part of the behavioural
+contract: adding or removing a name, a parameter, a field or a flag must
+change these lists on purpose."""
 
 import argparse
+import dataclasses
 import inspect
 
 import homology_lab
@@ -100,3 +102,28 @@ def test_public_parameters_are_pinned():
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
     assert sum(map(len, PARAMETERS.values())) == 94
+
+
+FIELDS = {
+    "BettiEstimate": ["value", "layer_size", "low_confidence"],
+    "BoundaryMatrix": ["r", "entries"],
+    "Chain": ["r", "coeffs"],
+    "ChebyshevStepFilter": ["delta", "degree", "coeffs"],
+    "ClassReport": ["kind", "stages"],
+    "Cochain": ["r", "values", "cocycle"],
+    "EstimatorParams": ["seed"],
+    "FiltrationPair": ["k1", "k2"],
+    "PersistentBlocks": ["r", "b", "r_block", "g"],
+    "RankEstimate": ["normalized", "raw", "n_v", "degree", "delta", "stderr"],
+    "SimplicialComplex": ["n", "_rows"],
+    "SpecMatrix": ["r", "entries"],
+    "Verdict": ["answer", "method", "low_confidence"],
+}
+
+
+def test_public_dataclass_fields_are_pinned():
+    # in declaration order, which positional construction depends on
+    classes = [getattr(homology_lab, name) for name in homology_lab.__all__]
+    got = {c.__name__: [f.name for f in dataclasses.fields(c)]
+           for c in classes if dataclasses.is_dataclass(c)}
+    assert got == FIELDS

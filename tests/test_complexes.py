@@ -114,9 +114,8 @@ def test_spec_matrix_empty_layer():
 
 def test_filtration_hollow_into_filled(hollow_triangle, filled_triangle):
     pair = validate_filtration(hollow_triangle, filled_triangle)
-    assert pair.embed[1] == (1, 2, 3)
-    assert 2 not in pair.embed
-    assert pair.k2.layer(1)[:3] == hollow_triangle.layer(1)
+    for r in pair.k2.layers:
+        assert pair.k2.layer(r)[:hollow_triangle.size(r)] == hollow_triangle.layer(r)
 
 
 def test_filtration_rejects_non_subcomplex(hollow_triangle, filled_triangle):
@@ -128,13 +127,14 @@ def test_filtration_rejects_non_subcomplex(hollow_triangle, filled_triangle):
 def test_filtration_single_edge_into_hollow(hollow_triangle):
     edge = build_complex([[0, 1]], autoclose=True)
     pair = validate_filtration(edge, hollow_triangle)
-    assert pair.k2.layer(1)[pair.embed[1][0] - 1] == (0, 1)
+    for r in pair.k2.layers:
+        assert pair.k2.layer(r)[:edge.size(r)] == edge.layer(r)
 
 
 def test_identity_filtration_identity_embedding(hollow_triangle):
     pair = validate_filtration(hollow_triangle, hollow_triangle)
-    for r in pair.embed:
-        assert pair.embed[r] == tuple(range(1, hollow_triangle.size(r) + 1))
+    for r in pair.k2.layers:
+        assert pair.k2.layer(r)[:hollow_triangle.size(r)] == hollow_triangle.layer(r)
 
 
 # --- generators ----------------------------------------------------------------
@@ -218,8 +218,8 @@ def test_identity_filtration_property(seed):
     k = random_rips(seed, n_points=6)
     pair = validate_filtration(k, k)
     assert pair.k2.layers == k.layers
-    for r, emb in pair.embed.items():
-        assert emb == tuple(range(1, k.size(r) + 1))
+    for r in pair.k2.layers:
+        assert pair.k2.layer(r)[:k.size(r)] == k.layer(r)
 
 
 # --- array code against the loop references ---------------------------------------
