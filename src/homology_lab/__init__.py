@@ -5,7 +5,6 @@ from .complexes import (
     Chain,
     FiltrationPair,
     SimplicialComplex,
-    SpecMatrix,
     build_complex,
     generate,
     spec_matrix,
@@ -13,7 +12,6 @@ from .complexes import (
     vietoris_rips,
 )
 from .operators import (
-    BoundaryMatrix,
     PersistentBlocks,
     boundary_matrix,
     coboundary_matrix,
@@ -27,7 +25,6 @@ from .operators import (
 from .spectra import (
     BettiEstimate,
     ChebyshevStepFilter,
-    EstimatorParams,
     RankEstimate,
     chebyshev_filter,
     estimate_normalized_betti,

@@ -6,7 +6,7 @@ on stdout embeds it as ``config``, one key per flag (dashes become
 underscores) plus ``subcommand``.  So every output replays from its own
 JSON.  ``--seed`` is taken by every subcommand and ``--mode`` by those with
 a stochastic route.  The seed draws a stochastic ``betti``'s and
-``persistent-betti``'s harmonic start (``EstimatorParams``), ``betti-track``'s
+``persistent-betti``'s harmonic start (the estimators' ``seed``), ``betti-track``'s
 samples, and random trials; stochastic class verdicts draw nothing.  A
 stochastic answer reports ``confidence``; ``--no-oracle`` drops the exact
 echo, the only exact computation of a stochastic ``betti``,
@@ -41,7 +41,6 @@ from .homology import (
 from .cohomology import test_equivalent_cohomological
 from .operators import boundary_matrix, laplacian
 from .spectra import (
-    EstimatorParams,
     estimate_normalized_betti,
     estimate_normalized_persistent_betti,
     exact_betti,
@@ -99,7 +98,7 @@ def _cmd_betti(args) -> dict:
         result["betti"] = betti
         result["normalized"] = betti / k.size(args.r)
     else:
-        est = estimate_normalized_betti(k, args.r, EstimatorParams(seed=args.seed))
+        est = estimate_normalized_betti(k, args.r, seed=args.seed)
         result["normalized"] = est.value
         result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, k.size(args.r)):
@@ -113,6 +112,8 @@ def _cmd_betti_sweep(args) -> dict:
                          "drop --input and --mode")
     if not args.thresholds:
         raise InputError("a point-cloud sweep needs --thresholds")
+    if args.r < 0:
+        raise InputError(f"--r must be a non-negative dimension, not {args.r}")
     try:
         thresholds = sorted(float(t) for t in args.thresholds.split(","))
     except ValueError:
@@ -136,7 +137,7 @@ def _cmd_persistent_betti(args) -> dict:
         result["persistent_betti"] = betti
         result["normalized"] = betti / pair.k1.size(args.r)
     else:
-        est = estimate_normalized_persistent_betti(pair, args.r, EstimatorParams(seed=args.seed))
+        est = estimate_normalized_persistent_betti(pair, args.r, seed=args.seed)
         result["normalized"] = est.value
         result["confidence"] = _confidence(est.low_confidence)
         if _echo_oracle(args, pair.k1.size(args.r)):
@@ -220,7 +221,7 @@ def _cmd_gen(args) -> dict:
 def _cmd_dump_operator(args) -> dict:
     k = files.load_complex(args.input)
     if args.operator == "boundary":
-        m = boundary_matrix(k, args.r).entries
+        m = boundary_matrix(k, args.r)
     else:
         m = laplacian(k, args.r)
     files.dump_operator(m, args.dump_operator)

@@ -191,22 +191,6 @@ def _assemble(lengths, flat, autoclose: bool) -> SimplicialComplex:
     return SimplicialComplex(n, layers)
 
 
-@dataclass(frozen=True)
-class SpecMatrix:
-    """0/1 face-incidence description of one layer.
-
-    Shape is |S_{r-1}| x |S_r|; column i marks the (r-1)-faces of the i-th
-    r-simplex, so every column sums to r+1.
-    """
-
-    r: int
-    entries: "object"  # scipy.sparse.csc_matrix with int entries
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-
 def _face_rows(k: SimplicialComplex, r: int, cols=slice(None)) -> np.ndarray:
     """Layer-(r-1) positions of the faces of the r-simplices ``cols`` (0-based, all by
     default), one row each, the face omitting the i-th vertex in column i."""
@@ -223,13 +207,13 @@ def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
                          shape=(k.size(r - 1), len(where)))
 
 
-def spec_matrix(k: SimplicialComplex, r: int) -> SpecMatrix:
-    """Face-incidence matrix between layers r-1 and r."""
+def spec_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
+    """CSC 0/1 face-incidence matrix between layers r-1 and r; its columns sum to r+1."""
     if r < 1:
         raise BadParameter("incidence matrices start at dimension 1")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    return SpecMatrix(r=r, entries=_incidence(k, r, np.ones(r + 1, dtype=np.int64)))
+    return _incidence(k, r, np.ones(r + 1, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -160,12 +160,12 @@ def sparse_columns(m) -> list[Vector]:
 
 
 def reduce_columns(m, track: bool = False) -> Reduction:
-    """The column reduction of a matrix (anything :func:`sparse_columns` takes).  An
-    untracked one of :class:`Columns`, or of an integer array or scipy matrix, takes
+    """The column reduction of a matrix (anything :func:`sparse_columns` takes).  One
+    of :class:`Columns`, or of an integer array or scipy matrix, tracked or not, takes
     the integer columns as they are (:meth:`Reduction.extend`)."""
     cols = sparse_columns(m)
     ints = isinstance(m, Columns) or getattr(getattr(m, "dtype", None), "kind", None) in ("i", "u")
-    return Reduction().extend(cols) if ints and not track else Reduction(cols, track=track)
+    return Reduction(track=track).extend(cols) if ints else Reduction(cols, track=track)
 
 
 def rank(m) -> int:
@@ -180,7 +180,6 @@ def kernel_basis(m) -> list[list[int]]:
     that column (with a positive entry) and on the independent columns
     before it: the reduced-echelon kernel basis, scaled to be primitive.
     """
-    cols = sparse_columns(m)
-    return [[v.get(j, 0) for j in range(len(cols))]
-            for v in Reduction(cols, track=True).kernel]
+    reduction = reduce_columns(m, track=True)
+    return [[v.get(j, 0) for j in range(reduction.added)] for v in reduction.kernel]
 

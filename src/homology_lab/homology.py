@@ -100,7 +100,7 @@ def detect_cycle_stochastic(k: SimplicialComplex, c: Chain, eta: float, seed=Non
         raise ZeroChain("cannot test the zero chain")
     if not _boundaries(k, c.r, [c])[0]:
         return "likely_cycle"
-    d = boundary_matrix(k, c.r).entries
+    d = boundary_matrix(k, c.r)
     vec = _unit_columns([c], k.size(c.r))[:, 0]
     p = float(np.linalg.norm(d.T @ (d @ vec) / ((c.r + 1) * k.size(c.r))) ** 2)
     trials = math.ceil(1.0 / eta)

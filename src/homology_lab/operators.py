@@ -26,28 +26,13 @@ from .errors import BadParameter, EmptyLayer, StructuralViolation
 PINV_RTOL = 1e-10  # singular values <= PINV_RTOL * sigma_max are treated as zero
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed incidence matrix of one boundary map, shape |S_{r-1}| x |S_r|."""
-
-    r: int
-    entries: sp.csc_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def toarray(self) -> np.ndarray:
-        return self.entries.toarray()
-
-
-def boundary_matrix(k: SimplicialComplex, r: int) -> BoundaryMatrix:
-    """Matrix of the map sending each r-simplex to its alternating face sum."""
+def boundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
+    """CSC int matrix of the map sending each r-simplex to its alternating face sum."""
     if r < 1:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
-    return BoundaryMatrix(r=r, entries=_incidence(k, r, (-1) ** np.arange(r + 1)))
+    return _incidence(k, r, (-1) ** np.arange(r + 1))
 
 
 def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> exact.Columns:
@@ -62,15 +47,15 @@ def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> exact.C
 
 
 def coboundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
-    """Matrix of the degree-r coboundary map: the transpose of the (r+1)-boundary."""
-    return boundary_matrix(k, r + 1).entries.T.tocsc()
+    """CSC int matrix of the degree-r coboundary map: the transpose of the (r+1)-boundary."""
+    return boundary_matrix(k, r + 1).T.tocsc()
 
 
 def _boundary(k: SimplicialComplex, r: int) -> sp.csc_matrix:
     """Entries of the r-boundary, |S_{r-1}| x |S_r|; a map into or out of an
     empty layer, and the map below dimension 1, is the int zero matrix."""
     if r >= 1 and k.size(r) and k.size(r - 1):
-        return boundary_matrix(k, r).entries
+        return boundary_matrix(k, r)
     return sp.csc_matrix((k.size(r - 1) if r >= 1 else 0, k.size(r)), dtype=int)
 
 

@@ -74,7 +74,7 @@ def exact_betti(k: SimplicialComplex, r: int) -> int:
 def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:
     """Exact sparse basis of the r-cycles, ker(boundary_r): all of C_r when
     there is no (r-1)-layer."""
-    return exact.Reduction(_boundary_columns(k, r), track=True).kernel
+    return exact.reduce_columns(_boundary_columns(k, r), track=True).kernel
 
 
 def exact_persistent_betti(pair: FiltrationPair, r: int) -> int:
@@ -426,14 +426,6 @@ def residual_rank(d, cols: np.ndarray, margin: float = 0.0) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EstimatorParams:
-    """Stochastic configuration, mirrored by the CLI's ``--seed``: the seed
-    draws the Gaussian start of every :func:`harmonic_basis`."""
-
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class BettiEstimate:
     """(Persistent) Betti count over the layer size, low-confidence when the
     harmonic basis did not converge (past the block cap the count is then a
@@ -447,19 +439,18 @@ class BettiEstimate:
         return round(self.value * self.layer_size)
 
 
-def estimate_normalized_betti(k: SimplicialComplex, r: int,
-                              params: EstimatorParams = EstimatorParams()) -> BettiEstimate:
+def estimate_normalized_betti(k: SimplicialComplex, r: int, seed=None) -> BettiEstimate:
     """beta_r / |S_r|, beta_r the column count of the harmonic basis of the
-    Hodge Laplacian of k."""
+    Hodge Laplacian of k, its Gaussian start drawn from ``seed``."""
     n = k.size(r)
     if n == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    q, _, converged = hodge_basis(k, r, params.seed)
+    q, _, converged = hodge_basis(k, r, seed)
     return BettiEstimate(value=q.shape[1] / n, layer_size=n, low_confidence=not converged)
 
 
 def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
-                                         params: EstimatorParams = EstimatorParams()) -> BettiEstimate:
+                                         seed=None) -> BettiEstimate:
     """Persistent beta_r / |S_r(k1)| by homology tracking: the dimension of
     the image of H_r(k1) in H_r(k2) is the number of classes that k1's
     harmonic basis Q_H1, padded with zeros onto k2's prefix, spans modulo
@@ -468,7 +459,7 @@ def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
     n = pair.k1.size(r)
     if n == 0:
         raise EmptyLayer(f"k1 has no simplices of dimension {r}")
-    q1, margin1, converged = hodge_basis(pair.k1, r, params.seed)
+    q1, margin1, converged = hodge_basis(pair.k1, r, seed)
     if not q1.shape[1]:
         return BettiEstimate(value=0.0, layer_size=n, low_confidence=not converged)
     padded = np.vstack([q1, np.zeros((pair.k2.size(r) - n, q1.shape[1]))])

@@ -165,7 +165,7 @@ def reference_boundary_of(k, c):
     if c.r == 0:
         return []
     out = [Fraction(0)] * k.size(c.r - 1)
-    d = boundary_matrix(k, c.r).entries.tocoo()
+    d = boundary_matrix(k, c.r).tocoo()
     for i, j, v in zip(d.row, d.col, d.data):
         cj = c.coeffs.get(j + 1)
         if cj is not None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import homology_lab as hl
-from homology_lab import Chain, EstimatorParams
+from homology_lab import Chain
 from homology_lab.cli import run as cli_run
 from homology_lab.exact import kernel_basis
 from homology_lab.io import save_complex
@@ -71,10 +71,10 @@ def test_criterion_2_boundary_algebra():
             for r in sorted(k.layers):
                 if r == 0 or k.size(r) == 0:
                     continue
-                d = boundary_matrix(k, r).entries
+                d = boundary_matrix(k, r)
                 assert (d.multiply(d)).sum() == (r + 1) * k.size(r)  # Frobenius count
                 if k.size(r + 1) > 0:
-                    d_up = boundary_matrix(k, r + 1).entries
+                    d_up = boundary_matrix(k, r + 1)
                     assert (d @ d_up).nnz == 0  # boundary of a boundary
                     assert (d_up.T @ d.T).nnz == 0  # coboundary squares to zero
 
@@ -161,7 +161,7 @@ def test_criterion_6_normalized_betti_pipeline():
                 want = hl.exact_betti(k, r) / k.size(r)
                 for seed in range(12):
                     est = hl.estimate_normalized_betti(
-                        k, r, EstimatorParams(seed=seed)
+                        k, r, seed=seed
                     )
                     trials += 1
                     if abs(est.value - want) <= 0.05:

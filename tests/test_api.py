@@ -11,10 +11,10 @@ import homology_lab
 from homology_lab.cli import PARSER
 
 PUBLIC = [
-    "BettiEstimate", "BoundaryMatrix", "Chain", "ChebyshevStepFilter", "ClassReport", "Cochain",
-    "EstimatorParams", "FiltrationPair", "PersistentBlocks", "RankEstimate", "SimplicialComplex",
-    "SpecMatrix", "Verdict", "betti_via_tracking", "boundary_matrix", "build_complex",
-    "chebyshev_filter", "coboundary_matrix", "cohomology", "complexes",
+    "BettiEstimate", "Chain", "ChebyshevStepFilter", "ClassReport", "Cochain", "FiltrationPair",
+    "PersistentBlocks", "RankEstimate", "SimplicialComplex", "Verdict", "betti_via_tracking",
+    "boundary_matrix", "build_complex", "chebyshev_filter", "coboundary_matrix", "cohomology",
+    "complexes",
     "detect_cycle_stochastic", "errors", "estimate_normalized_betti",
     "estimate_normalized_persistent_betti", "evaluate", "exact", "exact_betti",
     "exact_persistent_betti", "exact_rank", "generate", "homology", "is_cycle_exact",
@@ -65,8 +65,8 @@ PARAMETERS = {
     "chebyshev_filter": ["delta", "m"],
     "coboundary_matrix": ["k", "r"],
     "detect_cycle_stochastic": ["c", "eta", "k", "seed"],
-    "estimate_normalized_betti": ["k", "params", "r"],
-    "estimate_normalized_persistent_betti": ["pair", "params", "r"],
+    "estimate_normalized_betti": ["k", "r", "seed"],
+    "estimate_normalized_persistent_betti": ["pair", "r", "seed"],
     "evaluate": ["c", "k", "w"],
     "exact_betti": ["k", "r"],
     "exact_persistent_betti": ["pair", "r"],
@@ -106,17 +106,14 @@ def test_public_parameters_are_pinned():
 
 FIELDS = {
     "BettiEstimate": ["value", "layer_size", "low_confidence"],
-    "BoundaryMatrix": ["r", "entries"],
     "Chain": ["r", "coeffs"],
     "ChebyshevStepFilter": ["delta", "degree", "coeffs"],
     "ClassReport": ["kind", "stages"],
     "Cochain": ["r", "values", "cocycle"],
-    "EstimatorParams": ["seed"],
     "FiltrationPair": ["k1", "k2"],
     "PersistentBlocks": ["r", "b", "r_block", "g"],
     "RankEstimate": ["normalized", "raw", "n_v", "degree", "delta", "stderr"],
     "SimplicialComplex": ["n", "_rows"],
-    "SpecMatrix": ["r", "entries"],
     "Verdict": ["answer", "method", "low_confidence"],
 }
 

@@ -166,7 +166,7 @@ def test_manual_cocycle_check_rejects_a_tampered_value():
     from homology_lab.exact import sparse_columns
 
     k = build_complex([[0, 1, 2], [1, 2, 3]], autoclose=True)
-    columns = sparse_columns(boundary_matrix(k, 2).entries)
+    columns = sparse_columns(boundary_matrix(k, 2))
     w = manual_cocycle(k, 1, seed=4)
     values = {i: Fraction(x) for i, x in enumerate(w.values)}
     _verify_cocycle(k, 1, columns, values)  # the constructed cocycle passes

@@ -90,17 +90,17 @@ def test_spec_matrix_five_point_complex():
     k = five_point_complex()
     m = spec_matrix(k, 2)
     assert m.shape == (9, 3)
-    assert np.array_equal(m.entries.toarray(), FIVE_POINT_SPEC_2)
+    assert np.array_equal(m.toarray(), FIVE_POINT_SPEC_2)
 
 
 def test_spec_matrix_filled_triangle_single_column():
     m = spec_matrix(generate("filled_triangle"), 2)
-    assert np.array_equal(m.entries.toarray(), [[1], [1], [1]])
+    assert np.array_equal(m.toarray(), [[1], [1], [1]])
 
 
 def test_spec_matrix_hollow_triangle_column_sums():
     m = spec_matrix(generate("hollow_triangle"), 1)
-    dense = m.entries.toarray()
+    dense = m.toarray()
     assert dense.shape == (3, 3)
     assert list(dense.sum(axis=0)) == [2, 2, 2]
 
@@ -186,7 +186,7 @@ def test_spec_matrix_invariants_on_random_rips(seed):
     for r in sorted(k.layers):
         if r == 0 or k.size(r) == 0:
             continue
-        dense = spec_matrix(k, r).entries.toarray()
+        dense = spec_matrix(k, r).toarray()
         assert (dense.sum(axis=0) == r + 1).all()
         gram = dense.T @ dense
         off = gram - np.diag(np.diag(gram))
@@ -231,8 +231,8 @@ def assert_matches_reference(k, n, layers):
         assert [k.index_of(r, s) for s in layer] == list(range(1, len(layer) + 1))
         if r == 0:
             continue
-        for got, want in ((boundary_matrix(k, r).entries, reference_incidence(layers, r, True)),
-                          (spec_matrix(k, r).entries, reference_incidence(layers, r, False))):
+        for got, want in ((boundary_matrix(k, r), reference_incidence(layers, r, True)),
+                          (spec_matrix(k, r), reference_incidence(layers, r, False))):
             assert got.format == "csc" and got.has_sorted_indices
             assert got.shape == want.shape and got.dtype == want.dtype == np.int64
             for part in ("indptr", "indices", "data"):

@@ -5,7 +5,6 @@ import pytest
 
 from homology_lab import (
     Chain,
-    EstimatorParams,
     Verdict,
     betti_via_tracking,
     boundary_matrix,
@@ -313,7 +312,7 @@ def test_harmonic_basis_keeps_guard_columns_past_a_kernel_just_below_its_block(m
     d = np.sort(np.linalg.norm(pts[i] - pts[j], axis=1))
     k = generate("vietoris_rips", points=pts, threshold=(d[989] + d[990]) / 2)
     assert k.size(1) == 990 and exact_betti(k, 1) == 23
-    estimate = estimate_normalized_betti(k, 1, EstimatorParams(seed=0))
+    estimate = estimate_normalized_betti(k, 1, seed=0)
     assert estimate.betti() == 23 and not estimate.low_confidence
     widths = []
     qr = np.linalg.qr
@@ -375,9 +374,8 @@ def test_stochastic_verdicts_are_exact_and_confident_when_the_kernel_outgrows_th
         [check_equivalent(k, cycles[0], cycles[1]).answer]
     assert _betti_via_tracking(k, 1, cycles, "stochastic") == (4, False)
     assert betti_via_tracking(k, 1, cycles) == 4
-    params = EstimatorParams(seed=0)
-    for est in (estimate_normalized_betti(k, 1, params),
-                estimate_normalized_persistent_betti(validate_filtration(k, k), 1, params)):
+    for est in (estimate_normalized_betti(k, 1, seed=0),
+                estimate_normalized_persistent_betti(validate_filtration(k, k), 1, seed=0)):
         assert est.low_confidence and est.betti() <= 209
 
 
@@ -882,7 +880,7 @@ def test_torus_grid_answers_are_known_in_both_modes():
     assert [k.size(r) for r in range(3)] == [400, 1200, 800]
     for r, want in enumerate((1, 2, 1)):
         assert exact_betti(k, r) == want
-        est = estimate_normalized_betti(k, r, EstimatorParams(seed=0))
+        est = estimate_normalized_betti(k, r, seed=0)
         assert (est.betti(), est.low_confidence) == (want, False)
     row = Chain.from_simplices(k, [([j, j + 1], 1) for j in range(m - 1)] + [([0, m - 1], -1)])
     triangle = Chain.from_simplices(k, [([m, m + 1], 1), ([0, m + 1], -1), ([0, m], 1)])
@@ -904,7 +902,7 @@ def test_torus_inside_its_cone_answers_are_known():
     coned, same = validate_filtration(k, cone), validate_filtration(k, k)
     assert [exact_persistent_betti(coned, r) for r in range(3)] == [1, 0, 0]
     assert [exact_persistent_betti(same, r) for r in range(3)] == [1, 2, 1]
-    est = estimate_normalized_persistent_betti(coned, 1, EstimatorParams(seed=0))
+    est = estimate_normalized_persistent_betti(coned, 1, seed=0)
     assert (est.betti(), est.low_confidence) == (0, False)
     assert len(cocycle_basis(k, 1)) == 401
 

@@ -109,7 +109,7 @@ def test_dump_operator_matrixmarket(tmp_path):
 
     k = generate("filled_triangle")
     path = tmp_path / "d2.mtx"
-    dump_operator(boundary_matrix(k, 2).entries, path)
+    dump_operator(boundary_matrix(k, 2), path)
     import scipy.io
 
     m = scipy.io.mmread(path)
@@ -637,6 +637,19 @@ def test_cli_bad_thresholds_is_input_error(replay_files, capsys, monkeypatch):
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_cli_sweep_at_a_negative_dimension_is_input_error(replay_files, capsys, monkeypatch):
+    # as with --input, a dimension that does not exist is an error, not beta = 0 at
+    # every threshold; an empty layer at a small threshold still reads 0 (the sweep case)
+    monkeypatch.chdir(replay_files)
+    for source, error in ((("--input", "hollow.jsonl"), "EmptyLayer"),
+                          (("--points", "pts.json", "--thresholds", "0.5,1.2,2",
+                            "--plot-data", "never.csv"), "InputError")):
+        code, out, err = run_cli(capsys, "betti", "--r", "-1", *source)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == error
+    assert not (replay_files / "never.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "nan", "--out", "o.jsonl"),
     ("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "inf", "--out", "o.jsonl"),
@@ -787,6 +800,37 @@ def test_cli_no_oracle_skips_the_oracle(replay_files, capsys, monkeypatch, case,
     assert code == 0 and calls == []
     assert echo not in json.loads(quiet)
     assert json.loads(quiet)["normalized"] == json.loads(out)["normalized"]
+
+
+def _record_harmonic_seeds(monkeypatch) -> list:
+    """Hook the harmonic basis that both estimators call; returns the seeds it receives."""
+    from homology_lab import spectra
+
+    seeds = []
+    real = spectra.hodge_basis
+    monkeypatch.setattr(spectra, "hodge_basis",
+                        lambda k, r, seed: seeds.append(seed) or real(k, r, seed))
+    return seeds
+
+
+@pytest.mark.parametrize("case", ["betti", "persistent-betti"])
+def test_cli_seed_reaches_the_harmonic_basis(replay_files, capsys, monkeypatch, case):
+    # the replay promise: the seed on the record is the one that drew the Gaussian start
+    monkeypatch.chdir(replay_files)
+    seeds = _record_harmonic_seeds(monkeypatch)
+    code, out, _ = run_cli(capsys, *REPLAY_CASES[case][0], "--seed", "123")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 123
+    assert seeds == [123]
+
+
+def test_estimator_seed_reaches_the_harmonic_basis(replay_files, monkeypatch):
+    from homology_lab import estimate_normalized_betti, estimate_normalized_persistent_betti
+
+    seeds = _record_harmonic_seeds(monkeypatch)
+    estimate_normalized_betti(load_complex(replay_files / "hollow.jsonl"), 1, seed=5)
+    estimate_normalized_persistent_betti(load_filtration(replay_files / "filt.json"), 1, seed=6)
+    estimate_normalized_betti(load_complex(replay_files / "hollow.jsonl"), 1)
+    assert seeds == [5, 6, None]
 
 
 def test_cli_stochastic_betti_is_low_confidence_past_the_block_cap(tmp_path, capsys):

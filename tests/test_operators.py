@@ -45,7 +45,7 @@ def test_boundary_composition_is_zero():
 def test_boundary_matches_spec_matrix_on_paper_complex():
     k = five_point_complex()
     d2 = boundary_matrix(k, 2).toarray()
-    assert np.array_equal(np.abs(d2), spec_matrix(k, 2).entries.toarray())
+    assert np.array_equal(np.abs(d2), spec_matrix(k, 2).toarray())
 
 
 def test_boundary_empty_layer():

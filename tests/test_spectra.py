@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homology_lab import (
-    EstimatorParams,
     boundary_matrix,
     build_complex,
     chebyshev_filter,
@@ -90,7 +89,7 @@ def test_exact_betti_is_rational_not_modular():
     k = build_complex(RP2_TRIANGLES, autoclose=True)
     assert [k.size(r) for r in range(3)] == [6, 15, 10]
     d2 = boundary_matrix(k, 2).toarray()
-    assert exact_rank(boundary_matrix(k, 2).entries) == 10
+    assert exact_rank(boundary_matrix(k, 2)) == 10
     assert _gf2_rank(d2) == 9
     assert [exact_betti(k, r) for r in range(3)] == [1, 0, 0]
 
@@ -169,10 +168,10 @@ def _persistent_rank_identity(pair, r) -> int:
     rank D - rank G, since k1's (r+1)-simplices have their faces in k1."""
     k1, k2 = pair.k1, pair.k2
     n1 = k1.size(r)
-    d_r = exact.rank(boundary_matrix(k1, r).entries) if r and k1.size(r - 1) else 0
+    d_r = exact.rank(boundary_matrix(k1, r)) if r and k1.size(r - 1) else 0
     if not k2.size(r + 1):
         return n1 - d_r
-    d = boundary_matrix(k2, r + 1).entries
+    d = boundary_matrix(k2, r + 1)
     return n1 - d_r - exact.rank(d) + exact.rank(d[n1:, k1.size(r + 1):])
 
 
@@ -591,8 +590,8 @@ def test_hodge_basis_iterates_on_the_sum_it_always_did(monkeypatch, max_dim):
     for r in range(k.dim() + 1):
         received.clear()
         spectra.hodge_basis(k, r, 0)
-        up = boundary_matrix(k, r + 1).entries if k.size(r + 1) else sp.csc_matrix((k.size(r), 0))
-        down = boundary_matrix(k, r).entries if r else None
+        up = boundary_matrix(k, r + 1) if k.size(r + 1) else sp.csc_matrix((k.size(r), 0))
+        down = boundary_matrix(k, r) if r else None
         before = up @ up.T + (down.T @ down if r else 0)
         (got, got_bound), (want, want_bound) = (
             _rescaled(sp.csr_matrix(lap, dtype=float, copy=True)) for lap in (received[0], before))
@@ -639,7 +638,7 @@ def test_estimate_normalized_betti_never_densifies_a_large_layer():
     assert n >= 2000
     tracemalloc.start()
     try:
-        est = estimate_normalized_betti(k, 1, EstimatorParams(seed=0))
+        est = estimate_normalized_betti(k, 1, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -734,7 +733,7 @@ def test_default_betti_estimate_on_rips_is_within_half_and_rescaled_spectrum_wit
         k = generate("vietoris_rips", points=pts, threshold=0.3)
         rescaled, _ = _rescaled(sp.csr_matrix(normalized_laplacian(k, 1), dtype=float))
         assert np.linalg.eigvalsh(rescaled.toarray())[-1] <= 1.0, seed
-        est = estimate_normalized_betti(k, 1, EstimatorParams(seed=seed))
+        est = estimate_normalized_betti(k, 1, seed=seed)
         assert abs(est.betti() - exact_betti(k, 1)) <= 0.5, seed
 
 
@@ -744,28 +743,26 @@ def test_estimate_normalized_betti_canonical():
         "filled_triangle": (1, 0.0),
         "circle8": (1, 1 / 8),
     }
-    params = EstimatorParams(seed=7)
     for name, (r, expected) in cases.items():
         k = canonical_complexes()[name]
-        est = estimate_normalized_betti(k, r, params)
+        est = estimate_normalized_betti(k, r, seed=7)
         assert abs(est.value - expected) <= 0.05, name
         assert not est.low_confidence, name
 
 
 def test_estimate_normalized_persistent_betti():
     pair = validate_filtration(generate("hollow_triangle"), generate("filled_triangle"))
-    params = EstimatorParams(seed=21)
-    est = estimate_normalized_persistent_betti(pair, 1, params)
+    est = estimate_normalized_persistent_betti(pair, 1, seed=21)
     assert abs(est.value - 0.0) <= 0.05
 
     k = generate("hollow_triangle")
     pair_id = validate_filtration(k, k)
-    est_id = estimate_normalized_persistent_betti(pair_id, 1, params)
+    est_id = estimate_normalized_persistent_betti(pair_id, 1, seed=21)
     assert abs(est_id.value - 1 / 3) <= 0.05
 
     k1 = build_complex([[0], [1]])
     k2 = build_complex([[0, 1]], autoclose=True)
-    est_v = estimate_normalized_persistent_betti(validate_filtration(k1, k2), 0, params)
+    est_v = estimate_normalized_persistent_betti(validate_filtration(k1, k2), 0, seed=21)
     assert abs(est_v.value - 0.5) <= 0.05
 
 
@@ -783,7 +780,7 @@ def test_betti_estimate_above_the_oracle_gate_is_exact():
     k = generate("vietoris_rips", points=pts.tolist(), threshold=threshold, max_dim=2)
     assert k.size(1) == 560
     for seed in range(3):
-        est = estimate_normalized_betti(k, 1, EstimatorParams(seed=seed))
+        est = estimate_normalized_betti(k, 1, seed=seed)
         assert est.betti() == exact_betti(k, 1) == 9 and not est.low_confidence
 
 
@@ -793,7 +790,7 @@ def test_persistent_betti_estimate_on_rips_filtrations_is_exact(n_points, seed, 
     pair = validate_filtration(*_rips(n_points, seed, t1, t2))
     want = exact_persistent_betti(pair, 1)
     assert want > 0
-    est = estimate_normalized_persistent_betti(pair, 1, EstimatorParams(seed=0))
+    est = estimate_normalized_persistent_betti(pair, 1, seed=0)
     assert est.betti() == want and not est.low_confidence
 
 
