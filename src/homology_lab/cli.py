@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as files
-from .complexes import generate
+from .complexes import _check_rips, _squared_distances, generate
 from .errors import InputError, InternalError
 from .homology import (
     _betti_via_tracking,
@@ -41,6 +41,7 @@ from .homology import (
 from .cohomology import test_equivalent_cohomological
 from .operators import boundary_matrix, laplacian
 from .spectra import (
+    _sweep_betti,
     estimate_normalized_betti,
     estimate_normalized_persistent_betti,
     exact_betti,
@@ -119,12 +120,16 @@ def _cmd_betti_sweep(args) -> dict:
     except ValueError:
         raise InputError("--thresholds must be comma-separated numbers, "
                          f"not {args.thresholds!r}") from None
-    pts = json.loads(Path(args.points).read_text())
-    rows = []
     for t in thresholds:
-        k = generate("vietoris_rips", points=pts, threshold=t, max_dim=args.max_dim)
-        betti = exact_betti(k, args.r) if k.size(args.r) else 0
-        rows.append((t, args.r, betti, "exact"))
+        _check_rips(t, args.max_dim)
+    if args.r > args.max_dim:
+        raise InputError(f"--r {args.r} is above --max-dim {args.max_dim}: "
+                         "a sweep builds no simplices of that dimension")
+    pts = json.loads(Path(args.points).read_text())
+    k = generate("vietoris_rips", points=pts, threshold=thresholds[-1], max_dim=args.max_dim)
+    d2 = _squared_distances(np.asarray(pts, dtype=float))
+    rows = [(t, args.r, betti, "exact")
+            for t, betti in zip(thresholds, _sweep_betti(k, d2, args.r, thresholds))]
     text = emit_plot_data(rows, args.plot_data)
     return {"sweep": [list(row) for row in rows], "csv": text if not args.plot_data else args.plot_data}
 

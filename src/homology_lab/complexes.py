@@ -5,10 +5,17 @@ A complex stores each layer as an (|S_r|, r+1) int64 array of vertex rows in
 the caller's order, and guarantees face closure: every face of a stored
 simplex is stored one layer below.  Simplices carry 1-based per-layer
 indices; all matrix-facing code in the package addresses simplices through
-these indices.  Closure, face lookup and filtration reordering sort and search
+these indices.  Closure, lookup and filtration reordering sort and search
 order-preserving int64 row keys (base-n digits, or ranks where n^(r+1) overflows).
 
-Complexes are immutable after construction and safe for concurrent reads.
+Each complex also keeps a face index: per layer r >= 1, the (|S_r|, r+1)
+layer-(r-1) positions of its simplices' faces, which every boundary reads.
+Assembly records it from its closure search, a filtration's reordering
+permutes it, and any other complex fills a layer's entry with one lookup on
+first use.  Layers and face index entries are read-only arrays, and the index
+lives on the complex object only.  A complex is immutable after construction
+apart from that lazy fill, whose racing writers store equal arrays, so it is
+safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -62,6 +69,11 @@ def _faces(rows: np.ndarray) -> np.ndarray:
     return rows[:, [j for i in range(w) for j in range(w) if j != i]].reshape(-1, w - 1)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Face-closed complex with ordered, 1-indexed simplex layers."""
@@ -72,6 +84,7 @@ class SimplicialComplex:
     def __post_init__(self):
         for rows in self._rows.values():
             rows.flags.writeable = False
+        object.__setattr__(self, "_face_at", {})  # the face index, r -> read-only positions
 
     @property
     def layers(self) -> dict[int, tuple[Simplex, ...]]:
@@ -164,7 +177,7 @@ def _assemble(lengths, flat, autoclose: bool) -> SimplicialComplex:
         layers[w - 1], first[w - 1] = rows, lo
 
     layers = {r: layers.get(r, np.empty((0, r + 1), dtype=np.int64)) for r in range(max(layers) + 1)}
-    repeats, missing = [], None
+    repeats, missing, face_at = [], None, {}
     faces = np.empty((0, len(layers)), dtype=np.int64)  # no layer lies above the top one
     for r in range(len(layers) - 1, -1, -1):
         keys, face_keys = _keys(n, layers[r], faces)
@@ -176,25 +189,37 @@ def _assemble(lengths, flat, autoclose: bool) -> SimplicialComplex:
             repeats.append((int(at[first[r] + i]), tuple(layers[r][i].tolist())))
         pos = np.minimum(np.searchsorted(table, face_keys), len(table) - 1)
         absent = table[pos] != face_keys if len(table) else np.ones(len(faces), dtype=bool)
+        where = order[pos] if len(table) else pos  # each face's row; absent ones set below
         if absent.any():
-            new = faces[absent][np.unique(face_keys[absent], return_index=True)[1]]
+            _, once, slot = np.unique(face_keys[absent], return_index=True, return_inverse=True)
+            new = faces[absent][once]
             if autoclose:
+                where[absent] = len(layers[r]) + slot
                 layers[r] = np.concatenate([layers[r], new])
             elif missing is None:
                 missing = new[0]
+        if r + 1 < len(layers):
+            face_at[r + 1] = _read_only(where.reshape(-1, r + 2))
         if r:
             faces = _faces(layers[r])
     if repeats:
         raise DuplicateSimplex(f"simplex {min(repeats)[1]} listed twice")
     if missing is not None:
         raise MissingFace(f"face {tuple(missing.tolist())} required but not listed")
-    return SimplicialComplex(n, layers)
+    k = SimplicialComplex(n, layers)
+    k._face_at.update(face_at)
+    return k
 
 
 def _face_rows(k: SimplicialComplex, r: int, cols=slice(None)) -> np.ndarray:
     """Layer-(r-1) positions of the faces of the r-simplices ``cols`` (0-based, all by
-    default), one row each, the face omitting the i-th vertex in column i."""
-    return k._find(r - 1, _faces(k._rows[r][cols])).reshape(-1, r + 1)
+    default), one row each, the face omitting the i-th vertex in column i.  They are
+    read from the complex's face index, which one lookup fills on first use where
+    neither assembly nor a filtration's reordering recorded it."""
+    at = k._face_at.get(r)
+    if at is None:
+        at = k._face_at[r] = _read_only(k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1))
+    return at[cols]
 
 
 def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
@@ -229,16 +254,28 @@ class FiltrationPair:
 
 def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> FiltrationPair:
     """Check k1 <= k2 and reorder k2 so each of its layers starts with k1's,
-    or raise :class:`NotASubcomplex` naming a simplex of k1 missing from k2."""
-    layers = dict(k2._rows)
+    or raise :class:`NotASubcomplex` naming a simplex of k1 missing from k2.
+
+    The reordered k2 takes k2's face index entries, as far as k2 has them,
+    through the permutations of each layer and of the one below it; any other
+    entry it fills on first use."""
+    moved = {}  # r -> the k2 position of each reordered r-simplex
     for r, rows in k1._rows.items():
         where = k2._find(r, rows)
         if (where < 0).any():
             raise NotASubcomplex(rows[np.argmax(where < 0)].tolist())
-        new = np.ones(len(layers[r]), dtype=bool)
+        new = np.ones(k2.size(r), dtype=bool)
         new[where] = False
-        layers[r] = np.concatenate([rows, layers[r][new]])
-    return FiltrationPair(k1=k1, k2=SimplicialComplex(k2.n, layers))
+        moved[r] = np.concatenate([where, np.flatnonzero(new)])
+    k = SimplicialComplex(k2.n, {r: rows[moved[r]] if r in moved else rows
+                                 for r, rows in k2._rows.items()})
+    for r, at in k2._face_at.items():
+        if r in moved:
+            at = at[moved[r]]
+        if r - 1 in moved:
+            at = np.argsort(moved[r - 1])[at]  # a k2 position's reordered one
+        k._face_at[r] = _read_only(at)
+    return FiltrationPair(k1=k1, k2=k)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +346,35 @@ class Chain:
         return sum(float(c) ** 2 for c in self.coeffs.values()) ** 0.5
 
 
+def _check_rips(threshold: float, max_dim: int) -> None:
+    """Raise :class:`BadParameter` unless :func:`vietoris_rips` takes the threshold and max_dim."""
+    if max_dim < 0 or max_dim > 3:
+        raise BadParameter("max_dim must be between 0 and 3 at desk scale")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise BadParameter(f"threshold must be finite and positive, not {threshold}")
+
+
+def _squared_distances(pts: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances of the rows of a float array."""
+    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+
+
+def _diameters(d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's largest squared distance ``d2`` between two of its vertices, 0 for a vertex:
+    the row is in the Rips complex at threshold t exactly when this is < t**2."""
+    diam = np.zeros(len(rows))
+    for i, j in combinations(range(rows.shape[1]), 2):
+        diam = np.maximum(diam, d2[rows[:, i], rows[:, j]])
+    return diam
+
+
 def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: int = 2) -> SimplicialComplex:
     """Vietoris-Rips complex: cliques of the strict-threshold proximity graph.
 
     Every clique of at most max_dim+1 points whose pairwise Euclidean
     distances are all < threshold becomes a simplex.
     """
-    if max_dim < 0 or max_dim > 3:
-        raise BadParameter("max_dim must be between 0 and 3 at desk scale")
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise BadParameter(f"threshold must be finite and positive, not {threshold}")
+    _check_rips(threshold, max_dim)
     try:
         pts = np.asarray(points, dtype=float)
     except (TypeError, ValueError):  # a mapping, ragged rows or a non-numeric entry
@@ -326,8 +382,7 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
     if pts.ndim != 2 or pts.shape[0] == 0 or not np.isfinite(pts).all():
         raise BadParameter("points must be a nonempty 2-d array of finite coordinates")
     n = pts.shape[0]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    later = np.triu(d2 < threshold**2, 1)  # later[u, v]: v > u and the edge uv is short
+    later = np.triu(_squared_distances(pts) < threshold**2, 1)  # later[u, v]: v > u, uv short
 
     # An r-clique extends by the later vertices adjacent to all its members;
     # listing each clique's extensions in turn keeps every layer lexicographic.

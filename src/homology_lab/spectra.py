@@ -39,7 +39,7 @@ from numpy.polynomial.chebyshev import cheb2poly, chebval
 from scipy.sparse._sparsetools import csr_matvecs  # Y += A X, in place
 
 from . import exact
-from .complexes import FiltrationPair, SimplicialComplex
+from .complexes import FiltrationPair, SimplicialComplex, _diameters
 from .errors import (
     BadParameter,
     DegreeTooHigh,
@@ -69,6 +69,24 @@ def exact_betti(k: SimplicialComplex, r: int) -> int:
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
     return k.size(r) - _rank(_boundary_columns(k, r)) - _rank(_boundary_columns(k, r + 1))
+
+
+def _sweep_betti(k: SimplicialComplex, d2: np.ndarray, r: int, thresholds) -> list[int]:
+    """:func:`exact_betti` at r of the Rips complex at each threshold, 0 where it has no
+    r-simplices, from ``k``, the Rips complex at the largest threshold, and ``d2``, its
+    points' squared distances.  Ordered stably by diameter, each threshold's r- and
+    (r+1)-simplices are a prefix of k's, so one left-to-right reduction of each boundary
+    gives the rank of every prefix of its columns (Zomorodian & Carlsson, DCG 2005)."""
+    cuts = [t**2 for t in thresholds]  # as vietoris_rips compares them
+    size, rank = {}, {}
+    for q in (r, r + 1):
+        diam = _diameters(d2, k._rows.get(q, np.empty((0, q + 1), dtype=np.int64)))
+        order = np.argsort(diam, kind="stable")
+        size[q] = np.searchsorted(diam[order], cuts)  # simplices with diameter < t**2
+        columns, reduction = _boundary_columns(k, q), exact.Reduction()
+        grown = [0] + [reduction.extend([columns[j]]).rank for j in order.tolist()]
+        rank[q] = np.array(grown)[size[q]]
+    return (size[r] - rank[r] - rank[r + 1]).tolist()
 
 
 def cycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:

@@ -24,7 +24,9 @@ from homology_lab.errors import (
     MissingFace,
     NotASubcomplex,
 )
-from homology_lab.io import load_complex
+from homology_lab import homology, track_classes
+from homology_lab.complexes import _face_rows, _faces
+from homology_lab.io import load_complex, save_complex
 
 from conftest import (
     random_point_cloud,
@@ -374,3 +376,71 @@ def test_lookup_rejects_absent_unsorted_and_out_of_range_rows(filled_square):
             filled_square.index_of(len(s) - 1, s)
     with pytest.raises(KeyError):
         filled_square.index_of(2, (0, 2))  # an edge looked up among the triangles
+
+
+# --- the face index -------------------------------------------------------------
+
+def face_index_cases(tmp_path, monkeypatch, seed):
+    """name -> (complex, whether its face index is whole before any read): files,
+    autoclosed input and Rips complexes, and the reordered stages of pairs and of a
+    track."""
+    pts = random_point_cloud(np.random.default_rng(seed), 16)
+    rips = [generate("vietoris_rips", points=pts, threshold=t, max_dim=3) for t in (0.3, 0.4, 0.5)]
+    loaded = []
+    for i, k in enumerate(rips):
+        save_complex(k, tmp_path / f"{i}.jsonl")
+        loaded.append(load_complex(tmp_path / f"{i}.jsonl"))
+    stages, real = [], homology.validate_filtration
+    monkeypatch.setattr(homology, "validate_filtration",
+                        lambda k1, k2: stages.append(real(k1, k2)) or stages[-1])
+    track_classes(loaded, [Chain.make(1, {})])
+    assert len(stages) == 2
+    cases = {
+        "loaded": (loaded[2], True),
+        "autoclosed": (build_complex(shuffled_simplices(seed, keep=0.6)), True),
+        "rips": (rips[2], False),
+        "reordered loaded k2": (validate_filtration(loaded[0], loaded[2]).k2, True),
+        "reordered rips k2": (validate_filtration(rips[0], rips[2]).k2, False),
+        "reordered k2 below a lower k1": (validate_filtration(
+            generate("vietoris_rips", points=pts, threshold=0.4, max_dim=1), loaded[2]).k2, True),
+        "track stage 2": (stages[0].k2, True),
+        "track stage 3": (stages[1].k2, True),
+    }
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_face_index_matches_a_fresh_lookup(tmp_path, monkeypatch, seed):
+    # assembly keeps the face positions its closure search finds (autoclosed faces at
+    # their appended positions), a filtration's reordering permutes them, and any
+    # other complex fills a layer's entry with one lookup on first use
+    for name, (k, whole) in face_index_cases(tmp_path, monkeypatch, seed).items():
+        dims = range(1, min(k.dim(), 3) + 1)
+        assert len(dims) >= 2, name
+        assert sorted(k._face_at) == (list(dims) if whole else []), name
+        want = {r: k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1) for r in dims}
+        finds = []
+        real = SimplicialComplex._find
+        with monkeypatch.context() as m:
+            m.setattr(SimplicialComplex, "_find", lambda self, r, q: finds.append(r) or real(self, r, q))
+            for _ in range(2):
+                for r in dims:
+                    assert np.array_equal(_face_rows(k, r), want[r]), (name, r)
+                    assert np.array_equal(_face_rows(k, r, [2, 0]), want[r][[2, 0]]), (name, r)
+        assert finds == ([] if whole else [r - 1 for r in dims]), name
+        for r in dims:
+            for at in (k._face_at[r], _face_rows(k, r)):
+                with pytest.raises(ValueError, match="read-only"):
+                    at[0, 0] = 0
+                assert np.array_equal(at, want[r])
+
+
+def test_face_index_is_no_dataclass_field_and_stays_per_complex(filled_square):
+    # the index lives on the complex object, outside its fields
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(SimplicialComplex)] == ["n", "_rows"]
+    again = SimplicialComplex(filled_square.n, dict(filled_square._rows))
+    assert sorted(filled_square._face_at) == [1, 2] and again._face_at == {}
+    assert np.array_equal(_face_rows(again, 2), _face_rows(filled_square, 2))
+    assert again._face_at[2] is not filled_square._face_at[2]

@@ -637,6 +637,86 @@ def test_cli_bad_thresholds_is_input_error(replay_files, capsys, monkeypatch):
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_cli_sweep_above_max_dim_is_input_error(replay_files, capsys, monkeypatch):
+    # Rips cliques stop at --max-dim, so that layer is never built and 0 is no answer;
+    # --r at --max-dim is answered (its (r+1)-boundary is a zero map)
+    monkeypatch.chdir(replay_files)
+    sweep = ("betti", "--points", "pts.json", "--thresholds", "0.5,1.2")
+    code, out, err = run_cli(capsys, *sweep, "--r", "3", "--max-dim", "1", "--plot-data", "never.csv")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+    assert not (replay_files / "never.csv").exists()
+    code, out, err = run_cli(capsys, *sweep, "--r", "1", "--max-dim", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sweep"] == [[0.5, 1, 0, "exact"], [1.2, 1, 1, "exact"]]
+
+
+def sweep_clouds():
+    """name -> (points, thresholds, max_dim).  The lattice's thresholds 1, 2 and 3 tie
+    exactly with pair distances, the others are pair distances as floats; each cloud
+    also has a threshold below its first edge."""
+    rng = np.random.default_rng(26)
+    lattice = [[float(c // 9), float(c % 9)] for c in rng.choice(81, size=45, replace=False)]
+    uniform = rng.random((150, 2))
+    spatial = rng.random((30, 3))
+    clouds = {"lattice": (lattice, [0.5, 1.0, 2 ** 0.5, 2.0, 3.0], 2)}
+    for name, pts, ranks, max_dim in (("uniform", uniform, (0, 150, 300, 450), 2),
+                                      ("3-d", spatial, (0, 30, 60, 90, 120), 3)):
+        d2 = np.sort(((pts[:, None] - pts[None]) ** 2).sum(axis=2)[np.triu_indices(len(pts), 1)])
+        pairs = [float(np.sqrt(d2[i])) for i in ranks]
+        clouds[name] = (pts.tolist(), [pairs[0] / 2, *pairs], max_dim)
+    return clouds
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("cloud", ["lattice", "uniform", "3-d"])
+def test_cli_sweep_matches_exact_betti_per_threshold(tmp_path, capsys, monkeypatch, cloud, r):
+    # one Rips build at the largest threshold and one reduction per boundary, in
+    # diameter order, answer every threshold as exact_betti on its own complex does
+    from homology_lab import cli, complexes, exact_betti
+
+    pts, thresholds, max_dim = sweep_clouds()[cloud]
+    ks = [generate("vietoris_rips", points=pts, threshold=t, max_dim=max_dim) for t in thresholds]
+    want = [exact_betti(k, r) if k.size(r) else 0 for k in ks]
+    assert ks[0].size(1) == 0 and ks[-1].size(2)  # below the first edge, and up to triangles
+    if cloud == "lattice":  # pairs at distance exactly 1, 2 and 3 are left out
+        d2 = [(a - c) ** 2 + (b - d) ** 2 for (a, b) in pts for (c, d) in pts]
+        assert {1.0, 4.0, 9.0} <= set(d2)
+    (tmp_path / "pts.json").write_text(json.dumps(pts))
+    calls, real = [], complexes.vietoris_rips
+    monkeypatch.setattr(complexes, "vietoris_rips", lambda *a: calls.append(a[1]) or real(*a))
+    monkeypatch.setattr(cli, "exact_betti", lambda *a: pytest.fail("a sweep runs no exact_betti"))
+    builds, reductions = count_boundary_builds(monkeypatch), count_reductions(monkeypatch)
+    code, out, err = run_cli(capsys, "betti", "--r", str(r), "--points", str(tmp_path / "pts.json"),
+                             "--thresholds", ",".join(map(repr, thresholds[::-1])),
+                             "--max-dim", str(max_dim))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sweep"] == [[t, r, b, "exact"] for t, b in zip(thresholds, want)]
+    assert calls == [max(thresholds)]
+    assert sorted(builds) == [q for q in (r, r + 1) if q >= 1 and ks[-1].size(q)]
+    assert reductions == [False, False]
+
+
+@pytest.mark.slow
+def test_cli_sweep_on_a_300_point_noisy_circle(tmp_path, capsys):
+    # the cloud of scripts/rips_persistence_profile.py: one loop, born and then filled
+    from homology_lab import exact_betti
+
+    rng = np.random.default_rng(0)
+    angles = 2 * np.pi * (np.arange(300) + rng.normal(0, 0.15, 300)) / 300
+    radii = 1.0 + rng.normal(0, 0.05, 300)
+    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]).tolist()
+    thresholds = [0.35 * i / 5 for i in range(1, 6)]
+    want = [exact_betti(k, 1) if k.size(1) else 0 for k in
+            (generate("vietoris_rips", points=pts, threshold=t, max_dim=2) for t in thresholds)]
+    (tmp_path / "pts.json").write_text(json.dumps(pts))
+    code, out, err = run_cli(capsys, "betti", "--r", "1", "--points", str(tmp_path / "pts.json"),
+                             "--thresholds", ",".join(map(repr, thresholds)))
+    assert (code, err) == (0, "")
+    assert [row[2] for row in json.loads(out)["sweep"]] == want
+    assert 1 in want
+
+
 def test_cli_sweep_at_a_negative_dimension_is_input_error(replay_files, capsys, monkeypatch):
     # as with --input, a dimension that does not exist is an error, not beta = 0 at
     # every threshold; an empty layer at a small threshold still reads 0 (the sweep case)
