@@ -16,7 +16,6 @@ from .operators import (
     boundary_matrix,
     coboundary_matrix,
     laplacian,
-    normalized_laplacian,
     persistent_blocks,
     persistent_laplacian,
     persistent_up_laplacian,
@@ -51,7 +50,6 @@ from .cohomology import (
     evaluate,
     manual_cocycle,
     pair_cocycle,
-    project_to_cocycle,
     random_cocycle,
     test_equivalent_cohomological,
 )

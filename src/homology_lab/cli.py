@@ -1,11 +1,12 @@
 """Command-line front end.
 
 The parser is built once, at import.  Its parsed namespace is the run
-record: ``run`` writes the resolved seed back into it, and every result JSON
-on stdout embeds it as ``config``, one key per flag (dashes become
-underscores) plus ``subcommand``.  So every output replays from its own
-JSON.  ``--seed`` is taken by every subcommand and ``--mode`` by those with
-a stochastic route.  The seed draws a stochastic ``betti``'s and
+record: ``run`` writes the resolved seed back into it, a cohomological
+``test-equiv`` its witness count, and every result JSON on stdout embeds it
+as ``config``, one key per flag (dashes become underscores) plus
+``subcommand``.  So every output replays from its own JSON.  ``--seed`` is
+taken by every subcommand and ``--mode`` by those with a stochastic route.
+The seed draws a stochastic ``betti``'s and
 ``persistent-betti``'s harmonic start (the estimators' ``seed``), ``betti-track``'s
 samples, and random trials; stochastic class verdicts draw nothing.  A
 stochastic answer reports ``confidence``; ``--no-oracle`` drops the exact
@@ -167,6 +168,8 @@ def _cmd_test_equiv(args) -> dict:
     if args.method == "cohomology":
         if args.mode != "exact":
             raise InputError("--method cohomology is exact: drop --mode stochastic")
+        if args.witnesses is None:
+            args.witnesses = WITNESSES
         verdict = test_equivalent_cohomological(k, c1, c2, witnesses=args.witnesses,
                                                 seed=args.seed)
         out = {"answer": verdict.equivalent, "method": "cohomology",
@@ -175,7 +178,7 @@ def _cmd_test_equiv(args) -> dict:
         if args.dump_witness and verdict.witness is not None:
             Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
         return out
-    if args.witnesses != WITNESSES or args.dump_witness:
+    if args.witnesses is not None or args.dump_witness:
         raise InputError("--witnesses and --dump-witness belong to --method cohomology")
     return _verdict(test_equivalent(k, c1, c2, mode=args.mode))
 
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     p.add_argument("--chain2", required=True)
     p.add_argument("--method", choices=["homology", "cohomology"], default="homology")
-    p.add_argument("--witnesses", type=int, default=WITNESSES)
+    p.add_argument("--witnesses", type=int)
     p.add_argument("--dump-witness")
 
     p = add("detect-cycle", "is a chain a cycle? (one-sided test)", seeded)

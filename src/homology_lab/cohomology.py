@@ -25,7 +25,7 @@ from .errors import (
     TrivialCocycleSpace,
 )
 from .homology import _random_combinations, _require_cycles
-from .operators import _boundary, _boundary_columns, _pinv_sym
+from .operators import _boundary_columns
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,6 @@ def evaluate(k: SimplicialComplex, w: Cochain, c: Chain) -> float:
         raise DimensionMismatch("cochain length does not match the layer")
     dense = np.array([float(x) for x in c.dense(n)])
     return float(np.dot(w.values, dense))
-
-
-def project_to_cocycle(k: SimplicialComplex, r: int, w: Cochain) -> Cochain:
-    """Orthogonal projection onto the kernel of the coboundary map.
-
-    Uses a thresholded pseudoinverse of delta delta^T; with no (r+1)-simplices
-    the coboundary is the zero map and the projection is the identity.
-    """
-    if k.size(r) == 0:
-        raise EmptyLayer(f"no simplices of dimension {r}")
-    delta = _boundary(k, r + 1).toarray().astype(float).T
-    values = np.asarray(w.values, dtype=float)
-    projected = values - delta.T @ (_pinv_sym(delta @ delta.T) @ (delta @ values))
-    return Cochain(r=r, values=projected, cocycle=True)
 
 
 def cocycle_basis(k: SimplicialComplex, r: int) -> list[exact.Vector]:

@@ -10,12 +10,11 @@ order-preserving int64 row keys (base-n digits, or ranks where n^(r+1) overflows
 
 Each complex also keeps a face index: per layer r >= 1, the (|S_r|, r+1)
 layer-(r-1) positions of its simplices' faces, which every boundary reads.
-Assembly records it from its closure search, a filtration's reordering
-permutes it, and any other complex fills a layer's entry with one lookup on
-first use.  Layers and face index entries are read-only arrays, and the index
-lives on the complex object only.  A complex is immutable after construction
-apart from that lazy fill, whose racing writers store equal arrays, so it is
-safe for concurrent reads.
+Assembly records it from its closure search; any other complex fills a
+layer's entry with one lookup on first use.  Layers and face index entries
+are read-only arrays, and the index lives on the complex object only.  A
+complex is immutable after construction apart from that lazy fill, whose
+racing writers store equal arrays, so it is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -215,7 +214,7 @@ def _face_rows(k: SimplicialComplex, r: int, cols=slice(None)) -> np.ndarray:
     """Layer-(r-1) positions of the faces of the r-simplices ``cols`` (0-based, all by
     default), one row each, the face omitting the i-th vertex in column i.  They are
     read from the complex's face index, which one lookup fills on first use where
-    neither assembly nor a filtration's reordering recorded it."""
+    assembly did not record it."""
     at = k._face_at.get(r)
     if at is None:
         at = k._face_at[r] = _read_only(k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1))
@@ -254,28 +253,16 @@ class FiltrationPair:
 
 def validate_filtration(k1: SimplicialComplex, k2: SimplicialComplex) -> FiltrationPair:
     """Check k1 <= k2 and reorder k2 so each of its layers starts with k1's,
-    or raise :class:`NotASubcomplex` naming a simplex of k1 missing from k2.
-
-    The reordered k2 takes k2's face index entries, as far as k2 has them,
-    through the permutations of each layer and of the one below it; any other
-    entry it fills on first use."""
-    moved = {}  # r -> the k2 position of each reordered r-simplex
+    or raise :class:`NotASubcomplex` naming a simplex of k1 missing from k2."""
+    layers = dict(k2._rows)
     for r, rows in k1._rows.items():
         where = k2._find(r, rows)
         if (where < 0).any():
             raise NotASubcomplex(rows[np.argmax(where < 0)].tolist())
-        new = np.ones(k2.size(r), dtype=bool)
+        new = np.ones(len(layers[r]), dtype=bool)
         new[where] = False
-        moved[r] = np.concatenate([where, np.flatnonzero(new)])
-    k = SimplicialComplex(k2.n, {r: rows[moved[r]] if r in moved else rows
-                                 for r, rows in k2._rows.items()})
-    for r, at in k2._face_at.items():
-        if r in moved:
-            at = at[moved[r]]
-        if r - 1 in moved:
-            at = np.argsort(moved[r - 1])[at]  # a k2 position's reordered one
-        k._face_at[r] = _read_only(at)
-    return FiltrationPair(k1=k1, k2=k)
+        layers[r] = np.concatenate([rows, layers[r][new]])
+    return FiltrationPair(k1=k1, k2=SimplicialComplex(k2.n, layers))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def _reduce(pivots: dict, v: Vector) -> Vector | None:
 
 
 class Reduction:
-    """Fraction-free column reduction of a growing list of vectors.
+    """Fraction-free column reduction of a growing list of vectors: those given
+    at construction (mappings or dense sequences) cleared of their denominators.
 
     ``pivots`` maps each pivot index (the largest index of a stored reduced
     vector) to that vector, so its size is the rank of everything added.
@@ -80,16 +81,11 @@ class Reduction:
         self.track = track
         self.added = 0
         for v in vectors:
-            self.add(v)
+            self._add(*_cleared(v))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def add(self, values) -> bool:
-        """Reduce a vector (mapping or dense sequence), its denominators cleared,
-        and store it as a new pivot unless it vanishes; returns whether the rank grew."""
-        return self._add(*_cleared(values))
 
     def extend(self, columns) -> Reduction:
         """Add integer columns (mappings to nonzero ints) as they are, uncleared; returns self."""
@@ -97,14 +93,13 @@ class Reduction:
             self._add(v, 1)
         return self
 
-    def _add(self, v: Vector, scale: int) -> bool:
+    def _add(self, v: Vector, scale: int) -> None:
         if self.track:
             v = {**v, -1 - self.added: scale}
         self.added += 1
         rest = _reduce(self.pivots, v)
         if rest is not None and self.track:
             self.kernel.append({-1 - i: x for i, x in rest.items()})
-        return rest is None
 
     def rank_modulo(self, vectors) -> int:
         """The rank of the vectors modulo the span of everything added, left as it is."""

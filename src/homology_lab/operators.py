@@ -71,17 +71,6 @@ def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
     return sum(terms[1:], terms[0]).tocsr()
 
 
-def laplacian_divisor(k: SimplicialComplex, r: int) -> int:
-    """Normalization constant 2(r+1)(r+2)|S_r||S_{r+1}|, empty layer counting as 1."""
-    s_up = max(k.size(r + 1), 1)
-    return 2 * (r + 1) * (r + 2) * k.size(r) * s_up
-
-
-def normalized_laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
-    """Laplacian scaled so its spectral norm is strictly below one."""
-    return laplacian(k, r).astype(float) / laplacian_divisor(k, r)
-
-
 @dataclass(frozen=True)
 class PersistentBlocks:
     """Block decomposition of the larger complex's (r+1)-boundary.

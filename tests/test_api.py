@@ -18,9 +18,9 @@ PUBLIC = [
     "detect_cycle_stochastic", "errors", "estimate_normalized_betti",
     "estimate_normalized_persistent_betti", "evaluate", "exact", "exact_betti",
     "exact_persistent_betti", "exact_rank", "generate", "homology", "is_cycle_exact",
-    "laplacian", "manual_cocycle", "normalized_laplacian", "operators", "pair_cocycle",
+    "laplacian", "manual_cocycle", "operators", "pair_cocycle",
     "persistent_blocks", "persistent_laplacian", "persistent_up_laplacian",
-    "power_moments_rank", "project_to_cocycle", "random_cocycle", "sample_cycles",
+    "power_moments_rank", "random_cocycle", "sample_cycles",
     "schur_complement", "spec_matrix", "spectra", "stochastic_rank", "test_equivalent",
     "test_equivalent_cohomological", "test_trivial", "track_classes", "validate_filtration",
     "vietoris_rips",
@@ -75,13 +75,11 @@ PARAMETERS = {
     "is_cycle_exact": ["c", "k"],
     "laplacian": ["k", "r"],
     "manual_cocycle": ["k", "r", "seed"],
-    "normalized_laplacian": ["k", "r"],
     "pair_cocycle": ["k", "r"],
     "persistent_blocks": ["pair", "r"],
     "persistent_laplacian": ["pair", "r"],
     "persistent_up_laplacian": ["pair", "r"],
     "power_moments_rank": ["a", "filt", "n_v", "seed"],
-    "project_to_cocycle": ["k", "r", "w"],
     "random_cocycle": ["k", "r", "seed"],
     "sample_cycles": ["k", "r", "s", "seed"],
     "schur_complement": ["index_set", "m"],
@@ -101,7 +99,7 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 94
+    assert sum(map(len, PARAMETERS.values())) == 89
 
 
 FIELDS = {

@@ -13,7 +13,6 @@ from homology_lab import (
     generate,
     manual_cocycle,
     pair_cocycle,
-    project_to_cocycle,
     random_cocycle,
     sample_cycles,
     vietoris_rips,
@@ -56,20 +55,12 @@ def test_evaluate_dimension_mismatch(hollow_triangle):
         evaluate(hollow_triangle, w, Chain.make(0, {1: 1}))
 
 
-# --- projection -----------------------------------------------------------------
-
-def test_projection_identity_without_higher_simplices(hollow_triangle):
-    w = basis_cochain(hollow_triangle, 1, 2)
-    proj = project_to_cocycle(hollow_triangle, 1, w)
-    assert np.array_equal(proj.values, w.values)
-    assert proj.cocycle
-
+# --- missing layers --------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(canonical_complexes()))
 def test_missing_layers_read_as_zero_maps(name):
     # the boundary below dimension 1 and above the top layer is the zero map:
-    # every 0-chain is a cycle, every top-layer cochain a cocycle, and the
-    # projection returns a top-layer cochain's values bit for bit
+    # every 0-chain is a cycle and every top-layer cochain a cocycle
     from homology_lab.cohomology import cocycle_basis
     from homology_lab.spectra import cycle_basis
 
@@ -77,30 +68,6 @@ def test_missing_layers_read_as_zero_maps(name):
     top = max(k.layers)
     assert cycle_basis(k, 0) == [{j: 1} for j in range(k.size(0))]
     assert cocycle_basis(k, top) == [{j: 1} for j in range(k.size(top))]
-    values = np.random.default_rng(top).standard_normal(k.size(top))
-    values[0] = -0.0
-    proj = project_to_cocycle(k, top, Cochain(r=top, values=values))
-    assert proj.values.tobytes() == values.tobytes() and proj.cocycle
-
-
-def test_projection_lands_in_kernel(filled_triangle):
-    w = basis_cochain(filled_triangle, 1, 1)
-    proj = project_to_cocycle(filled_triangle, 1, w)
-    delta = coboundary_matrix(filled_triangle, 1).toarray()
-    assert np.linalg.norm(delta @ proj.values) <= 1e-8
-
-
-def test_projection_fixes_cocycles(filled_triangle):
-    w = random_cocycle(filled_triangle, 1, seed=0)
-    again = project_to_cocycle(filled_triangle, 1, w)
-    assert np.linalg.norm(again.values - w.values) <= 1e-10
-
-
-def test_projection_idempotent(filled_triangle):
-    w = basis_cochain(filled_triangle, 1, 3)
-    once = project_to_cocycle(filled_triangle, 1, w)
-    twice = project_to_cocycle(filled_triangle, 1, once)
-    assert np.linalg.norm(twice.values - once.values) <= 1e-10
 
 
 # --- random cocycles ---------------------------------------------------------------

@@ -481,6 +481,7 @@ def test_cli_rejects_malformed_headers_chains_and_manifests(replay_files, capsys
     ("homology", ("--witnesses", "0", "--dump-witness", "w.json")),
     ("homology", ("--dump-witness", "w.json")),
     ("cohomology", ("--mode", "stochastic")),
+    ("homology", ("--witnesses", "8")),  # the cohomology default, given explicitly
 ])
 def test_cli_test_equiv_rejects_flags_its_method_ignores(replay_files, capsys, monkeypatch,
                                                          method, extra):

@@ -7,7 +7,6 @@ from homology_lab import (
     coboundary_matrix,
     generate,
     laplacian,
-    normalized_laplacian,
     persistent_blocks,
     persistent_laplacian,
     persistent_up_laplacian,
@@ -16,7 +15,6 @@ from homology_lab import (
     validate_filtration,
 )
 from homology_lab.errors import EmptyLayer
-from homology_lab.operators import laplacian_divisor
 
 from conftest import (
     canonical_complexes,
@@ -84,6 +82,15 @@ def test_boundary_reads_a_missing_layer_as_the_int_zero_map(monkeypatch, name, r
     assert builds == ([r] if 1 <= r <= max(k.layers) else [])
 
 
+def test_counted_boundary_columns_take_an_index_array(monkeypatch):
+    # reading some columns of a boundary by an index array is no build
+    from homology_lab import operators
+
+    builds = count_boundary_builds(monkeypatch)
+    cols = operators._boundary_columns(generate("filled_triangle"), 1, np.array([0, 2]))
+    assert len(cols) == 2 and builds == []
+
+
 @pytest.mark.parametrize("name, r", _layer_cases(above_top=0))
 def test_laplacian_is_up_term_plus_down_term_with_zero_maps(name, r):
     k = canonical_complexes()[name]
@@ -126,24 +133,6 @@ def test_laplacian_symmetry_psd_random():
             assert np.array_equal(lap, lap.T)
             eigs = np.linalg.eigvalsh(lap.astype(float))
             assert eigs.min() >= -1e-10
-
-
-def test_normalized_laplacian_divisor_and_kernel():
-    k = generate("filled_triangle")
-    assert laplacian_divisor(k, 1) == 36
-    norm = normalized_laplacian(k, 1).toarray()
-    assert np.allclose(norm * 36, laplacian(k, 1).toarray())
-    assert np.linalg.norm(norm, 2) < 1.0
-    # positive scaling preserves kernels
-    hollow = generate("hollow_triangle")
-    a = laplacian(hollow, 1).toarray().astype(float)
-    b = normalized_laplacian(hollow, 1).toarray()
-    assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(b)
-
-
-def test_normalized_laplacian_zero_stays_zero():
-    k = generate("point")
-    assert not normalized_laplacian(k, 0).toarray().any()
 
 
 # --- persistent blocks ------------------------------------------------------------

@@ -536,7 +536,7 @@ def test_stochastic_rank_holds_few_probe_blocks():
     # the recurrence runs in two preallocated blocks: no step allocates one
     import tracemalloc
 
-    from homology_lab.operators import normalized_laplacian
+    from homology_lab.operators import laplacian
     from homology_lab.spectra import _rescaled
 
     pts = np.random.default_rng(0).random((140, 2))
@@ -544,7 +544,7 @@ def test_stochastic_rank_holds_few_probe_blocks():
     threshold = float(np.sqrt(np.sort(d2[np.triu_indices(140, 1)])[559:561].mean()))
     k = generate("vietoris_rips", points=pts.tolist(), threshold=threshold, max_dim=2)
     assert k.size(1) == 560
-    lap, _ = _rescaled(sp.csr_matrix(normalized_laplacian(k, 1), dtype=float))
+    lap, _ = _rescaled(sp.csr_matrix(laplacian(k, 1), dtype=float))
     filt, n_v = chebyshev_filter(0.01, 64), 200
     tracemalloc.start()
     try:
@@ -725,13 +725,13 @@ def test_default_betti_estimate_on_rips_is_within_half_and_rescaled_spectrum_wit
     # eigenvalue at or below 1, where the Chebyshev filter is bounded, and
     # every default estimate of beta_1 lands within 0.5 of the exact value
     # (a power-iteration bound let 6 of them pass 1 and miss)
-    from homology_lab.operators import normalized_laplacian
+    from homology_lab.operators import laplacian
     from homology_lab.spectra import _rescaled
 
     for seed in range(30):
         pts = np.random.default_rng(seed).random((30, 2)).tolist()
         k = generate("vietoris_rips", points=pts, threshold=0.3)
-        rescaled, _ = _rescaled(sp.csr_matrix(normalized_laplacian(k, 1), dtype=float))
+        rescaled, _ = _rescaled(sp.csr_matrix(laplacian(k, 1), dtype=float))
         assert np.linalg.eigvalsh(rescaled.toarray())[-1] <= 1.0, seed
         est = estimate_normalized_betti(k, 1, seed=seed)
         assert abs(est.betti() - exact_betti(k, 1)) <= 0.5, seed
