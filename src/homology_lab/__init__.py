@@ -12,11 +12,9 @@ from .complexes import (
     vietoris_rips,
 )
 from .operators import (
-    PersistentBlocks,
     boundary_matrix,
     coboundary_matrix,
     laplacian,
-    persistent_blocks,
     persistent_laplacian,
     persistent_up_laplacian,
     schur_complement,

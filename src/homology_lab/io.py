@@ -85,10 +85,8 @@ def load_chain(path) -> Chain:
 
 
 def dump_operator(matrix, path) -> None:
-    """MatrixMarket coordinate export for cross-checking with external tools."""
+    """MatrixMarket coordinate export of a sparse matrix, for cross-checking with other tools."""
     import scipy.io
-    import scipy.sparse as sp
 
-    m = matrix if sp.issparse(matrix) else sp.coo_matrix(matrix)
     with open(path, "wb") as out:  # mmwrite given a path in a missing directory writes nothing
-        scipy.io.mmwrite(out, m)
+        scipy.io.mmwrite(out, matrix)

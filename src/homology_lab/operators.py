@@ -5,16 +5,16 @@ vertex in position i of a sorted simplex enters with sign (-1)^i.  Exact paths
 read a boundary's integer columns straight from the face positions, with no
 matrix, through :func:`_boundary_columns`: out of an empty layer there are no
 columns, and below dimension 1 only zero ones; :func:`_prefix_boundary` checks
-the persistent block structure on them.  Float paths and :func:`persistent_blocks`
-read the same rule as a CSC matrix through :func:`_boundary`, the int zero matrix
-of the right shape for a missing layer, so callers need no branch of their own.
+the persistent block structure on them.  Float paths read the same rule as a
+CSC matrix through :func:`_boundary`, the int zero matrix of the right shape for
+a missing layer, so callers need no branch of their own.
 Only the pseudoinverse-based paths are floating point, and they share one
 thresholded pseudoinverse, :func:`_pinv_sym`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,30 +71,6 @@ def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
     return sum(terms[1:], terms[0]).tocsr()
 
 
-@dataclass(frozen=True)
-class PersistentBlocks:
-    """Block decomposition of the larger complex's (r+1)-boundary.
-
-    With the prefix ordering of a validated filtration, the boundary matrix of
-    k2 splits as [B R; 0 G]: B is k1's own boundary, R couples new
-    (r+1)-simplices to old r-faces, and G is the all-new corner.  The lower
-    left block is zero because every face of an old simplex is old.
-    """
-
-    r: int
-    b: sp.csc_matrix
-    r_block: sp.csc_matrix
-    g: sp.csc_matrix
-
-
-def persistent_blocks(pair: FiltrationPair, r: int) -> PersistentBlocks:
-    """Split k2's (r+1)-boundary along the old/new prefix that :func:`_prefix_boundary` checks."""
-    _prefix_boundary(pair, r)
-    n1, m1 = pair.k1.size(r), pair.k1.size(r + 1)
-    full = _boundary(pair.k2, r + 1)
-    return PersistentBlocks(r=r, b=full[:n1, :m1], r_block=full[:n1, m1:], g=full[n1:, m1:])
-
-
 def _prefix_boundary(pair: FiltrationPair, r: int) -> exact.Columns:
     """k2's (r+1)-boundary as integer columns, checked to be [B R; 0 G] with B k1's own
     boundary: raises :class:`StructuralViolation` if an old column has a new face or B
@@ -112,8 +88,6 @@ def _prefix_boundary(pair: FiltrationPair, r: int) -> exact.Columns:
 
 
 def _pinv_sym(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return m.copy()
     return np.linalg.pinv(m, rcond=PINV_RTOL, hermitian=True)
 
 
@@ -121,40 +95,35 @@ def schur_complement(m: np.ndarray, index_set) -> np.ndarray:
     """Eliminate the 1-based rows/columns in ``index_set`` from a symmetric matrix.
 
     Returns M(comp, comp) - M(comp, I) M(I, I)^+ M(I, comp) with a
-    singular-value-thresholded pseudoinverse.  An empty index set returns a
-    copy of M.
+    singular-value-thresholded pseudoinverse: a copy of M for an empty index
+    set, a (0, 0) matrix for the full one.
     """
     m = np.asarray(m, dtype=float)
-    idx = sorted(set(int(i) for i in index_set))
-    if not idx:
-        return m.copy()
-    if idx[0] < 1 or idx[-1] > m.shape[0]:
+    try:
+        idx = sorted({operator.index(i) for i in index_set})
+    except TypeError:
+        raise BadParameter("index set must hold integers") from None
+    if idx and (idx[0] < 1 or idx[-1] > m.shape[0]):
         raise BadParameter("index set out of range (indices are 1-based)")
-    dropped = set(idx)
-    inner = np.array([i - 1 for i in idx])
-    keep = np.array([i for i in range(m.shape[0]) if i + 1 not in dropped], dtype=int)
-    m_kk = m[np.ix_(keep, keep)]
+    inner = np.array(idx, dtype=int) - 1
+    keep = np.setdiff1d(np.arange(m.shape[0]), inner)
     m_ki = m[np.ix_(keep, inner)]
-    m_ii = m[np.ix_(inner, inner)]
-    if keep.size == 0:
-        return np.zeros((0, 0))
-    return m_kk - m_ki @ _pinv_sym(m_ii) @ m_ki.T
+    return m[np.ix_(keep, keep)] - m_ki @ _pinv_sym(m[np.ix_(inner, inner)]) @ m_ki.T
 
 
 def persistent_up_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:
-    """Up-part of the persistent Laplacian from the block formula.
+    """Up-part of the persistent Laplacian on k1's r-simplices.
 
-    B B^T + R R^T - R G^T (G G^T)^+ G R^T, acting on k1's r-simplices.
+    In the prefix order of a validated filtration, k2's (r+1)-boundary is
+    [B R; 0 G]: B is k1's own boundary, R couples new (r+1)-simplices to old
+    r-faces, G is the all-new corner, and the lower left block is zero because
+    every face of an old simplex is old.  Returns B B^T + R R^T - R G^T (G G^T)^+ G R^T.
     """
-    blocks = persistent_blocks(pair, r)
-    b = blocks.b.toarray().astype(float)
-    rr = blocks.r_block.toarray().astype(float)
-    g = blocks.g.toarray().astype(float)
-    up = b @ b.T + rr @ rr.T
-    if g.shape[0] > 0 and g.shape[1] > 0:
-        ggt = g @ g.T
-        up = up - rr @ g.T @ _pinv_sym(ggt) @ g @ rr.T
-    return up
+    _prefix_boundary(pair, r)
+    n1, m1 = pair.k1.size(r), pair.k1.size(r + 1)
+    full = _boundary(pair.k2, r + 1).toarray().astype(float)
+    b, rr, g = full[:n1, :m1], full[:n1, m1:], full[n1:, m1:]
+    return b @ b.T + rr @ rr.T - rr @ g.T @ _pinv_sym(g @ g.T) @ g @ rr.T
 
 
 def persistent_laplacian(pair: FiltrationPair, r: int) -> np.ndarray:

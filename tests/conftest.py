@@ -12,7 +12,6 @@ them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest

@@ -4,13 +4,10 @@ Every stochastic criterion is pinned to explicit seeds so the suite is
 reproducible; every tolerance is stated inline.
 """
 
-import json
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import homology_lab as hl
 from homology_lab import Chain

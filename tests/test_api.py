@@ -12,14 +12,14 @@ from homology_lab.cli import PARSER
 
 PUBLIC = [
     "BettiEstimate", "Chain", "ChebyshevStepFilter", "ClassReport", "Cochain", "FiltrationPair",
-    "PersistentBlocks", "RankEstimate", "SimplicialComplex", "Verdict", "betti_via_tracking",
+    "RankEstimate", "SimplicialComplex", "Verdict", "betti_via_tracking",
     "boundary_matrix", "build_complex", "chebyshev_filter", "coboundary_matrix", "cohomology",
     "complexes",
     "detect_cycle_stochastic", "errors", "estimate_normalized_betti",
     "estimate_normalized_persistent_betti", "evaluate", "exact", "exact_betti",
     "exact_persistent_betti", "exact_rank", "generate", "homology", "is_cycle_exact",
     "laplacian", "manual_cocycle", "operators", "pair_cocycle",
-    "persistent_blocks", "persistent_laplacian", "persistent_up_laplacian",
+    "persistent_laplacian", "persistent_up_laplacian",
     "power_moments_rank", "random_cocycle", "sample_cycles",
     "schur_complement", "spec_matrix", "spectra", "stochastic_rank", "test_equivalent",
     "test_equivalent_cohomological", "test_trivial", "track_classes", "validate_filtration",
@@ -76,7 +76,6 @@ PARAMETERS = {
     "laplacian": ["k", "r"],
     "manual_cocycle": ["k", "r", "seed"],
     "pair_cocycle": ["k", "r"],
-    "persistent_blocks": ["pair", "r"],
     "persistent_laplacian": ["pair", "r"],
     "persistent_up_laplacian": ["pair", "r"],
     "power_moments_rank": ["a", "filt", "n_v", "seed"],
@@ -99,7 +98,7 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 89
+    assert sum(map(len, PARAMETERS.values())) == 87
 
 
 FIELDS = {
@@ -109,7 +108,6 @@ FIELDS = {
     "ClassReport": ["kind", "stages"],
     "Cochain": ["r", "values", "cocycle"],
     "FiltrationPair": ["k1", "k2"],
-    "PersistentBlocks": ["r", "b", "r_block", "g"],
     "RankEstimate": ["normalized", "raw", "n_v", "degree", "delta", "stderr"],
     "SimplicialComplex": ["n", "_rows"],
     "Verdict": ["answer", "method", "low_confidence"],

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unused: a stand-in for the unused-import and dead-code
-lints, which this project does not depend on."""
+"""No module of the package, the tests, the scripts or the root conftest imports
+a name it never uses, and no private module-level name of the package goes
+unused: a stand-in for the unused-import and dead-code lints, which this project
+does not depend on.  perfbench/, the benchmark's own directory, is not checked."""
 
 import ast
 import re
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).parents[1] / "src" / "homology_lab").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+PACKAGE = sorted((ROOT / "src" / "homology_lab").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+OTHERS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py"), ROOT / "conftest.py"])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +34,8 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + OTHERS,
+                         ids=lambda p: p.name if p in SOURCES else str(p.relative_to(ROOT)))
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

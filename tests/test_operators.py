@@ -7,14 +7,13 @@ from homology_lab import (
     coboundary_matrix,
     generate,
     laplacian,
-    persistent_blocks,
     persistent_laplacian,
     persistent_up_laplacian,
     schur_complement,
     spec_matrix,
     validate_filtration,
 )
-from homology_lab.errors import EmptyLayer
+from homology_lab.errors import BadParameter, EmptyLayer
 
 from conftest import (
     canonical_complexes,
@@ -137,31 +136,45 @@ def test_laplacian_symmetry_psd_random():
 
 # --- persistent blocks ------------------------------------------------------------
 
+def prefix_blocks(pair, r):
+    """B, R and G of the reordered k2's (r+1)-boundary [B R; 0 G], split at k1's
+    prefix, after checking its int dtype, its zero lower left block and that B
+    is k1's own boundary."""
+    n1, m1 = pair.k1.size(r), pair.k1.size(r + 1)
+    full = (boundary_matrix(pair.k2, r + 1).toarray() if pair.k2.size(r + 1)
+            else np.zeros((pair.k2.size(r), 0), dtype=int))
+    own = boundary_matrix(pair.k1, r + 1).toarray() if m1 else np.zeros((n1, 0), dtype=int)
+    assert full.dtype.kind == "i"
+    assert not full[n1:, :m1].any()
+    assert np.array_equal(full[:n1, :m1], own)
+    return full[:n1, :m1], full[:n1, m1:], full[n1:, m1:]
+
+
 def test_blocks_hollow_to_filled():
     pair = validate_filtration(generate("hollow_triangle"), generate("filled_triangle"))
-    blocks = persistent_blocks(pair, 1)
-    assert blocks.b.shape == (3, 0)
-    assert blocks.r_block.toarray()[:, 0].tolist() == [1, -1, 1]
-    assert blocks.g.shape == (0, 1)
+    b, rr, g = prefix_blocks(pair, 1)
+    assert b.shape == (3, 0)
+    assert rr[:, 0].tolist() == [1, -1, 1]
+    assert g.shape == (0, 1)
 
 
 def test_blocks_identity_filtration():
     k = generate("filled_triangle")
     pair = validate_filtration(k, k)
-    blocks = persistent_blocks(pair, 1)
-    assert blocks.r_block.shape[1] == 0
-    assert blocks.g.shape == (0, 0)
-    assert np.array_equal(blocks.b.toarray(), boundary_matrix(k, 2).toarray())
+    b, rr, g = prefix_blocks(pair, 1)
+    assert rr.shape[1] == 0
+    assert g.shape == (0, 0)
+    assert np.array_equal(b, boundary_matrix(k, 2).toarray())
 
 
 def test_blocks_no_triangles_anywhere():
     k1 = build_complex([[0, 1]], autoclose=True)
     k2 = generate("hollow_triangle")
     pair = validate_filtration(k1, k2)
-    blocks = persistent_blocks(pair, 1)
-    assert blocks.b.shape[1] == 0
-    assert blocks.r_block.shape[1] == 0
-    assert blocks.g.shape[1] == 0
+    b, rr, g = prefix_blocks(pair, 1)
+    assert b.shape[1] == 0
+    assert rr.shape[1] == 0
+    assert g.shape[1] == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -170,17 +183,22 @@ def test_blocks_reassemble_full_boundary(seed):
     for r in (1, 2):  # max_dim 2: at r = 2 (and r = 1 without triangles) D is the zero map
         if pair.k1.size(r) == 0:
             continue
-        blocks = persistent_blocks(pair, r)
-        assert all(m.dtype.kind == "i" for m in (blocks.b, blocks.r_block, blocks.g))
-        full = (boundary_matrix(pair.k2, r + 1).toarray() if pair.k2.size(r + 1)
-                else np.zeros((pair.k2.size(r), 0), dtype=int))
-        top = np.hstack([blocks.b.toarray(), blocks.r_block.toarray()])
-        bottom = np.hstack(
-            [np.zeros((blocks.g.shape[0], blocks.b.shape[1]), dtype=int), blocks.g.toarray()]
-        )
-        assert np.array_equal(np.vstack([top, bottom]), full)
+        b, _, _ = prefix_blocks(pair, r)
         # Frobenius counts: every column of a boundary matrix has r+2 entries
-        assert (blocks.b.toarray() ** 2).sum() == (r + 2) * pair.k1.size(r + 1)
+        assert (b ** 2).sum() == (r + 2) * pair.k1.size(r + 1)
+
+
+@pytest.mark.parametrize("k1, k2, r", [
+    (generate("hollow_triangle"), generate("filled_triangle"), 1),
+    (generate("filled_triangle"), build_complex([[0, 1, 2], [2, 3]]), 1),
+    (build_complex([[0, 1]]), build_complex([[0, 1], [2]]), 0),
+], ids=["no_new_r_simplices", "no_new_r+1_simplices", "no_new_r+1_simplices_at_0"])
+def test_persistent_up_laplacian_with_an_empty_corner(k1, k2, r):
+    # G has no rows or no columns, so the up-part is B B^T + R R^T exactly
+    pair = validate_filtration(k1, k2)
+    b, rr, g = prefix_blocks(pair, r)
+    assert 0 in g.shape
+    assert np.array_equal(persistent_up_laplacian(pair, r), (b @ b.T + rr @ rr.T).astype(float))
 
 
 # --- Schur complement ---------------------------------------------------------------
@@ -206,6 +224,31 @@ def test_schur_two_by_two():
 def test_schur_empty_index_set():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(schur_complement(m, set()), m)
+
+
+def test_schur_full_index_set():
+    out = schur_complement(np.array([[2.0, 1.0], [1.0, 2.0]]), {1, 2})
+    assert out.shape == (0, 0)
+    assert out.dtype == float
+
+
+def test_schur_index_set_out_of_range():
+    for index_set in ([0], [4], [-1, 2]):
+        with pytest.raises(BadParameter, match="out of range"):
+            schur_complement(np.eye(3), index_set)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, "2", np.float64(2.0), None],
+                         ids=["1.5", "2.0", "str", "float64", "None"])
+def test_schur_rejects_an_index_that_is_not_an_integer(index):
+    with pytest.raises(BadParameter, match="integers"):
+        schur_complement(np.diag([1.0, 2.0, 3.0]), [index])
+
+
+def test_schur_takes_python_and_numpy_integers():
+    m = np.diag([1.0, 2.0, 3.0])
+    for index_set in ([2], [np.int64(2)], np.array([2]), range(2, 3)):
+        assert np.array_equal(schur_complement(m, index_set), np.diag([1.0, 3.0]))
 
 
 # --- persistent Laplacian ---------------------------------------------------------

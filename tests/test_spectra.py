@@ -16,7 +16,7 @@ from homology_lab import (
     exact_persistent_betti,
     exact_rank,
     generate,
-    persistent_blocks,
+    persistent_up_laplacian,
     power_moments_rank,
     sample_cycles,
     stochastic_rank,
@@ -259,8 +259,8 @@ def _broken_pairs():
     }
 
 
-@pytest.mark.parametrize("caller", [exact_persistent_betti, persistent_blocks],
-                         ids=["exact_persistent_betti", "persistent_blocks"])
+@pytest.mark.parametrize("caller", [exact_persistent_betti, persistent_up_laplacian],
+                         ids=["exact_persistent_betti", "persistent_up_laplacian"])
 @pytest.mark.parametrize("case", ["lower_left", "reversed_edges", "rotated_edges"])
 def test_both_structural_checks_fire_from_both_callers(case, caller):
     k1, k2, r, match = _broken_pairs()[case]
