@@ -4,15 +4,15 @@ The parser is built once, at import.  Its parsed namespace is the run
 record: ``run`` writes the resolved seed back into it, a cohomological
 ``test-equiv`` its witness count, and every result JSON on stdout embeds it
 as ``config``, one key per flag (dashes become underscores) plus
-``subcommand``.  So every output replays from its own JSON.  ``--seed`` is
-taken by every subcommand and ``--mode`` by those with a stochastic route.
-The seed draws a stochastic ``betti``'s and
-``persistent-betti``'s harmonic start (the estimators' ``seed``), ``betti-track``'s
-samples, and random trials; stochastic class verdicts draw nothing.  A
-stochastic answer reports ``confidence``; ``--no-oracle`` drops the exact
-echo, the only exact computation of a stochastic ``betti``,
-``persistent-betti`` or ``betti-track``.  Diagnostics go to stderr; exit
-codes: 0 success, 2 input error, 3 internal invariant violation.
+``subcommand``.  So every output replays from its own JSON, and a run
+rejects any flag it would not read but ``--seed``, which every subcommand
+records.  The seed draws a stochastic ``betti``'s and ``persistent-betti``'s
+harmonic start, ``betti-track``'s samples, and random trials; stochastic
+class verdicts draw nothing.  One record serves both Betti answers: the
+exact value, or the estimate, its ``confidence`` and the exact echo, which
+``--no-oracle`` drops there and in ``betti-track``.  ``gen`` hands every
+flag to ``generate``, which knows what each kind reads.  Diagnostics go to
+stderr; exit codes: 0 success, 2 input error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .homology import (
     test_trivial,
     track_classes,
 )
-from .cohomology import test_equivalent_cohomological
+from .cohomology import WITNESSES, test_equivalent_cohomological
 from .operators import boundary_matrix, laplacian
 from .spectra import (
     _sweep_betti,
@@ -49,7 +49,6 @@ from .spectra import (
     exact_persistent_betti,
 )
 
-WITNESSES = 8  # default number of cocycle witnesses of a cohomological test-equiv
 ORACLE_GATE = 500  # largest |S_r| whose stochastic answers are echoed with the exact one
 
 
@@ -86,32 +85,39 @@ def emit_plot_data(rows, out) -> str:
     return text
 
 
+def _betti_record(args, layer_size: int, key: str, exact, estimate) -> dict:
+    """A Betti answer's record; the thunks ``exact`` and ``estimate`` run only on its route."""
+    result: dict = {"r": args.r, "layer_size": layer_size}
+    if args.mode == "exact":
+        if args.no_oracle:
+            raise InputError("--no-oracle drops a stochastic answer's exact echo; "
+                             "an exact run has none")
+        result[key] = exact()
+        result["normalized"] = result[key] / layer_size
+    else:
+        est = estimate()
+        result.update(normalized=est.value, confidence=_confidence(est.low_confidence))
+        if _echo_oracle(args, layer_size):
+            result["exact_" + key] = exact()
+    return result
+
+
 def _cmd_betti(args) -> dict:
     if args.points:
         return _cmd_betti_sweep(args)
     if not args.input:
         raise InputError("betti needs --input (or --points with --thresholds)")
-    if args.thresholds or args.plot_data:
-        raise InputError("--thresholds and --plot-data belong to a --points sweep")
+    if args.thresholds or args.plot_data or args.max_dim != 2:
+        raise InputError("--thresholds, --plot-data and --max-dim belong to a --points sweep")
     k = files.load_complex(args.input)
-    result: dict = {"r": args.r, "layer_size": k.size(args.r)}
-    if args.mode == "exact":
-        betti = exact_betti(k, args.r)
-        result["betti"] = betti
-        result["normalized"] = betti / k.size(args.r)
-    else:
-        est = estimate_normalized_betti(k, args.r, seed=args.seed)
-        result["normalized"] = est.value
-        result["confidence"] = _confidence(est.low_confidence)
-        if _echo_oracle(args, k.size(args.r)):
-            result["exact_betti"] = exact_betti(k, args.r)
-    return result
+    return _betti_record(args, k.size(args.r), "betti", lambda: exact_betti(k, args.r),
+                         lambda: estimate_normalized_betti(k, args.r, seed=args.seed))
 
 
 def _cmd_betti_sweep(args) -> dict:
-    if args.input or args.mode != "exact":
+    if args.input or args.mode != "exact" or args.no_oracle:
         raise InputError("a point-cloud sweep is exact and reads --points only; "
-                         "drop --input and --mode")
+                         "drop --input, --mode and --no-oracle")
     if not args.thresholds:
         raise InputError("a point-cloud sweep needs --thresholds")
     if args.r < 0:
@@ -137,18 +143,9 @@ def _cmd_betti_sweep(args) -> dict:
 
 def _cmd_persistent_betti(args) -> dict:
     pair = files.load_filtration(args.input)
-    result: dict = {"r": args.r, "layer_size": pair.k1.size(args.r)}
-    if args.mode == "exact":
-        betti = exact_persistent_betti(pair, args.r)
-        result["persistent_betti"] = betti
-        result["normalized"] = betti / pair.k1.size(args.r)
-    else:
-        est = estimate_normalized_persistent_betti(pair, args.r, seed=args.seed)
-        result["normalized"] = est.value
-        result["confidence"] = _confidence(est.low_confidence)
-        if _echo_oracle(args, pair.k1.size(args.r)):
-            result["exact_persistent_betti"] = exact_persistent_betti(pair, args.r)
-    return result
+    return _betti_record(args, pair.k1.size(args.r), "persistent_betti",
+                         lambda: exact_persistent_betti(pair, args.r),
+                         lambda: estimate_normalized_persistent_betti(pair, args.r, seed=args.seed))
 
 
 def _verdict(v) -> dict:
@@ -213,14 +210,9 @@ def _cmd_betti_track(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
-    kwargs = {}
-    if args.m is not None:
-        kwargs["m"] = args.m
-    if args.points:
-        kwargs["points"] = json.loads(Path(args.points).read_text())
-        kwargs["threshold"] = args.threshold
-        kwargs["max_dim"] = args.max_dim
-    k = generate(args.kind, **kwargs)
+    points = json.loads(Path(args.points).read_text()) if args.points else None
+    k = generate(args.kind, m=args.m, points=points, threshold=args.threshold,
+                 max_dim=args.max_dim)
     files.save_complex(k, args.out)
     return {"kind": args.kind, "out": args.out,
             "sizes": {str(r): k.size(r) for r in range(k.dim() + 1)}}

@@ -27,6 +27,8 @@ from .errors import (
 from .homology import _random_combinations, _require_cycles
 from .operators import _boundary_columns
 
+WITNESSES = 8  # default number of witnesses of test_equivalent_cohomological
+
 
 @dataclass(frozen=True)
 class Cochain:
@@ -158,7 +160,7 @@ class CohomologyVerdict:
 
 
 def test_equivalent_cohomological(k: SimplicialComplex, c1: Chain, c2: Chain,
-                                  witnesses: int = 8, seed=None) -> CohomologyVerdict:
+                                  witnesses: int = WITNESSES, seed=None) -> CohomologyVerdict:
     """Probe homology equivalence with exact integer cocycle witnesses.
 
     Reduces the transposed (r+1)-boundary once for a cocycle basis, then

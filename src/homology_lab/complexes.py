@@ -382,38 +382,43 @@ def vietoris_rips(points: Sequence[Sequence[float]], threshold: float, max_dim: 
     return SimplicialComplex(n, layers)
 
 
+_CANONICAL = {  # kind: the simplices whose closure it is
+    "point": [[0]],
+    "hollow_triangle": [[0, 1], [0, 2], [1, 2]],
+    "filled_triangle": [[0, 1, 2]],
+    "tetrahedron_boundary": list(combinations(range(4), 3)),
+    # 7-vertex cyclic triangulation: 14 triangles, 21 edges, Euler = 0.
+    "torus": [sorted((i % 7, (i + s) % 7, (i + 3) % 7)) for s in (1, 2) for i in range(7)],
+    # octahedron boundary; opposite-vertex pairs (0,1) (2,3) (4,5)
+    "sphere2": [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+}
+_READS = {**dict.fromkeys(_CANONICAL, ()), "circle": ("m",),
+          "vietoris_rips": ("points", "threshold", "max_dim")}
+
+
 def generate(kind: str, *, m: int | None = None,
              points: Sequence[Sequence[float]] | None = None,
              threshold: float | None = None, max_dim: int = 2) -> SimplicialComplex:
     """Canonical and point-cloud complex generators.
 
-    Kinds: point, circle (m >= 3 vertices), hollow_triangle, filled_triangle,
-    tetrahedron_boundary, torus, sphere2, vietoris_rips.
+    Kinds: point, hollow_triangle, filled_triangle, tetrahedron_boundary,
+    torus and sphere2 read no parameter; circle reads m (>= 3 vertices);
+    vietoris_rips reads points, threshold and max_dim.  An unknown kind, or a
+    parameter that the kind does not read set off its default (None, or 2
+    for max_dim), raises :class:`BadParameter`.
     """
-    if kind == "point":
-        return build_complex([[0]])
+    if kind not in _READS:
+        raise BadParameter(f"unknown generator kind {kind!r}")
+    given = {"m": m is not None, "points": points is not None,
+             "threshold": threshold is not None, "max_dim": max_dim != 2}
+    if unread := [name for name, set_ in given.items() if set_ and name not in _READS[kind]]:
+        raise BadParameter(f"{kind} does not read {', '.join(unread)}")
+    if kind in _CANONICAL:
+        return build_complex(_CANONICAL[kind], autoclose=True)
     if kind == "circle":
         if m is None or m < 3:
             raise BadParameter("circle needs m >= 3")
-        edges = [sorted((i, (i + 1) % m)) for i in range(m)]
-        return build_complex(edges, autoclose=True)
-    if kind == "hollow_triangle":
-        return build_complex([[0, 1], [0, 2], [1, 2]], autoclose=True)
-    if kind == "filled_triangle":
-        return build_complex([[0, 1, 2]], autoclose=True)
-    if kind == "tetrahedron_boundary":
-        return build_complex(list(combinations(range(4), 3)), autoclose=True)
-    if kind == "torus":
-        # 7-vertex cyclic triangulation: 14 triangles, 21 edges, Euler = 0.
-        tris = [sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7)) for i in range(7)]
-        tris += [sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7)) for i in range(7)]
-        return build_complex(tris, autoclose=True)
-    if kind == "sphere2":
-        # octahedron boundary; opposite-vertex pairs (0,1) (2,3) (4,5)
-        tris = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-        return build_complex([sorted(t) for t in tris], autoclose=True)
-    if kind == "vietoris_rips":
-        if points is None or threshold is None:
-            raise BadParameter("vietoris_rips needs points and threshold")
-        return vietoris_rips(points, threshold, max_dim)
-    raise BadParameter(f"unknown generator kind {kind!r}")
+        return build_complex([sorted((i, (i + 1) % m)) for i in range(m)], autoclose=True)
+    if points is None or threshold is None:
+        raise BadParameter("vietoris_rips needs points and threshold")
+    return vietoris_rips(points, threshold, max_dim)

@@ -180,6 +180,29 @@ def test_unknown_kind():
         generate("klein_bottle")
 
 
+def test_unknown_kind_is_reported_before_its_parameters():
+    with pytest.raises(BadParameter, match="unknown generator kind"):
+        generate("klein_bottle", m=5, max_dim=3)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("circle", {"m": 5, "points": [[0.0], [1.0]], "threshold": 0.5}),
+    ("circle", {"m": 5, "max_dim": 3}),
+    ("torus", {"max_dim": 3}),
+    ("point", {"m": 5}),
+    ("vietoris_rips", {"points": [[0.0], [1.0]], "threshold": 2.0, "m": 5}),
+], ids=["circle-points-threshold", "circle-max_dim", "torus-max_dim", "point-m", "rips-m"])
+def test_generate_rejects_a_parameter_its_kind_does_not_read(kind, params):
+    # each of these once built the complex and dropped the parameter silently
+    with pytest.raises(BadParameter, match=f"{kind} does not read"):
+        generate(kind, **params)
+
+
+def test_generate_takes_an_unread_parameter_at_its_default():
+    assert generate("torus", m=None, points=None, threshold=None, max_dim=2).size(1) == 21
+    assert generate("circle", m=4, max_dim=2).size(1) == 4
+
+
 # --- invariants ------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))

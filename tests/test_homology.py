@@ -918,6 +918,32 @@ def test_klein_bottle_and_projective_plane_answers_are_rational(m):
         assert tuple(gf2_betti(k, r) for r in range(3)) == mod2
 
 
+def walk_loop(k, walk):
+    """The 1-cycle along a closed walk through the vertices ``walk``, each edge
+    signed by the direction the walk takes it."""
+    steps = zip(walk, walk[1:] + walk[:1])
+    return Chain.from_simplices(k, [(sorted((a, b)), 1 if a < b else -1) for a, b in steps])
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+@pytest.mark.parametrize("m", [3, 8, 20])
+def test_klein_bottle_loops_over_the_rationals(m, mode):
+    # H_1 over Z is Z + Z/2: rows wrap with j reflected, so the loop along j
+    # is 2-torsion and bounds over Q; the loop along i generates the free part
+    k = klein_grid(m)
+    along_j, along_i = walk_loop(k, list(range(m))), walk_loop(k, [i * m for i in range(m)])
+    assert check_trivial(k, along_j, mode) == Verdict(True, mode, False)
+    assert check_trivial(k, along_i, mode) == Verdict(False, mode, False)
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+def test_a_projective_plane_loop_that_is_no_face_bounds_over_the_rationals(mode):
+    # 0-1-3 is not a triangle of RP^2, but H_1 over Q is 0
+    k = build_complex(RP2_TRIANGLES)
+    assert (0, 1, 3) not in k.layer(2)
+    assert check_trivial(k, walk_loop(k, [0, 1, 3]), mode) == Verdict(True, mode, False)
+
+
 @pytest.mark.parametrize("n_points,seed",
                          [(300, 0), (400, 1), pytest.param(500, 2, marks=pytest.mark.slow)])
 def test_euler_characteristic_and_components_of_large_rips_complexes(n_points, seed):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from homology_lab import Chain, build_complex, coboundary_matrix, generate
-from homology_lab.cli import emit_plot_data, run
+from homology_lab.cli import PARSER, emit_plot_data, run
 from homology_lab.errors import BadParameter, MissingFace
 from homology_lab.io import (
     dump_operator,
@@ -798,6 +799,122 @@ def test_cli_betti_rejects_sweep_flags_without_points(replay_files, capsys, monk
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "InputError"
     assert not (replay_files / "never.csv").exists()
+
+
+UNREAD_FLAG_RUNS = {  # case: (a run given a flag it would not read, the error it exits 2 with)
+    "file-betti-max-dim": (("betti", "--input", "hollow.jsonl", "--r", "1", "--max-dim", "3"),
+                           "InputError"),
+    "sweep-no-oracle": (("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0",
+                         "--plot-data", "never.csv", "--no-oracle"), "InputError"),
+    "exact-betti-no-oracle": (("betti", "--input", "hollow.jsonl", "--r", "1", "--no-oracle"),
+                              "InputError"),
+    "exact-persistent-betti-no-oracle": (("persistent-betti", "--input", "filt.json", "--r", "1",
+                                          "--no-oracle"), "InputError"),
+    "gen-circle-points-threshold": (("gen", "--kind", "circle", "--m", "5", "--points", "pts.json",
+                                     "--threshold", "0.5", "--out", "never.jsonl"), "BadParameter"),
+    "gen-torus-max-dim": (("gen", "--kind", "torus", "--max-dim", "3", "--out", "never.jsonl"),
+                          "BadParameter"),
+    "gen-rips-m": (("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "1.5",
+                    "--m", "5", "--out", "never.jsonl"), "BadParameter"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_FLAG_RUNS)
+def test_cli_rejects_a_flag_the_run_would_not_read(replay_files, capsys, monkeypatch, case):
+    # each of these once exited 0 and dropped the flag
+    monkeypatch.chdir(replay_files)
+    argv, error = UNREAD_FLAG_RUNS[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+    assert not list(replay_files.glob("never.*"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic"])
+def test_cli_betti_track_drops_its_echo_in_both_modes(replay_files, capsys, monkeypatch, mode):
+    # its lower bound is echoed in both modes, so --no-oracle is read in both
+    monkeypatch.chdir(replay_files)
+    argv = ("betti-track", "--input", "hollow.jsonl", "--r", "1", "--mode", mode, "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["exact_betti"] == 1
+    code, out, _ = run_cli(capsys, *argv, "--no-oracle")
+    assert code == 0 and "exact_betti" not in json.loads(out)
+
+
+def test_cli_cohomology_records_the_library_default_witness_count(replay_files, capsys,
+                                                                  monkeypatch):
+    import inspect
+
+    from homology_lab.cohomology import WITNESSES, test_equivalent_cohomological
+
+    default = inspect.signature(test_equivalent_cohomological).parameters["witnesses"].default
+    assert default == WITNESSES == 8
+    monkeypatch.chdir(replay_files)
+    code, out, _ = run_cli(capsys, "test-equiv", "--input", "filled.jsonl", "--chain", "loop.json",
+                           "--chain2", "twice.json", "--method", "cohomology", "--seed", "0")
+    result = json.loads(out)  # equivalent cycles: every witness is drawn
+    assert code == 0 and result["config"]["witnesses"] == result["witnesses_used"] == 8
+
+
+GUARD_BASES = {  # case: a run that succeeds; the guard adds each option it does not give
+    "betti-exact": ("betti", "--input", "hollow.jsonl", "--r", "1"),
+    "betti-stochastic": ("betti", "--input", "hollow.jsonl", "--r", "1", "--mode", "stochastic"),
+    "sweep": ("betti", "--r", "1", "--points", "pts.json", "--thresholds", "0.3,1.0,2.5"),
+    "persistent-betti-exact": ("persistent-betti", "--input", "filt.json", "--r", "1"),
+    "persistent-betti-stochastic": ("persistent-betti", "--input", "filt.json", "--r", "1",
+                                    "--mode", "stochastic"),
+    "test-trivial": ("test-trivial", "--input", "filled.jsonl", "--chain", "loop.json"),
+    "test-equiv-homology": ("test-equiv", "--input", "rings.jsonl", "--chain", "a.json",
+                            "--chain2", "b.json"),
+    "test-equiv-cohomology": ("test-equiv", "--input", "filled.jsonl", "--chain", "loop.json",
+                              "--chain2", "twice.json", "--method", "cohomology",
+                              "--dump-witness", "w.json"),
+    "detect-cycle": ("detect-cycle", "--input", "hollow.jsonl", "--chain", "edge.json"),
+    "track": ("track", "--stages", "hollow.jsonl", "filled.jsonl", "--chain", "loop.json"),
+    "betti-track-exact": ("betti-track", "--input", "hollow.jsonl", "--r", "1"),
+    "betti-track-stochastic": ("betti-track", "--input", "hollow.jsonl", "--r", "1",
+                               "--mode", "stochastic"),
+    "gen-circle": ("gen", "--kind", "circle", "--m", "6", "--out", "g.jsonl"),
+    "gen-rips": ("gen", "--kind", "vietoris_rips", "--points", "pts.json", "--threshold", "1.5",
+                 "--out", "g.jsonl"),
+    "gen-torus": ("gen", "--kind", "torus", "--out", "g.jsonl"),
+    "dump-operator": ("dump-operator", "--input", "filled.jsonl", "--r", "1",
+                      "--dump-operator", "op.mtx"),
+}
+GUARD_VALUES = {  # option: the value added with it (None: a bare flag)
+    "--input": "hollow.jsonl", "--no-oracle": None, "--points": "pts.json",
+    "--thresholds": "0.3,1.0", "--max-dim": "1", "--plot-data": "extra.csv",
+    "--mode": "stochastic", "--chain2": "twice.json", "--method": "cohomology",
+    "--witnesses": "3", "--dump-witness": "extra.json", "--eta": "0.3", "--samples": "4",
+    "--m": "5", "--threshold": "1.5", "--operator": "laplacian",
+}
+
+
+def _options(subcommand: str) -> list[str]:
+    sub = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return [o for a in sub.choices[subcommand]._actions if not isinstance(a, argparse._HelpAction)
+            for o in a.option_strings]
+
+
+GUARD_CASES = [(base, option) for base, argv in GUARD_BASES.items()
+               for option in _options(argv[0]) if option != "--seed" and option not in argv]
+
+
+@pytest.mark.parametrize("base,option", GUARD_CASES, ids=[f"{b}{o}" for b, o in GUARD_CASES])
+def test_cli_reads_every_flag_it_accepts(replay_files, capsys, monkeypatch, base, option):
+    # a run given an option must either reject it or answer differently;
+    # --seed is exempt, since every run records it by design
+    monkeypatch.chdir(replay_files)
+    argv = GUARD_BASES[base] + ("--seed", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    value = GUARD_VALUES[option]
+    code, extra, _ = run_cli(capsys, *argv, option, *([] if value is None else [value]))
+    if code != 2:
+        assert code == 0
+        answer, base_answer = json.loads(extra), json.loads(out)
+        del answer["config"], base_answer["config"]
+        assert answer != base_answer
 
 
 ORACLE_ONCE = {  # case: (counted oracle, echoed key and value)

@@ -38,9 +38,11 @@ from homology_lab.errors import (
 from homology_lab.spectra import MAX_MOMENT_DEGREE, _rescaled, _smoothed_step
 
 from conftest import (
+    RP2_TRIANGLES,
     canonical_complexes,
     count_boundary_builds,
     count_reductions,
+    klein_grid,
     oracle_betti,
     random_rips,
     random_rips_filtration,
@@ -63,12 +65,6 @@ def test_exact_betti_canonical_values():
     for name, k in canonical_complexes().items():
         got = [exact_betti(k, r) for r in range(len(expected[name]))]
         assert got == expected[name], name
-
-
-RP2_TRIANGLES = [  # 6-vertex real projective plane, f-vector (6, 15, 10)
-    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
-]
 
 
 def _gf2_rank(m) -> int:
@@ -748,6 +744,24 @@ def test_estimate_normalized_betti_canonical():
         est = estimate_normalized_betti(k, r, seed=7)
         assert abs(est.value - expected) <= 0.05, name
         assert not est.low_confidence, name
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [3, 8, 20])
+def test_estimated_betti_of_the_klein_bottle_is_rational(m, seed):
+    # the harmonic basis counts real Betti numbers, the rational ones, so the
+    # 2-torsion of H_1 counts nothing: (1, 1, 0), not the GF(2) answer (1, 2, 1)
+    k = klein_grid(m)
+    ests = [estimate_normalized_betti(k, r, seed=seed) for r in range(3)]
+    assert [(e.betti(), e.low_confidence) for e in ests] == [(1, False), (1, False), (0, False)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_estimated_betti_of_the_projective_plane_is_rational(seed):
+    # (1, 0, 0), those of a point, not the GF(2) answer (1, 1, 1)
+    k = build_complex(RP2_TRIANGLES)
+    ests = [estimate_normalized_betti(k, r, seed=seed) for r in range(3)]
+    assert [(e.betti(), e.low_confidence) for e in ests] == [(1, False), (0, False), (0, False)]
 
 
 def test_estimate_normalized_persistent_betti():
