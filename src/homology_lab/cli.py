@@ -172,8 +172,10 @@ def _cmd_test_equiv(args) -> dict:
         out = {"answer": verdict.equivalent, "method": "cohomology",
                "confidence": "high" if not verdict.equivalent else "probabilistic",
                "witnesses_used": verdict.witnesses_used}
-        if args.dump_witness and verdict.witness is not None:
-            Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
+        if args.dump_witness:  # the file, or null when no cocycle separated the pair
+            out["witness_file"] = None if verdict.witness is None else args.dump_witness
+            if verdict.witness is not None:
+                Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
         return out
     if args.witnesses is not None or args.dump_witness:
         raise InputError("--witnesses and --dump-witness belong to --method cohomology")

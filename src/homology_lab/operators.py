@@ -60,15 +60,27 @@ def _boundary(k: SimplicialComplex, r: int) -> sp.csc_matrix:
 
 
 def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
-    """Combinatorial Laplacian: up-term plus down-term, missing layers read as zero maps."""
+    """Combinatorial Laplacian d_{r+1} d_{r+1}^T + d_r^T d_r, missing layers read as zero
+    maps, as one int product D D^T of the stacked D = [d_{r+1} | d_r^T].  D^T is read
+    from the face index: one row per (r+1)-simplex, its faces with signs (-1)^i, then
+    one per (r-1)-simplex, its cofaces in order.  Indices are sorted where an up-term
+    exists; a top layer keeps the product's order, as d_r^T d_r always stored it."""
     if r < 0:
         raise BadParameter("dimension must be non-negative")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    terms = [m @ m.T for m in (_boundary(k, r + 1), _boundary(k, r).T) if m.nnz]
-    if not terms:
-        return sp.csr_matrix((k.size(r), k.size(r)), dtype=int)
-    return sum(terms[1:], terms[0]).tocsr()
+    up = _face_rows(k, r + 1) if k.size(r + 1) else np.empty((0, r + 2), dtype=np.int64)
+    down = _face_rows(k, r).ravel() if r else np.empty(0, dtype=np.int64)
+    cofaces = np.argsort(down, kind="stable")
+    counts = np.bincount(down, minlength=k.size(r - 1)) if r else np.empty(0, dtype=np.int64)
+    dt = sp.csr_matrix((np.concatenate([np.tile((-1) ** np.arange(r + 2), len(up)), (-1) ** (cofaces % (r + 1))]),
+                        np.concatenate([up.ravel(), cofaces // (r + 1)]),
+                        np.concatenate([np.arange(0, up.size + 1, r + 2), up.size + np.cumsum(counts)])),
+                       shape=(len(up) + len(counts), k.size(r)))
+    lap = dt.T.tocsr() @ dt
+    if len(up):
+        lap.sort_indices()
+    return lap
 
 
 def _prefix_boundary(pair: FiltrationPair, r: int) -> exact.Columns:

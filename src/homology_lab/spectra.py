@@ -7,10 +7,12 @@ the persistent oracle too, so no exact answer touches a float.  Betti numbers,
 cycle bases and both persistent routes read integer boundary columns, no matrix.
 A stochastic beta_r is the column count of an orthonormal basis Q_H of the
 kernel of a Hodge Laplacian, from Chebyshev-filtered subspace iteration
-(:func:`harmonic_basis`, via :func:`hodge_basis`).  Every class count (class
-verdicts, and persistent beta_r from k1's Q_H) is :func:`residual_rank`, by
-least squares against the (r+1)-boundary.  No stochastic answer draws a
-probe, computes an exact rank or reads a dense spectrum.
+(:func:`harmonic_basis`, via :func:`hodge_basis`) on the Laplacian over a
+Collatz-Wielandt bound of its spectrum, with filter degrees set by the Ritz
+residuals.  Every class count (class verdicts, and persistent beta_r from
+k1's Q_H) is :func:`residual_rank`, by least squares against the
+(r+1)-boundary.  No stochastic answer draws a probe, computes an exact rank
+or reads a dense spectrum.
 
 :func:`stochastic_rank` and :func:`power_moments_rank` estimate rank(A)/N by
 the trace-estimation recipe: approximate the spectral step indicator by a
@@ -312,18 +314,24 @@ def power_iteration_bound(a) -> float:
 
 HARMONIC_BLOCK, HARMONIC_CAP = 24, 192  # first and largest block of harmonic_basis
 HARMONIC_GUARD = 8  # non-harmonic Ritz pairs it keeps in a block below the cap
-HARMONIC_DEGREE = 24  # Chebyshev degree of its filter steps
+HARMONIC_DEGREE = 24  # Chebyshev degree of a block's first filter step, and the most of any
 HARMONIC_EPS = 1e-8  # largest value plus residual of a harmonic Ritz pair, and margin to stop at
 HARMONIC_STEPS = 50  # filter steps before it gives up
+BOUND_STEPS = 6  # steps of |L| + I that tighten the Collatz-Wielandt bound of _rescaled
 
 
 def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
-    """Orthonormal basis Q_H of ker L, L the PSD ``lap`` over its infinity
-    norm, by Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago &
-    Chelikowsky 2006) from a Gaussian block of ``default_rng(seed)``; its
-    Davis-Kahan margin; and whether it converged.  Each step applies T_24 of
-    the map sending [a, 1] onto [-1, 1], a the largest Ritz value capped at
-    0.99: a block that meets the eigenspace of 1 leaves no interval.  Q_H holds
+    """Orthonormal basis Q_H of ker L, L the PSD ``lap`` over the Collatz-Wielandt
+    bound of :func:`_rescaled`, by Chebyshev-filtered subspace iteration (Zhou, Saad,
+    Tiago & Chelikowsky 2006) from a Gaussian block of ``default_rng(seed)``; its
+    Davis-Kahan margin; and whether it converged.  Each step applies T_m of the
+    map M sending [a, 1] onto [-1, 1], a the largest Ritz value capped at 0.99: a
+    block that meets the eigenspace of 1 leaves no interval.  M sends 0 to -z,
+    z = (1 + a) / (1 - a), so T_m lifts the kernel by T_m(z) over the rest of
+    [a, 1].  A block's first step takes m = ``HARMONIC_DEGREE``; each later one
+    the least m up to it with T_m(z) >= |R_g| / (eps (theta_g - r_g)), eps =
+    ``HARMONIC_EPS``, (theta_g, r_g) the first Ritz pair with theta - r > eps and
+    R_g the residuals up to it: the gain that brings that margin to eps.  Q_H holds
     the leading Ritz pairs with value plus residual at most ``HARMONIC_EPS``;
     when after a step fewer than ``HARMONIC_GUARD`` pairs have value minus
     residual above it, the block doubles, so that the next pair stays apart
@@ -333,7 +341,7 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     1998) unless the Gaussian start missed a direction below theta_1, which
     happens only with small probability.
     A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
-    lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: abs() sorts indices in place
+    lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: rescaled in place
     n = lap.shape[0]
     shifted = None  # built at the first filter step: a small layer may need none
     rng = np.random.default_rng(seed)
@@ -357,9 +365,15 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
             x = np.hstack([x, rng.standard_normal((n, min(2 * x.shape[1], HARMONIC_CAP, n) - x.shape[1]))])
             filtered = False
             continue
-        a = min(theta[-1], 0.99)  # T_24 of M, which maps [a, 1] onto [-1, 1]; the sign of s_24 is +
+        a = min(theta[-1], 0.99)  # T_m of M, which maps [a, 1] onto [-1, 1] and 0 onto -z
+        z, degree = (1.0 + a) / (1.0 - a), HARMONIC_DEGREE
+        if filtered:  # the least m with T_m(z) at least the gain that takes the next pair's margin to eps
+            g = int(np.argmax(theta - res > HARMONIC_EPS))
+            gain = np.linalg.norm(res[:g + 1]) / (HARMONIC_EPS * (theta[g] - res[g]))
+            ladder = np.cosh(np.arange(1, HARMONIC_DEGREE + 1) * np.arccosh(z))
+            degree = min(HARMONIC_DEGREE, 1 + int(np.searchsorted(ladder, gain)))
         shifted = shifted or _shifted(lap)
-        *_, x = _chebyshev_blocks(shifted(2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)), x, HARMONIC_DEGREE)
+        *_, x = _chebyshev_blocks(shifted(2.0 / (1.0 - a), z), x, degree)  # s_m = +-T_m(M) x
         filtered = True
     return x[:, :h], margin, False
 
@@ -381,12 +395,26 @@ def _shifted(lap: sp.csr_matrix):
 
 
 def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
-    """A over its infinity norm (largest absolute row sum), and that norm: a
-    guaranteed bound on every eigenvalue, so a PSD spectrum lands in [0, 1]."""
-    bound = float(abs(a).sum(axis=1).max()) if a.nnz else 0.0
+    """A divided in place by a Collatz-Wielandt bound max_i (|A| x)_i / x_i, and that
+    bound: for every positive x it is at least rho(|A|), so at least every |eigenvalue|,
+    and a PSD spectrum lands in [0, 1].  x starts at the ones (the infinity norm) and
+    takes ``BOUND_STEPS`` steps of |A| + I, the smallest value kept.  Indices are sorted
+    first, so that equal matrices get equal bounds."""
+    if not a.nnz:
+        return a, 1.0
+    a.sort_indices()
+    n, magnitude = a.shape[0], np.abs(a.data)
+    x, bound = np.ones(n), math.inf
+    for _ in range(BOUND_STEPS + 1):
+        y = np.zeros(n)
+        csr_matvecs(n, n, 1, a.indptr, a.indices, magnitude, x, y)
+        bound = min(bound, float(np.max(y / x)))
+        x += y
+        x /= x.max()
     if bound <= 0.0:
         return a, 1.0
-    return a / bound, bound
+    a.data /= bound
+    return a, bound
 
 
 def hodge_basis(k: SimplicialComplex, r: int, seed) -> tuple[np.ndarray, float, bool]:

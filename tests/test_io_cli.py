@@ -429,6 +429,29 @@ def test_cli_dump_witness(tmp_path, capsys):
             assert not (coboundary_matrix(k, 1) @ np.array(witness)).any()
 
 
+@pytest.mark.parametrize("doubled, written", [(False, True), (True, False)],
+                         ids=["inequivalent", "equivalent"])
+def test_cli_dump_witness_names_its_file_or_null(tmp_path, capsys, doubled, written):
+    # on the filled triangle its boundary loop and twice that loop are
+    # equivalent (both bound), so no cocycle separates them; the hollow
+    # triangle's loop and twice it are not
+    k = generate("filled_triangle" if doubled else "hollow_triangle")
+    save_complex(k, tmp_path / "k.jsonl")
+    loop = [([0, 1], 1), ([0, 2], -1), ([1, 2], 1)]
+    save_chain(Chain.from_simplices(k, loop), tmp_path / "a.json")
+    save_chain(Chain.from_simplices(k, [(s, 2 * c) for s, c in loop]), tmp_path / "b.json")
+    witness_path = tmp_path / "w.json"
+    code, out, _ = run_cli(
+        capsys, "test-equiv", "--input", str(tmp_path / "k.jsonl"),
+        "--chain", str(tmp_path / "a.json"), "--chain2", str(tmp_path / "b.json"),
+        "--method", "cohomology", "--seed", "1", "--dump-witness", str(witness_path),
+    )
+    result = json.loads(out)
+    assert code == 0 and result["answer"] is doubled
+    assert result["witness_file"] == (str(witness_path) if written else None)
+    assert witness_path.exists() == written
+
+
 @pytest.mark.parametrize("witnesses", ["0", "-1"])
 def test_cli_cohomology_rejects_fewer_than_one_witness(replay_files, capsys, monkeypatch,
                                                        witnesses):
