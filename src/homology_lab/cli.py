@@ -6,7 +6,9 @@ record: ``run`` writes the resolved seed back into it, a cohomological
 as ``config``, one key per flag (dashes become underscores) plus
 ``subcommand``.  So every output replays from its own JSON, and a run
 rejects any flag it would not read but ``--seed``, which every subcommand
-records.  The seed draws a stochastic ``betti``'s and ``persistent-betti``'s
+records.  Given ``--dump-witness``, a cohomological ``test-equiv`` names the
+file it wrote as ``witness_file``, or null when no witness separated the
+cycles.  The seed draws a stochastic ``betti``'s and ``persistent-betti``'s
 harmonic start, ``betti-track``'s samples, and random trials; stochastic
 class verdicts draw nothing.  One record serves both Betti answers: the
 exact value, or the estimate, its ``confidence`` and the exact echo, which
@@ -173,9 +175,10 @@ def _cmd_test_equiv(args) -> dict:
                "confidence": "high" if not verdict.equivalent else "probabilistic",
                "witnesses_used": verdict.witnesses_used}
         if args.dump_witness:  # the file, or null when no cocycle separated the pair
-            out["witness_file"] = None if verdict.witness is None else args.dump_witness
+            out["witness_file"] = None
             if verdict.witness is not None:
                 Path(args.dump_witness).write_text(json.dumps(verdict.witness.values.tolist()))
+                out["witness_file"] = args.dump_witness
         return out
     if args.witnesses is not None or args.dump_witness:
         raise InputError("--witnesses and --dump-witness belong to --method cohomology")

@@ -7,7 +7,8 @@ matrix, through :func:`_boundary_columns`: out of an empty layer there are no
 columns, and below dimension 1 only zero ones; :func:`_prefix_boundary` checks
 the persistent block structure on them.  Float paths read the same rule as a
 CSC matrix through :func:`_boundary`, the int zero matrix of the right shape for
-a missing layer, so callers need no branch of their own.
+a missing layer, so callers need no branch of their own; :func:`laplacian` reads
+the face positions itself, into one stacked matrix.
 Only the pseudoinverse-based paths are floating point, and they share one
 thresholded pseudoinverse, :func:`_pinv_sym`.
 """
@@ -69,16 +70,17 @@ def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
         raise BadParameter("dimension must be non-negative")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
-    up = _face_rows(k, r + 1) if k.size(r + 1) else np.empty((0, r + 2), dtype=np.int64)
+    faces = _face_rows(k, r + 1) if k.size(r + 1) else np.empty((0, r + 2), dtype=np.int64)
     down = _face_rows(k, r).ravel() if r else np.empty(0, dtype=np.int64)
-    cofaces = np.argsort(down, kind="stable")
-    counts = np.bincount(down, minlength=k.size(r - 1)) if r else np.empty(0, dtype=np.int64)
-    dt = sp.csr_matrix((np.concatenate([np.tile((-1) ** np.arange(r + 2), len(up)), (-1) ** (cofaces % (r + 1))]),
-                        np.concatenate([up.ravel(), cofaces // (r + 1)]),
-                        np.concatenate([np.arange(0, up.size + 1, r + 2), up.size + np.cumsum(counts)])),
-                       shape=(len(up) + len(counts), k.size(r)))
+    cofaces = np.argsort(down, kind="stable")  # each (r-1)-simplex's cofaces, in order
+    ends = faces.size + np.cumsum(np.bincount(down, minlength=k.size(r - 1)))
+    signs = np.concatenate([np.tile((-1) ** np.arange(r + 2), len(faces)),
+                            (-1) ** (cofaces % (r + 1))])
+    dt = sp.csr_matrix((signs, np.concatenate([faces.ravel(), cofaces // (r + 1)]),
+                        np.concatenate([np.arange(0, faces.size + 1, r + 2), ends])),
+                       shape=(len(faces) + len(ends), k.size(r)))
     lap = dt.T.tocsr() @ dt
-    if len(up):
+    if len(faces):
         lap.sort_indices()
     return lap
 

@@ -367,7 +367,7 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
             continue
         a = min(theta[-1], 0.99)  # T_m of M, which maps [a, 1] onto [-1, 1] and 0 onto -z
         z, degree = (1.0 + a) / (1.0 - a), HARMONIC_DEGREE
-        if filtered:  # the least m with T_m(z) at least the gain that takes the next pair's margin to eps
+        if filtered:  # the least m whose T_m(z) takes the first non-harmonic margin to eps
             g = int(np.argmax(theta - res > HARMONIC_EPS))
             gain = np.linalg.norm(res[:g + 1]) / (HARMONIC_EPS * (theta[g] - res[g]))
             ladder = np.cosh(np.arange(1, HARMONIC_DEGREE + 1) * np.arccosh(z))
@@ -400,10 +400,10 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     and a PSD spectrum lands in [0, 1].  x starts at the ones (the infinity norm) and
     takes ``BOUND_STEPS`` steps of |A| + I, the smallest value kept.  Indices are sorted
     first, so that equal matrices get equal bounds."""
-    if not a.nnz:
-        return a, 1.0
     a.sort_indices()
     n, magnitude = a.shape[0], np.abs(a.data)
+    if not magnitude.any():  # the zero matrix, stored zeros or none
+        return a, 1.0
     x, bound = np.ones(n), math.inf
     for _ in range(BOUND_STEPS + 1):
         y = np.zeros(n)
@@ -411,8 +411,6 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
         bound = min(bound, float(np.max(y / x)))
         x += y
         x /= x.max()
-    if bound <= 0.0:
-        return a, 1.0
     a.data /= bound
     return a, bound
 

@@ -207,10 +207,11 @@ RP2_TRIANGLES = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
                  [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
 
 
-def rips_with_edges(n_points, per_point, seed, max_dim):
-    """Rips complex of ``n_points`` uniform points of the unit square with the
-    ``per_point * n_points`` shortest edges and their cliques up to ``max_dim``."""
-    pts = np.random.default_rng([n_points, seed]).random((n_points, 2))
+def rips_with_edges(n_points, per_point, seed, max_dim, dim=2):
+    """Rips complex of ``n_points`` uniform points of the unit square (cube for
+    ``dim`` 3) with the ``per_point * n_points`` shortest edges and their
+    cliques up to ``max_dim``."""
+    pts = np.random.default_rng([n_points, seed]).random((n_points, dim))
     d2 = np.sort(((pts[:, None] - pts[None]) ** 2).sum(axis=2)[np.triu_indices(n_points, 1)])
     m = per_point * n_points
     threshold = float(np.sqrt((d2[m - 1] + d2[m]) / 2))

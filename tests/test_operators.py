@@ -14,6 +14,7 @@ from homology_lab import (
     validate_filtration,
 )
 from homology_lab.errors import BadParameter, EmptyLayer
+from homology_lab.io import dump_operator, load_complex, save_complex
 
 from conftest import (
     canonical_complexes,
@@ -21,6 +22,7 @@ from conftest import (
     oracle_rank,
     random_rips,
     random_rips_filtration,
+    rips_with_edges,
 )
 from test_complexes import five_point_complex
 
@@ -132,6 +134,46 @@ def test_laplacian_symmetry_psd_random():
             assert np.array_equal(lap, lap.T)
             eigs = np.linalg.eigvalsh(lap.astype(float))
             assert eigs.min() >= -1e-10
+
+
+def _stacked_product_cases(tmp_path):
+    """(label, complex) pairs: seeded 2-D and 3-D Rips complexes, isolated vertices,
+    a loaded file and a k2 reordered by validate_filtration, whose face index a
+    lookup fills."""
+    cases = [(f"rips{dim}d-{seed}", rips_with_edges(40, 3, seed, max_dim=dim, dim=dim))
+             for dim in (2, 3) for seed in range(3)]
+    cases.append(("isolated", build_complex([[0, 1, 2], [3], [4, 5], [6]])))
+    save_complex(cases[3][1], tmp_path / "k.jsonl")
+    cases.append(("loaded", load_complex(tmp_path / "k.jsonl")))
+    pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.45, max_dim=3)
+    assert pair.k2._face_at == {}
+    cases.append(("reordered", pair.k2))
+    return cases
+
+
+def test_laplacian_is_the_int_sum_of_the_two_boundary_products(tmp_path):
+    # the stacked product D D^T equals d_{r+1} d_{r+1}^T + d_r^T d_r exactly, in
+    # int, at r = 0 through the top layer (3 on the 3-D cases); and it stores,
+    # array for array, what that sum stored when it was computed as two scipy
+    # products and a sum (sorted where an up-term exists, the product's own
+    # order on a top layer), so MatrixMarket dumps are byte for byte the same
+    seen = set()
+    for label, k in _stacked_product_cases(tmp_path):
+        for r in range(k.dim() + 1):
+            up, down = _dense_boundary(k, r + 1), _dense_boundary(k, r)
+            lap = laplacian(k, r)
+            assert lap.format == "csr" and lap.dtype == np.int64, (label, r)
+            assert np.array_equal(lap.toarray(), up @ up.T + down.T @ down), (label, r)
+            terms = ([boundary_matrix(k, r + 1)] if k.size(r + 1) else []) + (
+                [boundary_matrix(k, r).T] if r else [])
+            summed = sum((m @ m.T for m in terms[1:]), terms[0] @ terms[0].T).tocsr()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(lap, name).tobytes() == getattr(summed, name).tobytes(), (label, r, name)
+            dump_operator(lap, tmp_path / "lap.mtx")
+            dump_operator(summed, tmp_path / "sum.mtx")
+            assert (tmp_path / "lap.mtx").read_bytes() == (tmp_path / "sum.mtx").read_bytes(), (label, r)
+            seen.add(r)
+    assert seen == {0, 1, 2, 3}
 
 
 # --- persistent blocks ------------------------------------------------------------

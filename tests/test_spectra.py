@@ -46,6 +46,7 @@ from conftest import (
     oracle_betti,
     random_rips,
     random_rips_filtration,
+    rips_with_edges,
 )
 
 
@@ -625,6 +626,122 @@ def test_filter_operator_refills_to_the_shift_it_replaced(r):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (a, name)
     assert cancelled == [0.5 * r]
 
+
+# --- spectral bound and filter degrees --------------------------------------------------
+
+def _check_bound(a):
+    """_rescaled's bound of the symmetric ``a`` lies between its top eigenvalue and its
+    infinity norm, and a PSD ``a`` rescales into [0, 1]; returns the bound."""
+    a = sp.csr_matrix(a, dtype=float)
+    top = np.linalg.eigvalsh(a.toarray())[-1]
+    rescaled, bound = _rescaled(a.copy())
+    assert top <= bound * (1 + 1e-12)
+    assert bound <= float(abs(a).sum(axis=1).max())
+    eigs = np.linalg.eigvalsh(rescaled.toarray())
+    assert eigs[0] >= -1e-12 and eigs[-1] <= 1 + 1e-12
+    return bound
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [40, 120, 300])
+def test_rescaled_bound_lies_between_the_top_eigenvalue_and_the_infinity_norm(dim, n):
+    from homology_lab.operators import laplacian
+
+    k = rips_with_edges(n, 3, 0, max_dim=dim, dim=dim)
+    assert k.dim() == dim
+    for r in range(dim + 1):
+        _check_bound(laplacian(k, r))
+
+
+def test_rescaled_bound_of_a_laplacian_with_zero_rows():
+    # the r = 0 Laplacian of a triangle beside an edge and isolated vertices has
+    # zero rows; on the triangle |L| is the signless Laplacian, whose top
+    # eigenvalue 4 the bound cannot pass below, though L's own is 3
+    from homology_lab.operators import laplacian
+
+    lap = laplacian(build_complex([[0, 1, 2], [3], [4, 5], [6]]), 0)
+    assert (np.diff(lap.indptr) == 0).sum() == 2
+    assert _check_bound(lap) == 4.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rescaled_bound_of_random_psd_matrices_with_explicit_zeros(seed):
+    # G G^T for a sparse G of signed entries, with stored zeros added at
+    # symmetric pairs of places
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    g = sp.random(n, n // 2 + 1, density=0.2, random_state=rng, format="csr")
+    g.data -= 0.5
+    a = (g @ g.T).tocoo()
+    i, j = rng.integers(0, n, (2, n))
+    a = sp.csr_matrix((np.concatenate([a.data, np.zeros(2 * n)]),
+                       (np.concatenate([a.row, i, j]), np.concatenate([a.col, j, i]))), shape=(n, n))
+    assert (a.data == 0).any()
+    _check_bound(a)
+
+
+def test_rescaled_bound_ignores_the_stored_column_order():
+    from homology_lab.operators import laplacian
+
+    lap = sp.csr_matrix(laplacian(rips_with_edges(60, 3, 1, max_dim=2), 1), dtype=float)
+    shuffled = lap.copy()
+    rng = np.random.default_rng(0)
+    for i in range(lap.shape[0]):  # each row's entries stored in a random order
+        lo, hi = shuffled.indptr[i], shuffled.indptr[i + 1]
+        order = lo + rng.permutation(hi - lo)
+        shuffled.indices[lo:hi], shuffled.data[lo:hi] = lap.indices[order], lap.data[order]
+    shuffled.has_sorted_indices = False
+    assert not np.array_equal(shuffled.indices, lap.indices)
+    assert _rescaled(shuffled)[1] == _rescaled(lap.copy())[1]
+
+
+def test_filter_degrees_follow_the_residuals(monkeypatch):
+    # on rips_large-sized complexes (128 to 140 points, 4n edges) a block's first
+    # filter step takes HARMONIC_DEGREE and later ones the degree that the
+    # residuals ask for: the filter degrees per basis average 77.4, where a
+    # fixed degree 24 (mostly four steps) read 97.0
+    from homology_lab import spectra
+    from homology_lab.operators import laplacian
+
+    steps, real = [], spectra._chebyshev_blocks
+
+    def counted(b, x, degree):
+        steps[-1].append(degree)
+        return real(b, x, degree)
+
+    monkeypatch.setattr(spectra, "_chebyshev_blocks", counted)
+    for seed in (7, 11):
+        for n in (128, 132, 136, 140):
+            k = rips_with_edges(n, 4, seed, max_dim=2)
+            lap = laplacian(k, 1)
+            for start in range(3):
+                steps.append([])
+                q, _, converged = spectra.harmonic_basis(lap, start)
+                assert converged and q.shape[1] == exact_betti(k, 1)
+    assert max(map(max, steps)) <= spectra.HARMONIC_DEGREE
+    assert np.mean([sum(s) for s in steps]) < 85
+
+
+@pytest.mark.slow
+def test_high_confidence_betti_estimates_on_rips_are_exact():
+    # 144 estimates: 2-D and 3-D Rips complexes (cliques up to the dimension)
+    # of 60, 130 and 200 points with 4n edges (even seeds) or 6n (odd), r = 0
+    # to 2.  The 23 low-confidence ones are all 2-D ones at r = 2, whose zero
+    # cluster is past the harmonic basis's block cap
+    low = []
+    for seed in range(8):
+        for n in (60, 130, 200):
+            for dim in (2, 3):
+                k = rips_with_edges(n, 4 if seed % 2 == 0 else 6, seed, max_dim=dim, dim=dim)
+                for r in range(3):
+                    est = estimate_normalized_betti(k, r, seed=seed)
+                    if est.low_confidence:
+                        low.append((dim, r))
+                    else:
+                        assert est.betti() == exact_betti(k, r), (seed, n, dim, r)
+    assert low == [(2, 2)] * 23
+
+
 def test_estimate_normalized_betti_never_densifies_a_large_layer():
     import tracemalloc
 
@@ -717,7 +834,7 @@ def test_stochastic_rank_accuracy_sweep():
 
 
 def test_default_betti_estimate_on_rips_is_within_half_and_rescaled_spectrum_within_one():
-    # 30-point Rips complexes: the infinity-norm rescaling keeps every top
+    # 30-point Rips complexes: the Collatz-Wielandt rescaling keeps every top
     # eigenvalue at or below 1, where the Chebyshev filter is bounded, and
     # every default estimate of beta_1 lands within 0.5 of the exact value
     # (a power-iteration bound let 6 of them pass 1 and miss)
