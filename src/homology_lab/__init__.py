@@ -7,7 +7,6 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     generate,
-    spec_matrix,
     validate_filtration,
     vietoris_rips,
 )
@@ -37,7 +36,6 @@ from .homology import (
     Verdict,
     betti_via_tracking,
     detect_cycle_stochastic,
-    is_cycle_exact,
     sample_cycles,
     test_equivalent,
     test_trivial,
@@ -46,8 +44,6 @@ from .homology import (
 from .cohomology import (
     Cochain,
     evaluate,
-    manual_cocycle,
-    pair_cocycle,
     random_cocycle,
     test_equivalent_cohomological,
 )

@@ -1,4 +1,4 @@
-"""Simplicial complexes, their incidence descriptions, and filtration pairs.
+"""Simplicial complexes, their face index, and filtration pairs.
 
 A simplex is a strictly increasing tuple of non-negative integer vertex ids.
 A complex stores each layer as an (|S_r|, r+1) int64 array of vertex rows in
@@ -25,14 +25,12 @@ from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BadParameter,
     DimensionMismatch,
     DuplicateSimplex,
     EmptyInput,
-    EmptyLayer,
     MissingFace,
     NotASubcomplex,
 )
@@ -219,25 +217,6 @@ def _face_rows(k: SimplicialComplex, r: int, cols=slice(None)) -> np.ndarray:
     if at is None:
         at = k._face_at[r] = _read_only(k._find(r - 1, _faces(k._rows[r])).reshape(-1, r + 1))
     return at[cols]
-
-
-def _incidence(k: SimplicialComplex, r: int, signs: np.ndarray):
-    """CSC matrix from the r-simplices to layer r-1, with ``signs[i]`` at each
-    one's face omitting its i-th vertex; rows sorted in each column."""
-    where = _face_rows(k, r)
-    order = np.argsort(where, axis=1)
-    return sp.csc_matrix((signs[order].ravel(), np.take_along_axis(where, order, axis=1).ravel(),
-                          np.arange(0, where.size + 1, r + 1)),
-                         shape=(k.size(r - 1), len(where)))
-
-
-def spec_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
-    """CSC 0/1 face-incidence matrix between layers r-1 and r; its columns sum to r+1."""
-    if r < 1:
-        raise BadParameter("incidence matrices start at dimension 1")
-    if k.size(r) == 0:
-        raise EmptyLayer(f"no simplices of dimension {r}")
-    return _incidence(k, r, np.ones(r + 1, dtype=np.int64))
 
 
 @dataclass(frozen=True)

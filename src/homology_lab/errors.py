@@ -87,24 +87,6 @@ class TrivialCocycleSpace(InputError):
     pass
 
 
-class NotFound(InputError):
-    """No simplex pair admits the two-row cocycle construction."""
-
-
-class ConstructionFailed(HomologyLabError):
-    """The greedy cocycle sweep hit an unsatisfiable constraint.
-
-    Carries the index (1-based) and vertex tuple of the violating simplex.
-    """
-
-    def __init__(self, index, simplex):
-        self.index = index
-        self.simplex = tuple(simplex)
-        super().__init__(
-            f"cocycle constraint violated at simplex #{index} {self.simplex}"
-        )
-
-
 # --- internal invariants --------------------------------------------------------
 
 class StructuralViolation(InternalError):

@@ -106,10 +106,6 @@ class Reduction:
         pivots = dict(self.pivots)
         return sum(_reduce(pivots, _cleared(values)[0]) is None for values in vectors)
 
-    def contains(self, values) -> bool:
-        """Whether a vector lies in the span of everything added."""
-        return not self.rank_modulo([values])
-
 
 class Columns(list):
     """A matrix of ``shape`` as its integer columns, mappings to nonzero ints."""

@@ -59,11 +59,6 @@ def _boundaries(k: SimplicialComplex, r: int, chains) -> list[exact.Vector]:
     return out
 
 
-def is_cycle_exact(k: SimplicialComplex, c: Chain) -> bool:
-    """Whether the chain's boundary vanishes identically (0-chains always do)."""
-    return not _boundaries(k, c.r, [c])[0]
-
-
 def _require_cycles(k: SimplicialComplex, r: int, chains) -> None:
     """Raise unless every chain is an r-cycle of k: :class:`DimensionMismatch`
     as in :func:`_boundaries`, then :class:`NotACycle`."""

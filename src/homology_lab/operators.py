@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import exact
-from .complexes import FiltrationPair, SimplicialComplex, _face_rows, _incidence
+from .complexes import FiltrationPair, SimplicialComplex, _face_rows
 from .errors import BadParameter, EmptyLayer, StructuralViolation
 
 PINV_RTOL = 1e-10  # singular values <= PINV_RTOL * sigma_max are treated as zero
@@ -33,7 +33,11 @@ def boundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
-    return _incidence(k, r, (-1) ** np.arange(r + 1))
+    where = _face_rows(k, r)
+    order = np.argsort(where, axis=1)  # rows sorted in each column
+    return sp.csc_matrix((((-1) ** order).ravel(), np.take_along_axis(where, order, axis=1).ravel(),
+                          np.arange(0, where.size + 1, r + 1)),
+                         shape=(k.size(r - 1), len(where)))
 
 
 def _boundary_columns(k: SimplicialComplex, r: int, cols=slice(None)) -> exact.Columns:
@@ -110,9 +114,14 @@ def schur_complement(m: np.ndarray, index_set) -> np.ndarray:
 
     Returns M(comp, comp) - M(comp, I) M(I, I)^+ M(I, comp) with a
     singular-value-thresholded pseudoinverse: a copy of M for an empty index
-    set, a (0, 0) matrix for the full one.
+    set, a (0, 0) matrix for the full one.  Raises :class:`BadParameter` unless M
+    is square and symmetric to within 1e-12 of its largest entry.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise BadParameter(f"Schur complements need a square matrix, not shape {m.shape}")
+    if m.size and not np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max():  # NaN fails too
+        raise BadParameter("Schur complements need a symmetric matrix")
     try:
         idx = sorted({operator.index(i) for i in index_set})
     except TypeError:

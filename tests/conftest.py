@@ -160,16 +160,21 @@ def reference_filtration_layers(k1, k2):
 
 
 def reference_boundary_of(k, c):
-    """Boundary of a chain by one pass over every nonzero of the boundary matrix."""
+    """Boundary of a chain by one pass over every nonzero of the loop boundary matrix."""
     if c.r == 0:
         return []
     out = [Fraction(0)] * k.size(c.r - 1)
-    d = boundary_matrix(k, c.r).tocoo()
+    d = reference_incidence(k.layers, c.r, signed=True).tocoo()
     for i, j, v in zip(d.row, d.col, d.data):
         cj = c.coeffs.get(j + 1)
         if cj is not None:
             out[i] += int(v) * cj
     return out
+
+
+def reference_is_cycle(k, c) -> bool:
+    """Whether a chain's loop-built boundary vanishes (0-chains always do)."""
+    return not any(reference_boundary_of(k, c))
 
 
 def gf2_betti(k, r) -> int:

@@ -17,11 +17,11 @@ PUBLIC = [
     "complexes",
     "detect_cycle_stochastic", "errors", "estimate_normalized_betti",
     "estimate_normalized_persistent_betti", "evaluate", "exact", "exact_betti",
-    "exact_persistent_betti", "exact_rank", "generate", "homology", "is_cycle_exact",
-    "laplacian", "manual_cocycle", "operators", "pair_cocycle",
+    "exact_persistent_betti", "exact_rank", "generate", "homology",
+    "laplacian", "operators",
     "persistent_laplacian", "persistent_up_laplacian",
     "power_moments_rank", "random_cocycle", "sample_cycles",
-    "schur_complement", "spec_matrix", "spectra", "stochastic_rank", "test_equivalent",
+    "schur_complement", "spectra", "stochastic_rank", "test_equivalent",
     "test_equivalent_cohomological", "test_trivial", "track_classes", "validate_filtration",
     "vietoris_rips",
 ]
@@ -72,17 +72,13 @@ PARAMETERS = {
     "exact_persistent_betti": ["pair", "r"],
     "exact_rank": ["m"],
     "generate": ["kind", "m", "max_dim", "points", "threshold"],
-    "is_cycle_exact": ["c", "k"],
     "laplacian": ["k", "r"],
-    "manual_cocycle": ["k", "r", "seed"],
-    "pair_cocycle": ["k", "r"],
     "persistent_laplacian": ["pair", "r"],
     "persistent_up_laplacian": ["pair", "r"],
     "power_moments_rank": ["a", "filt", "n_v", "seed"],
     "random_cocycle": ["k", "r", "seed"],
     "sample_cycles": ["k", "r", "s", "seed"],
     "schur_complement": ["index_set", "m"],
-    "spec_matrix": ["k", "r"],
     "stochastic_rank": ["a", "filt", "n_v", "seed"],
     "test_equivalent": ["c1", "c2", "k", "mode"],
     "test_equivalent_cohomological": ["c1", "c2", "k", "seed", "witnesses"],
@@ -98,7 +94,7 @@ def test_public_parameters_are_pinned():
     got = {f.__name__: sorted(inspect.signature(f).parameters)
            for f in functions if inspect.isfunction(f)}
     assert got == PARAMETERS
-    assert sum(map(len, PARAMETERS.values())) == 87
+    assert sum(map(len, PARAMETERS.values())) == 78
 
 
 FIELDS = {
@@ -106,7 +102,7 @@ FIELDS = {
     "Chain": ["r", "coeffs"],
     "ChebyshevStepFilter": ["delta", "degree", "coeffs"],
     "ClassReport": ["kind", "stages"],
-    "Cochain": ["r", "values", "cocycle"],
+    "Cochain": ["r", "values"],
     "FiltrationPair": ["k1", "k2"],
     "RankEstimate": ["normalized", "raw", "n_v", "degree", "delta", "stderr"],
     "SimplicialComplex": ["n", "_rows"],

@@ -10,9 +10,6 @@ from homology_lab import (
     evaluate,
     exact_betti,
     exact_rank,
-    generate,
-    manual_cocycle,
-    pair_cocycle,
     random_cocycle,
     sample_cycles,
     vietoris_rips,
@@ -22,11 +19,9 @@ from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab import test_equivalent as check_equivalent
 from homology_lab.errors import (
     BadParameter,
-    ConstructionFailed,
     DimensionMismatch,
     EmptyLayer,
     NotACycle,
-    NotFound,
 )
 
 from conftest import canonical_complexes
@@ -82,93 +77,18 @@ def test_random_cocycle_unit_norm_in_kernel(filled_triangle):
 
 
 def test_random_cocycle_free_when_no_triangles(hollow_triangle):
+    # with no triangles every 1-cochain is a cocycle: the basis is all of C^1
+    from homology_lab.cohomology import cocycle_basis
+
     w = random_cocycle(hollow_triangle, 1, seed=4)
     assert abs(w.norm() - 1.0) <= 1e-9
-    assert w.cocycle
+    assert cocycle_basis(hollow_triangle, 1) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_random_cocycle_empty_layer():
     k = build_complex([[0], [1]])
     with pytest.raises(EmptyLayer):
         random_cocycle(k, 1, seed=0)
-
-
-# --- manual construction --------------------------------------------------------------
-
-def test_manual_cocycle_filled_triangle():
-    k = generate("filled_triangle")
-    for seed in range(6):
-        w = manual_cocycle(k, 1, seed=seed)
-        delta = coboundary_matrix(k, 1).toarray()
-        assert np.linalg.norm(delta @ w.values) == 0.0
-
-
-def test_manual_cocycle_shared_edge():
-    k = build_complex([[0, 1, 2], [1, 2, 3]], autoclose=True)
-    for seed in range(6):
-        w = manual_cocycle(k, 1, seed=seed)
-        delta = coboundary_matrix(k, 1).toarray()
-        assert np.linalg.norm(delta @ w.values) == 0.0
-
-
-def test_manual_cocycle_tetrahedron_verified_or_fails():
-    k = generate("tetrahedron_boundary")
-    outcomes = {"ok": 0, "failed": 0}
-    for seed in range(12):
-        try:
-            w = manual_cocycle(k, 1, seed=seed)
-        except ConstructionFailed:
-            outcomes["failed"] += 1
-            continue
-        delta = coboundary_matrix(k, 1).toarray()
-        assert np.linalg.norm(delta @ w.values) == 0.0  # never an invalid cocycle
-        outcomes["ok"] += 1
-    assert outcomes["ok"] + outcomes["failed"] == 12
-
-
-def test_manual_cocycle_check_rejects_a_tampered_value():
-    from fractions import Fraction
-
-    from homology_lab.cohomology import _verify_cocycle
-    from homology_lab.exact import sparse_columns
-
-    k = build_complex([[0, 1, 2], [1, 2, 3]], autoclose=True)
-    columns = sparse_columns(boundary_matrix(k, 2))
-    w = manual_cocycle(k, 1, seed=4)
-    values = {i: Fraction(x) for i, x in enumerate(w.values)}
-    _verify_cocycle(k, 1, columns, values)  # the constructed cocycle passes
-    values[0] += Fraction(1, 3)
-    with pytest.raises(ConstructionFailed) as failed:
-        _verify_cocycle(k, 1, columns, values)
-    assert failed.value.index == 1  # edge (0, 1) lies on the first triangle only
-
-
-def test_manual_cocycle_needs_both_layers(hollow_triangle):
-    with pytest.raises(EmptyLayer):
-        manual_cocycle(hollow_triangle, 1, seed=0)
-
-
-# --- pair construction ------------------------------------------------------------------
-
-def test_pair_cocycle_filled_triangle():
-    k = generate("filled_triangle")
-    w = pair_cocycle(k, 1)
-    # rows [0,1] (+1) and [0,2] (-1) share column 1 with opposite signs
-    assert w.values.tolist() == [1.0, 1.0, 0.0]
-    delta = coboundary_matrix(k, 1).toarray()
-    assert np.linalg.norm(delta @ w.values) == 0.0
-
-
-def test_pair_cocycle_not_found_when_faces_shared():
-    # every edge of the octahedron belongs to two triangles
-    k = generate("sphere2")
-    with pytest.raises(NotFound):
-        pair_cocycle(k, 1)
-
-
-def test_pair_cocycle_empty_layer(hollow_triangle):
-    with pytest.raises(EmptyLayer):
-        pair_cocycle(hollow_triangle, 1)
 
 
 # --- cohomological equivalence testing ------------------------------------------------

@@ -12,7 +12,6 @@ from homology_lab import (
     boundary_matrix,
     build_complex,
     generate,
-    spec_matrix,
     validate_filtration,
     vietoris_rips,
 )
@@ -67,7 +66,7 @@ def test_listed_order_preserved_autoclose_lexicographic():
     assert k.layer(0) == ((0,), (1,), (2,))
 
 
-# --- spec_matrix -------------------------------------------------------------
+# --- the face-incidence (spec) matrix |d_r| -------------------------------------
 
 FIVE_POINT_SPEC_2 = np.array([
     [1, 0, 0],
@@ -90,18 +89,18 @@ def five_point_complex():
 
 def test_spec_matrix_five_point_complex():
     k = five_point_complex()
-    m = spec_matrix(k, 2)
+    m = abs(boundary_matrix(k, 2))
     assert m.shape == (9, 3)
     assert np.array_equal(m.toarray(), FIVE_POINT_SPEC_2)
 
 
 def test_spec_matrix_filled_triangle_single_column():
-    m = spec_matrix(generate("filled_triangle"), 2)
+    m = abs(boundary_matrix(generate("filled_triangle"), 2))
     assert np.array_equal(m.toarray(), [[1], [1], [1]])
 
 
 def test_spec_matrix_hollow_triangle_column_sums():
-    m = spec_matrix(generate("hollow_triangle"), 1)
+    m = abs(boundary_matrix(generate("hollow_triangle"), 1))
     dense = m.toarray()
     assert dense.shape == (3, 3)
     assert list(dense.sum(axis=0)) == [2, 2, 2]
@@ -109,7 +108,7 @@ def test_spec_matrix_hollow_triangle_column_sums():
 
 def test_spec_matrix_empty_layer():
     with pytest.raises(EmptyLayer):
-        spec_matrix(generate("hollow_triangle"), 2)
+        abs(boundary_matrix(generate("filled_triangle"), 3))
 
 
 # --- validate_filtration ------------------------------------------------------
@@ -211,7 +210,7 @@ def test_spec_matrix_invariants_on_random_rips(seed):
     for r in sorted(k.layers):
         if r == 0 or k.size(r) == 0:
             continue
-        dense = spec_matrix(k, r).toarray()
+        dense = abs(boundary_matrix(k, r)).toarray()
         assert (dense.sum(axis=0) == r + 1).all()
         gram = dense.T @ dense
         off = gram - np.diag(np.diag(gram))
@@ -250,18 +249,17 @@ def test_identity_filtration_property(seed):
 # --- array code against the loop references ---------------------------------------
 
 def assert_matches_reference(k, n, layers):
-    """Same vertex count, layers, indices and incidence matrices as the loop code."""
+    """Same vertex count, layers, indices and boundary matrices as the loop code."""
     assert (k.n, k.layers) == (n, layers)
     for r, layer in layers.items():
         assert [k.index_of(r, s) for s in layer] == list(range(1, len(layer) + 1))
         if r == 0:
             continue
-        for got, want in ((boundary_matrix(k, r), reference_incidence(layers, r, True)),
-                          (spec_matrix(k, r), reference_incidence(layers, r, False))):
-            assert got.format == "csc" and got.has_sorted_indices
-            assert got.shape == want.shape and got.dtype == want.dtype == np.int64
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part))
+        got, want = boundary_matrix(k, r), reference_incidence(layers, r, True)
+        assert got.format == "csc" and got.has_sorted_indices
+        assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def assert_builds_like_reference(simplices, autoclose):

@@ -80,3 +80,37 @@ def test_orphaned_private_names_are_found():
          "class _Thing:\n    pass\n\n\ndef __getattr__(name):\n    return _used\n")
     b = "from .a import _Thing\n"
     assert orphaned_private_names({"a.py": a, "b.py": b}) == ["a.py: _LIMIT", "a.py: _helper"]
+
+
+def unraised_errors(errors: str, sources: dict[str, str]) -> list[str]:
+    """Classes of the module text ``errors`` that no module of ``sources`` (file
+    name -> text) raises by name, directly or through a subclass."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)}
+    live = []
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.append(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    raised = set()
+    while live:
+        name = live.pop()
+        if name in bases and name not in raised:
+            raised.add(name)
+            live += bases[name]
+    return sorted(set(bases) - raised)
+
+
+def test_every_error_class_is_raised():
+    errors = ROOT / "src" / "homology_lab" / "errors.py"
+    assert unraised_errors(errors.read_text(), {p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_unraised_errors_are_found():
+    errors = ("class Base(Exception):\n    pass\n\n\nclass Raised(Base):\n    pass\n\n\n"
+              "class ByModule(Base):\n    pass\n\n\nclass Caught(Exception):\n    pass\n\n\n"
+              "class Orphan(Base):\n    pass\n")
+    a = "def f():\n    try:\n        raise Raised('x')\n    except Caught:\n        raise\n"
+    b = "raise errors.ByModule from None\n"
+    assert unraised_errors(errors, {"a.py": a, "b.py": b}) == ["Caught", "Orphan"]

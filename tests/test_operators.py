@@ -10,7 +10,6 @@ from homology_lab import (
     persistent_laplacian,
     persistent_up_laplacian,
     schur_complement,
-    spec_matrix,
     validate_filtration,
 )
 from homology_lab.errors import BadParameter, EmptyLayer
@@ -22,6 +21,7 @@ from conftest import (
     oracle_rank,
     random_rips,
     random_rips_filtration,
+    reference_incidence,
     rips_with_edges,
 )
 from test_complexes import five_point_complex
@@ -44,7 +44,7 @@ def test_boundary_composition_is_zero():
 def test_boundary_matches_spec_matrix_on_paper_complex():
     k = five_point_complex()
     d2 = boundary_matrix(k, 2).toarray()
-    assert np.array_equal(np.abs(d2), spec_matrix(k, 2).toarray())
+    assert np.array_equal(np.abs(d2), reference_incidence(k.layers, 2, signed=False).toarray())
 
 
 def test_boundary_empty_layer():
@@ -291,6 +291,21 @@ def test_schur_takes_python_and_numpy_integers():
     m = np.diag([1.0, 2.0, 3.0])
     for index_set in ([2], [np.int64(2)], np.array([2]), range(2, 3)):
         assert np.array_equal(schur_complement(m, index_set), np.diag([1.0, 3.0]))
+
+
+@pytest.mark.parametrize("m", [np.arange(6.0).reshape(2, 3), np.arange(3.0), [[2.0, 0.0], [1.0, 1.0]],
+                               [[1.0, 1e-11], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["2x3", "vector", "lower-triangular", "asymmetric-past-rounding", "nan"])
+def test_schur_rejects_a_matrix_that_is_not_square_and_symmetric(m):
+    # the formula reads M(I, comp) as M(comp, I)^T, so an asymmetric M would
+    # get a plausible wrong number: [[0.5]] for the lower-triangular one, not [[1.]]
+    with pytest.raises(BadParameter, match="square|symmetric"):
+        schur_complement(m, [1])
+
+
+def test_schur_takes_a_matrix_symmetric_to_rounding():
+    m = np.array([[4.0, 2.0], [2.0 + 4e-12, 3.0]])  # off by 1e-12 of the largest entry
+    assert np.allclose(schur_complement(m, [1]), [[2.0]])
 
 
 # --- persistent Laplacian ---------------------------------------------------------

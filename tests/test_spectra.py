@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,13 +25,11 @@ from homology_lab import (
 )
 from homology_lab import exact
 from homology_lab import test_equivalent_cohomological as check_cohomological
-from homology_lab.cohomology import cocycle_basis, manual_cocycle, pair_cocycle
+from homology_lab.cohomology import cocycle_basis
 from homology_lab.complexes import FiltrationPair, SimplicialComplex
 from homology_lab.errors import (
     BadParameter,
-    ConstructionFailed,
     DegreeTooHigh,
-    NotFound,
     RouteDisagreement,
     SpectralNormExceeded,
     StructuralViolation,
@@ -126,6 +125,38 @@ def test_exact_betti_layer_order_invariance():
     shuffled = build_complex(simplices, autoclose=True)
     for r in (0, 1, 2):
         assert exact_betti(k, r) == exact_betti(shuffled, r)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_simplex_boundary_sphere_answers_are_known(d):
+    # the boundary of the d-simplex is a (d-1)-sphere: beta_0 = beta_{d-1} = 1
+    k = build_complex(combinations(range(d + 1), d))
+    want = [1] + [0] * (d - 2) + [1]
+    assert [exact_betti(k, r) for r in range(d)] == want
+    for r in range(d):
+        est = estimate_normalized_betti(k, r, seed=d)
+        assert (est.betti(), est.low_confidence) == (want[r], False)
+
+
+def suspension(k):
+    """Sigma K: every simplex of K, and each one joined to two new apexes."""
+    a, b = k.n, k.n + 1
+    return build_complex(k.simplices() + [s + (v,) for v in (a, b) for s in k.simplices()])
+
+
+@pytest.mark.parametrize("n,per_point,seed", [(30, 1, 0), (40, 2, 1), (60, 2, 3)])
+def test_suspension_shifts_every_class_up_one_dimension(n, per_point, seed):
+    # beta_{r+1}(Sigma K) = beta_r(K) for r >= 1, beta_1(Sigma K) = beta_0(K) - 1
+    # and Sigma K is connected; K has no 3-simplex, so 2-cycles stay hollow
+    k = rips_with_edges(n, per_point, seed, max_dim=2)
+    below = [exact_betti(k, r) for r in range(3)]
+    want = [1, below[0] - 1, *below[1:]]
+    assert want[1] and any(want[2:])
+    s = suspension(k)
+    assert [exact_betti(s, r) for r in range(4)] == want
+    for r in range(4):
+        est = estimate_normalized_betti(s, r, seed=seed)
+        assert (est.betti(), est.low_confidence) == (want[r], False)
 
 
 # --- persistent Betti, two routes ----------------------------------------------
@@ -949,25 +980,18 @@ def test_exact_betti_builds_no_scipy_matrix_and_clears_nothing(monkeypatch):
 
 
 def test_persistent_betti_and_cocycles_build_no_scipy_matrix(monkeypatch):
-    # persistent Betti numbers, cocycle bases, the cohomological test and both
-    # cocycle constructions, their failures too, read integer face columns;
-    # the answers are computed before scipy is stubbed out
+    # persistent Betti numbers, cocycle bases and the cohomological test read
+    # integer face columns; the answers are computed before scipy is stubbed out
     pair = random_rips_filtration(3, n_points=20, t1=0.3, t2=0.4, max_dim=3)
-    torus, sphere, filled = generate("torus"), generate("sphere2"), generate("filled_triangle")
+    torus = generate("torus")
     c1, c2 = sample_cycles(torus, 1, s=2, seed=0)
 
     def answers():
         verdict = check_cohomological(torus, c1, c2, seed=0)
         return ([exact_persistent_betti(pair, r) for r in (0, 1, 2)], cocycle_basis(torus, 1),
-                (verdict.equivalent, verdict.witnesses_used, verdict.witness.values.tolist()),
-                manual_cocycle(sphere, 1, seed=0).values.tolist(),
-                pair_cocycle(filled, 1).values.tolist())
+                (verdict.equivalent, verdict.witnesses_used, verdict.witness.values.tolist()))
 
     want = answers()
     _stub_scipy_matrices(monkeypatch)
     assert answers() == want
     assert want[0] == [1, 0, 0] and len(want[1]) == 8 and not want[2][0]
-    with pytest.raises(ConstructionFailed):
-        manual_cocycle(torus, 1, seed=0)
-    with pytest.raises(NotFound):
-        pair_cocycle(torus, 1)
