@@ -125,13 +125,15 @@ def _class_ranks(stages, r: int, chains, mode: str) -> list[tuple[int, bool]]:
     boundaries, and whether that is low-confidence.  With no nonzero chain it
     is 0, with no build.  Both modes build the last stage's (r+1)-boundary
     once, and each stage reads its column prefix: exactly, one reduction grown
-    by each stage's columns; stochastically, :func:`spectra.residual_rank`."""
+    by each stage's columns; stochastically, :func:`spectra.residual_rank` on
+    the boundary in float, converted once, each stage passing its column count."""
     chains = [c for c in chains if not c.is_zero()]
     if not chains:
         return [(0, False)] * len(stages)
     if mode == "stochastic":
-        d, cols = _boundary(stages[-1], r + 1), _unit_columns(chains, stages[-1].size(r))
-        return [residual_rank(d[:, :k.size(r + 1)], cols) for k in stages]
+        d = _boundary(stages[-1], r + 1).astype(float)
+        cols = _unit_columns(chains, stages[-1].size(r))
+        return [residual_rank(d, k.size(r + 1), cols) for k in stages]
     vecs = [{i - 1: x for i, x in c.coeffs.items()} for c in chains]
     cofaces = _boundary_columns(stages[-1], r + 1)
     boundary = exact.reduce_columns(cofaces[:stages[0].size(r + 1)])

@@ -27,7 +27,10 @@ two preallocated blocks, each step one call of scipy's private kernel
 ``csr_matvecs`` (where ``csr_matrix @ ndarray`` ends), the only call that
 adds a product into a given block: no step allocates, negates or subtracts
 one.  Degree m costs the rank estimator ceil(m/2) products, O(nnz) per probe
-each.
+each.  :func:`residual_rank`'s CGLS runs the same way on the float CSC arrays
+of the (r+1)-boundary, converted once per query: ``csc_matvecs`` for d p and
+``csr_matvecs`` on the same arrays for d^T r, into zeroed preallocated blocks,
+updates in place, and a stage read through its indptr prefix, no slice or copy.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.chebyshev import cheb2poly, chebval
-from scipy.sparse._sparsetools import csr_matvecs  # Y += A X, in place
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs  # Y += A X, in place
 
 from . import exact
 from .complexes import FiltrationPair, SimplicialComplex, _diameters
@@ -425,33 +428,46 @@ RESIDUAL_TOL = 1e-10  # |d^T r| of a column at which residual_rank stops it
 RESIDUAL_STEPS = 1000  # CGLS steps before residual_rank gives up
 
 
-def residual_rank(d, cols: np.ndarray, margin: float = 0.0) -> tuple[int, bool]:
+def residual_rank(d: sp.csc_matrix, m: int, cols: np.ndarray,
+                  margin: float = 0.0) -> tuple[int, bool]:
     """How many singular values of the least-squares residual R = C - dZ lie
-    above max(margin, CLASS_CUT) |C|, and whether that is low-confidence; R is
-    P_H C for cycles C, so this is the float :meth:`exact.Reduction.rank_modulo`.
+    above max(margin, CLASS_CUT) |C|, and whether that is low-confidence; d is
+    the first ``m`` columns of the float CSC matrix ``d``, a stage of the
+    boundary read by its column count.  R is P_H C for cycles C, so this is the
+    float :meth:`exact.Reduction.rank_modulo`.
     CGLS (Hestenes & Stiefel 1952) from Z = 0 updates R, its columns in
     lockstep with one product by d and one by d^T per step, each until
     |d^T r| <= ``RESIDUAL_TOL``.  Low when one runs past ``RESIDUAL_STEPS``,
     or a singular value is within margin |C| + eps of the cut: eps = |d^T R|_F
     / sigma_min(d) bounds |R - P_H C|, sigma_min estimated (not certified)
-    from the Lanczos tridiagonal G G^T that CG's coefficients give."""
-    d = sp.csc_matrix(d, dtype=float)
-    res = np.array(cols, dtype=float)
+    from the Lanczos tridiagonal G G^T that CG's coefficients give.
+    Each product is one kernel call on d's indptr prefix into a zeroed block
+    (``csc_matvecs``; ``csr_matvecs`` for d^T), as ``@`` on the slice ends."""
+    n, k = d.shape[0], cols.shape[1]
+    arrays = (d.indptr[:m + 1], d.indices, d.data)
+    res = np.array(cols, dtype=float, order="C")
     scale = float(np.linalg.norm(res, 2))
-    s = d.T @ res
-    p = s
+    s, q = np.zeros((m, k)), np.empty((n, k))
+    flat_res, flat_s, flat_q = res.reshape(-1), s.reshape(-1), q.reshape(-1)
+    csr_matvecs(m, n, k, *arrays, flat_res, flat_s)
+    p = s.copy()
+    flat_p = p.reshape(-1)
     gamma = np.einsum("ij,ij->j", s, s)
     running = gamma > RESIDUAL_TOL ** 2
     steps = []  # per step, every column's alpha and beta, both 0 once it stops
     while running.any() and len(steps) < RESIDUAL_STEPS:
-        q = d @ p
-        alpha = np.divide(gamma, np.einsum("ij,ij->j", q, q), out=np.zeros_like(gamma), where=running)
-        res -= q * alpha
-        s = d.T @ res
+        q.fill(0.0)
+        csc_matvecs(n, m, k, *arrays, flat_p, flat_q)
+        alpha = np.divide(gamma, np.einsum("ij,ij->j", q, q), out=np.zeros(k), where=running)
+        q *= alpha
+        res -= q
+        s.fill(0.0)
+        csr_matvecs(m, n, k, *arrays, flat_res, flat_s)
         gamma, old = np.einsum("ij,ij->j", s, s), gamma
         running = gamma > RESIDUAL_TOL ** 2
-        beta = np.divide(gamma, old, out=np.zeros_like(gamma), where=running)
-        p = s + p * beta
+        beta = np.divide(gamma, old, out=np.zeros(k), where=running)
+        p *= beta
+        p += s
         steps.append((alpha, beta))
     eps = 0.0
     if steps:  # G of a column that ran every step: 1 / sqrt(alpha) on the diagonal, sqrt(beta / alpha) below
@@ -507,5 +523,6 @@ def estimate_normalized_persistent_betti(pair: FiltrationPair, r: int,
     if not q1.shape[1]:
         return BettiEstimate(value=0.0, layer_size=n, low_confidence=not converged)
     padded = np.vstack([q1, np.zeros((pair.k2.size(r) - n, q1.shape[1]))])
-    count, low = residual_rank(_boundary(pair.k2, r + 1), padded, margin1)
+    d = _boundary(pair.k2, r + 1).astype(float)
+    count, low = residual_rank(d, d.shape[1], padded, margin1)
     return BettiEstimate(value=count / n, layer_size=n, low_confidence=low or not converged)

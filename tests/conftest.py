@@ -6,17 +6,19 @@ DERIVED expectation in the suite is checked against a second implementation.
 The complex-handling references below are the per-simplex loop versions of
 the library's array code (closure, face lookup, Rips cliques, filtration
 reordering, chain boundaries), kept so the array code can be compared against
-them.
+them, as is the class count's least squares by scipy's public products.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from homology_lab import build_complex, generate
+from homology_lab import build_complex, generate, spectra
 from homology_lab.errors import BadParameter, DuplicateSimplex, EmptyInput, MissingFace, NotASubcomplex
 from homology_lab.operators import boundary_matrix
 
@@ -116,8 +118,6 @@ def reference_build(simplices, autoclose=True):
 
 def reference_incidence(layers, r, signed):
     """Boundary (``signed``) or face-incidence matrix by one dict lookup per face."""
-    import scipy.sparse as sp
-
     index = {s: i for i, s in enumerate(layers[r - 1])}
     rows, cols, vals = [], [], []
     for j, s in enumerate(layers[r]):
@@ -175,6 +175,40 @@ def reference_boundary_of(k, c):
 def reference_is_cycle(k, c) -> bool:
     """Whether a chain's loop-built boundary vanishes (0-chains always do)."""
     return not any(reference_boundary_of(k, c))
+
+
+def reference_residual_rank(d, cols, margin=0.0) -> tuple[int, bool]:
+    """``spectra.residual_rank`` by scipy's public products: CGLS with ``d @ p`` and
+    ``d.T @ res`` on a float copy of the column slice ``d``, each step making new
+    arrays, with the library's constants read at call time."""
+    d = sp.csc_matrix(d, dtype=float)
+    res = np.array(cols, dtype=float)
+    scale = float(np.linalg.norm(res, 2))
+    s = d.T @ res
+    p = s
+    gamma = np.einsum("ij,ij->j", s, s)
+    running = gamma > spectra.RESIDUAL_TOL ** 2
+    steps = []
+    while running.any() and len(steps) < spectra.RESIDUAL_STEPS:
+        q = d @ p
+        alpha = np.divide(gamma, np.einsum("ij,ij->j", q, q), out=np.zeros_like(gamma), where=running)
+        res -= q * alpha
+        s = d.T @ res
+        gamma, old = np.einsum("ij,ij->j", s, s), gamma
+        running = gamma > spectra.RESIDUAL_TOL ** 2
+        beta = np.divide(gamma, old, out=np.zeros_like(gamma), where=running)
+        p = s + p * beta
+        steps.append((alpha, beta))
+    eps = 0.0
+    if steps:
+        j = np.flatnonzero(steps[-1][0])[0]
+        alpha, beta = np.array([a[j] for a, _ in steps]), np.array([b[j] for _, b in steps[:-1]])
+        g = np.diag(1.0 / np.sqrt(alpha)) + np.diag(np.sqrt(beta / alpha[:-1]), -1)
+        eps = math.sqrt(gamma.sum()) / np.linalg.svd(g, compute_uv=False)[-1]
+    cut = max(margin, spectra.CLASS_CUT) * scale
+    sigma = np.linalg.svd(res, compute_uv=False)
+    return (int(np.count_nonzero(sigma > cut)),
+            bool(running.any() or np.any(np.abs(sigma - cut) <= margin * scale + eps)))
 
 
 def gf2_betti(k, r) -> int:

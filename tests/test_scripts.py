@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run end to end on small inputs."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,26 @@ def test_rips_persistence_profile_writes_its_csv(tmp_path):
     csv = out.read_text().splitlines()
     assert csv[0] == "threshold,r,betti,method"
     assert len(csv) == 1 + 22  # beta_0 and beta_1 at 11 thresholds
+
+
+def test_compare_outputs_finds_a_checkout_identical_to_itself():
+    proc = run_script("compare_outputs.py", str(ROOT), str(ROOT),
+                      "--workloads", "class_queries", "--seeds", "7")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["class_queries seed 7: 46 of 46 operations identical",
+                                        "identical"]
+
+
+def test_compare_outputs_fails_on_a_changed_answer(tmp_path):
+    # a CGLS cut short after one step flags every stochastic verdict low
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    spectra = tmp_path / "src" / "homology_lab" / "spectra.py"
+    text = spectra.read_text()
+    assert "\nRESIDUAL_STEPS = 1000 " in text
+    spectra.write_text(text.replace("\nRESIDUAL_STEPS = 1000 ", "\nRESIDUAL_STEPS = 1 "))
+    proc = run_script("compare_outputs.py", str(ROOT), str(tmp_path),
+                      "--workloads", "class_queries", "--seeds", "7")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "class_queries seed 7: 36 of 46 operations identical" in proc.stdout
+    assert '"confidence": "low"' in proc.stdout and proc.stdout.endswith("10 differing\n")

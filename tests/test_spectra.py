@@ -23,10 +23,10 @@ from homology_lab import (
     stochastic_rank,
     validate_filtration,
 )
-from homology_lab import exact
+from homology_lab import exact, spectra
 from homology_lab import test_equivalent_cohomological as check_cohomological
 from homology_lab.cohomology import cocycle_basis
-from homology_lab.complexes import FiltrationPair, SimplicialComplex
+from homology_lab.complexes import Chain, FiltrationPair, SimplicialComplex
 from homology_lab.errors import (
     BadParameter,
     DegreeTooHigh,
@@ -34,7 +34,15 @@ from homology_lab.errors import (
     SpectralNormExceeded,
     StructuralViolation,
 )
-from homology_lab.spectra import MAX_MOMENT_DEGREE, _rescaled, _smoothed_step
+from homology_lab.homology import _unit_columns
+from homology_lab.operators import _boundary
+from homology_lab.spectra import (
+    MAX_MOMENT_DEGREE,
+    _rescaled,
+    _smoothed_step,
+    hodge_basis,
+    residual_rank,
+)
 
 from conftest import (
     RP2_TRIANGLES,
@@ -45,6 +53,7 @@ from conftest import (
     oracle_betti,
     random_rips,
     random_rips_filtration,
+    reference_residual_rank,
     rips_with_edges,
 )
 
@@ -995,3 +1004,71 @@ def test_persistent_betti_and_cocycles_build_no_scipy_matrix(monkeypatch):
     _stub_scipy_matrices(monkeypatch)
     assert answers() == want
     assert want[0] == [1, 0, 0] and len(want[1]) == 8 and not want[2][0]
+
+
+# --- class count by least squares -----------------------------------------------------
+
+def _assert_residual_rank_is_the_reference(monkeypatch, d, m, cols, margin=0.0):
+    # d's first m columns, in place from its float copy against the reference's
+    # products on a float copy of the slice: the same (count, low), and every
+    # singular value decomposition is of bitwise the same matrix (G, then R)
+    seen = {"in place": [], "reference": []}
+    svd = np.linalg.svd
+
+    def recording(key):
+        def wrapped(a, *args, **kwargs):
+            seen[key].append((a.shape, np.asarray(a).tobytes()))
+            return svd(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording("in place"))
+    got = residual_rank(d.astype(float), m, cols, margin)
+    monkeypatch.setattr(np.linalg, "svd", recording("reference"))
+    want = reference_residual_rank(d[:, :m], cols, margin)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert got == want
+    assert seen["in place"] == seen["reference"] and seen["in place"]
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residual_rank_matches_the_reference_on_each_stage_of_a_rips_chain(monkeypatch, seed, steps):
+    if steps is not None:
+        monkeypatch.setattr(spectra, "RESIDUAL_STEPS", steps)
+    pts = np.random.default_rng(seed).random((24, 2)).tolist()
+    stages = [generate("vietoris_rips", points=pts, threshold=0.3)]
+    for t in (0.38, 0.46):
+        stages.append(validate_filtration(stages[-1], generate("vietoris_rips", points=pts,
+                                                               threshold=t)).k2)
+    d, n = _boundary(stages[-1], 2), stages[-1].size(1)
+    cols = np.hstack([_unit_columns(sample_cycles(stages[0], 1, 3, seed=seed), n),
+                      np.random.default_rng(seed).standard_normal((n, 2))])  # and two non-cycles
+    assert len({k.size(2) for k in stages}) == 3
+    for k in stages:
+        _assert_residual_rank_is_the_reference(monkeypatch, d, k.size(2), cols)
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 4])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_residual_rank_matches_the_reference_on_a_padded_harmonic_basis(monkeypatch, seed, steps):
+    if steps is not None:
+        monkeypatch.setattr(spectra, "RESIDUAL_STEPS", steps)
+    pair = random_rips_filtration(seed, n_points=20, t1=0.3, t2=0.4)
+    q1, margin1, _ = hodge_basis(pair.k1, 1, seed)
+    assert q1.shape[1] >= 1 and pair.k2.size(1) > pair.k1.size(1)
+    padded = np.vstack([q1, np.zeros((pair.k2.size(1) - pair.k1.size(1), q1.shape[1]))])
+    d = _boundary(pair.k2, 2)
+    _assert_residual_rank_is_the_reference(monkeypatch, d, d.shape[1], padded, margin1)
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 4])
+def test_residual_rank_matches_the_reference_with_no_columns(monkeypatch, steps):
+    # a top layer: the hollow triangle's 2-boundary is 3 x 0, and its loop one class
+    if steps is not None:
+        monkeypatch.setattr(spectra, "RESIDUAL_STEPS", steps)
+    k = build_complex([[0, 1], [1, 2], [0, 2]])
+    d = _boundary(k, 2)
+    assert d.shape == (3, 0)
+    cols = _unit_columns([Chain.make(1, {1: 1, 2: 1, 3: -1})], 3)
+    _assert_residual_rank_is_the_reference(monkeypatch, d, 0, cols)
+    assert residual_rank(d.astype(float), 0, cols) == (1, False)
