@@ -11,7 +11,7 @@ fresh work directory and runs every operation once, in order, in-process
 through that tree's ``homology_lab.cli.run``.  Each tree's work directory is
 then replaced by one placeholder, and the exit code, stdout, stderr and any
 ``--out`` file of each operation are compared.  Exits 1 when any operation
-differs, 0 when every one is identical.
+differs, 0 when every one is identical, and 2 when a tree cannot run one.
 """
 
 import argparse
@@ -64,7 +64,8 @@ def records(tree: Path, workload: str, seed: int) -> list[dict]:
     proc = subprocess.run([sys.executable, "-c", WORKER, str(tree), workload, str(seed)],
                           env=env, capture_output=True, text=True, check=False)
     if proc.returncode:
-        raise SystemExit(f"{tree}: {workload} seed {seed} failed:\n{proc.stderr}")
+        print(f"{tree}: {workload} seed {seed} did not run:\n{proc.stderr}", file=sys.stderr)
+        sys.exit(2)
     return json.loads(proc.stdout)
 
 
