@@ -1072,3 +1072,29 @@ def test_residual_rank_matches_the_reference_with_no_columns(monkeypatch, steps)
     cols = _unit_columns([Chain.make(1, {1: 1, 2: 1, 3: -1})], 3)
     _assert_residual_rank_is_the_reference(monkeypatch, d, 0, cols)
     assert residual_rank(d.astype(float), 0, cols) == (1, False)
+
+
+def test_residual_rank_builds_no_scipy_matrix_and_calls_two_kernels_per_step(monkeypatch):
+    # per stage and per step no slice, transpose, copy or product object: one
+    # csr_matvecs for d^T C, then one csc_matvecs and one csr_matvecs a step
+    import scipy.sparse._compressed as compressed
+
+    pair = random_rips_filtration(2, n_points=20, t1=0.3, t2=0.4)
+    q1, _, _ = hodge_basis(pair.k1, 1, 2)
+    padded = np.vstack([q1, np.zeros((pair.k2.size(1) - pair.k1.size(1), q1.shape[1]))])
+    d = _boundary(pair.k2, 2).astype(float)
+    calls = {"csc_matvecs": 0, "csr_matvecs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(spectra, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(spectra, name, counted)
+    monkeypatch.setattr(compressed._cs_matrix, "__init__", lambda *a, **kw: pytest.fail("scipy matrix"))
+    monkeypatch.setattr(spectra, "RESIDUAL_STEPS", 4)
+    steps = []
+    for m in (0, pair.k1.size(2), d.shape[1]):  # k1's classes, then k2's full boundary
+        calls.update(csc_matvecs=0, csr_matvecs=0)
+        residual_rank(d, m, padded)
+        assert calls["csr_matvecs"] == calls["csc_matvecs"] + 1
+        steps.append(calls["csc_matvecs"])
+    assert steps[0] == 0 and 1 <= steps[1] <= 4 and steps[2] == 4  # k2's needs more than 4
