@@ -10,19 +10,24 @@ CSC matrix through :func:`_boundary`, the int zero matrix of the right shape for
 a missing layer, so callers need no branch of their own; :func:`laplacian` reads
 the face positions itself, into one stacked matrix.
 Only the pseudoinverse-based paths are floating point, and they share one
-thresholded pseudoinverse, :func:`_pinv_sym`.
+thresholded pseudoinverse, :func:`_pinv_sym`.  scipy.sparse is imported inside
+the functions that build a matrix, never at module level, so that exact answers
+and the CLI start without it.
 """
 
 from __future__ import annotations
 
 import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exact
 from .complexes import FiltrationPair, SimplicialComplex, _face_rows
 from .errors import BadParameter, EmptyLayer, StructuralViolation
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 PINV_RTOL = 1e-10  # singular values <= PINV_RTOL * sigma_max are treated as zero
 
@@ -33,6 +38,8 @@ def boundary_matrix(k: SimplicialComplex, r: int) -> sp.csc_matrix:
         raise BadParameter("boundary matrices start at dimension 1")
     if k.size(r) == 0 or k.size(r - 1) == 0:
         raise EmptyLayer(f"dimension {r} needs nonempty layers {r} and {r - 1}")
+    import scipy.sparse as sp
+
     where = _face_rows(k, r)
     order = np.argsort(where, axis=1)  # rows sorted in each column
     return sp.csc_matrix((((-1) ** order).ravel(), np.take_along_axis(where, order, axis=1).ravel(),
@@ -61,6 +68,8 @@ def _boundary(k: SimplicialComplex, r: int) -> sp.csc_matrix:
     empty layer, and the map below dimension 1, is the int zero matrix."""
     if r >= 1 and k.size(r) and k.size(r - 1):
         return boundary_matrix(k, r)
+    import scipy.sparse as sp
+
     return sp.csc_matrix((k.size(r - 1) if r >= 1 else 0, k.size(r)), dtype=int)
 
 
@@ -74,6 +83,8 @@ def laplacian(k: SimplicialComplex, r: int) -> sp.csr_matrix:
         raise BadParameter("dimension must be non-negative")
     if k.size(r) == 0:
         raise EmptyLayer(f"no simplices of dimension {r}")
+    import scipy.sparse as sp
+
     faces = _face_rows(k, r + 1) if k.size(r + 1) else np.empty((0, r + 2), dtype=np.int64)
     down = _face_rows(k, r).ravel() if r else np.empty(0, dtype=np.int64)
     cofaces = np.argsort(down, kind="stable")  # each (r-1)-simplex's cofaces, in order

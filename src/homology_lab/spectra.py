@@ -31,17 +31,20 @@ each.  :func:`residual_rank`'s CGLS runs the same way on the float CSC arrays
 of the (r+1)-boundary, converted once per query: ``csc_matvecs`` for d p and
 ``csr_matvecs`` on the same arrays for d^T r, into zeroed preallocated blocks,
 updates in place, and a stage read through its indptr prefix, no slice or copy.
+
+Nothing here imports scipy or ``numpy.polynomial.chebyshev`` at module level:
+each function that builds a float operator imports scipy.sparse, or reads the
+kernels off ``scipy.sparse._sparsetools``, once per call and outside its loop,
+so that exact answers and the CLI start without scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from numpy.polynomial.chebyshev import cheb2poly, chebval
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs  # Y += A X, in place
 
 from . import exact
 from .complexes import FiltrationPair, SimplicialComplex, _diameters
@@ -53,6 +56,9 @@ from .errors import (
     SpectralNormExceeded,
 )
 from .operators import _boundary, _boundary_columns, _prefix_boundary, laplacian
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +149,8 @@ class ChebyshevStepFilter:
     coeffs: tuple[float, ...]
 
     def __call__(self, x: float) -> float:
+        from numpy.polynomial.chebyshev import chebval
+
         return chebval(2.0 * float(x) - 1.0, self.coeffs)
 
 
@@ -213,6 +221,8 @@ def _prepare(a, n_v: int, seed):
     """Checked CSR operator mapped to B = 2A - I, and the probes."""
     if n_v < 1:
         raise BadParameter("need at least one probe")
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise BadParameter("estimator input must be a square matrix")
@@ -242,6 +252,8 @@ def _chebyshev_blocks(b: sp.csr_matrix, x: np.ndarray, steps: int):
     """Yield s_k = sigma_k T_k(B) x, k = 0 .. steps, sigma = +, +, -, - repeating, so
     that s_k+1 = s_k-1 + sigma_k+1 sigma_k 2B s_k is added in place into s_k-1's block.
     A yielded block stays valid for one more step; x's block may be overwritten."""
+    from scipy.sparse._sparsetools import csr_matvecs  # Y += A X, in place
+
     n, cols = x.shape
     blocks = (np.ascontiguousarray(x, dtype=float), np.zeros((n, cols)))
     flat = [blk.reshape(-1) for blk in blocks]
@@ -284,6 +296,8 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200, seed=None) 
     """
     if filt.degree > MAX_MOMENT_DEGREE:
         raise DegreeTooHigh(f"power expansion is limited to degree {MAX_MOMENT_DEGREE}")
+    from numpy.polynomial.chebyshev import cheb2poly
+
     b, v = _prepare(a, n_v, seed)
     moments = np.empty((filt.degree + 1, n_v))
     w = v
@@ -298,6 +312,8 @@ def power_moments_rank(a, filt: ChebyshevStepFilter, n_v: int = 200, seed=None) 
 def power_iteration_bound(a) -> float:
     """Rayleigh-quotient estimate of the spectral norm after 30 steps from a
     fixed random start (``default_rng(0)``)."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
     if n == 0 or not a.count_nonzero():
@@ -344,6 +360,8 @@ def harmonic_basis(lap, seed) -> tuple[np.ndarray, float, bool]:
     1998) unless the Gaussian start missed a direction below theta_1, which
     happens only with small probability.
     A kernel past ``HARMONIC_CAP`` columns gives an infinite margin."""
+    import scipy.sparse as sp
+
     lap, _ = _rescaled(sp.csr_matrix(lap, dtype=float, copy=True))  # unshared: rescaled in place
     n = lap.shape[0]
     shifted = None  # built at the first filter step: a small layer may need none
@@ -385,6 +403,8 @@ def _shifted(lap: sp.csr_matrix):
     """alpha L - beta I of the CSR matrix L as a function of (alpha, beta).  Each call
     refills and returns one matrix of L's pattern plus the diagonal, with alpha l_ij
     off the diagonal and alpha l_ii - beta on it (l_ii = 0 where L stores none)."""
+    import scipy.sparse as sp
+
     op = lap + sp.identity(lap.shape[0], format="csr")  # l_ii >= 0, so no entry cancels
     diag = op.indices == np.repeat(np.arange(lap.shape[0]), np.diff(op.indptr))
     l = op.data.copy()
@@ -403,6 +423,8 @@ def _rescaled(a: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     and a PSD spectrum lands in [0, 1].  x starts at the ones (the infinity norm) and
     takes ``BOUND_STEPS`` steps of |A| + I, the smallest value kept.  Indices are sorted
     first, so that equal matrices get equal bounds."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
     a.sort_indices()
     n, magnitude = a.shape[0], np.abs(a.data)
     if not magnitude.any():  # the zero matrix, stored zeros or none
@@ -443,6 +465,8 @@ def residual_rank(d: sp.csc_matrix, m: int, cols: np.ndarray,
     from the Lanczos tridiagonal G G^T that CG's coefficients give.
     Each product is one kernel call on d's indptr prefix into a zeroed block
     (``csc_matvecs``; ``csr_matvecs`` for d^T), as ``@`` on the slice ends."""
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
     n, k = d.shape[0], cols.shape[1]
     arrays = (d.indptr[:m + 1], d.indices, d.data)
     res = np.array(cols, dtype=float, order="C")

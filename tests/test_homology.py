@@ -206,6 +206,18 @@ def test_trivial_stochastic_matches_exact(filled_square, hollow_triangle):
             assert sto.answer == exact and not sto.low_confidence
 
 
+@pytest.mark.xfail(strict=True, reason="the class cut scales with |C|, which a boundary "
+                   "part inflates while it leaves P_H c alone (ROADMAP item 1)")
+@pytest.mark.parametrize("m", [1000, 10000])
+def test_trivial_stochastic_is_right_or_low_with_a_large_boundary_part(m):
+    # the hollow loop 0-1-2 plus m times the boundary of the filled [3, 4, 5]
+    k = build_complex([[0, 1], [1, 2], [0, 2], [3, 4, 5]])
+    c = Chain.make(1, {1: 1, 2: 1, 3: -1, 4: m, 5: -m, 6: m})
+    assert check_trivial(k, c, mode="exact").answer is False
+    sto = check_trivial(k, c, mode="stochastic")
+    assert sto.answer is False or sto.low_confidence
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_harmonic_weight_is_within_the_margin_of_the_projection(seed):
     # |Q_H^T c|^2 against |P_H c|^2 from a dense least-squares projection

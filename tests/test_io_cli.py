@@ -335,6 +335,66 @@ def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
     assert loaded == "[]"
 
 
+def test_exact_commands_load_no_scipy_module(tmp_path):
+    # scipy.sparse is imported where a float operator is built, so the package,
+    # the CLI and every exact answer start without it; a stochastic betti loads it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from homology_lab import sample_cycles
+
+    torus = generate("torus")
+    save_complex(torus, tmp_path / "torus.jsonl")
+    save_complex(generate("hollow_triangle"), tmp_path / "k1.jsonl")
+    save_complex(generate("filled_triangle"), tmp_path / "k2.jsonl")
+    (tmp_path / "filt.json").write_text(json.dumps({"k1": "k1.jsonl", "k2": "k2.jsonl"}))
+    save_chain(Chain.make(1, {1: 1, 2: -1, 3: 1}), tmp_path / "loop.json")
+    c1, c2 = sample_cycles(torus, 1, 2, seed=0)
+    save_chain(c1, tmp_path / "c1.json")
+    save_chain(c2, tmp_path / "c2.json")
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    (tmp_path / "pts.json").write_text(json.dumps(np.c_[np.cos(angles), np.sin(angles)].tolist()))
+    k, z1, z2 = (str(tmp_path / name) for name in ("torus.jsonl", "c1.json", "c2.json"))
+    exact = [
+        ["betti", "--input", k, "--r", "0"],
+        ["betti", "--input", k, "--r", "1"],
+        ["betti", "--r", "1", "--points", str(tmp_path / "pts.json"), "--thresholds", "0.5,1.0"],
+        ["persistent-betti", "--input", str(tmp_path / "filt.json"), "--r", "1"],
+        ["test-trivial", "--input", k, "--chain", z1],
+        ["test-equiv", "--input", k, "--chain", z1, "--chain2", z2],
+        ["test-equiv", "--input", k, "--chain", z1, "--chain2", z2, "--method", "cohomology",
+         "--seed", "0"],
+        ["track", "--stages", str(tmp_path / "k1.jsonl"), str(tmp_path / "k2.jsonl"),
+         "--chain", str(tmp_path / "loop.json")],
+        ["betti-track", "--input", k, "--r", "1", "--seed", "0"],
+        ["detect-cycle", "--input", k, "--chain", z1, "--seed", "0"],
+        ["gen", "--kind", "torus", "--out", str(tmp_path / "gen.jsonl")],
+    ]
+    stochastic = ["betti", "--input", k, "--r", "1", "--mode", "stochastic", "--seed", "0"]
+    script = (
+        "import contextlib, io, sys\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import homology_lab\n"
+        "print(scipy())\n"
+        "from homology_lab.cli import run\n"
+        "print(scipy())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {exact!r}]\n"
+        f"assert codes == [0] * {len(exact)}, codes\n"
+        "print(scipy())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert run({stochastic!r}) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "True"]
+
+
 def test_cli_betti_track_builds_and_reductions(tmp_path, capsys, monkeypatch):
     # sample_cycles builds and reduces d_1, betti_via_tracking builds and
     # reduces d_2, and the exact echo builds and ranks both again

@@ -43,6 +43,22 @@ def test_rips_persistence_profile_writes_its_csv(tmp_path):
     assert len(csv) == 1 + 22  # beta_0 and beta_1 at 11 thresholds
 
 
+def test_import_time_runs_a_tree_against_itself():
+    # the CLI imports no scipy module; each round has one winner or a tie
+    proc = run_script("import_time.py", str(ROOT), str(ROOT), "--rounds", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["base", "change"]
+    won = []
+    for line in lines:
+        median, rounds, modules = line.split(": ", 1)[1].split(", ")
+        assert median.startswith("median ") and median.endswith(" s") and float(median[7:-2]) > 0
+        assert rounds.startswith("won ") and rounds.endswith(" of 2 rounds")
+        won.append(int(rounds.split()[1]))
+        assert modules == "0 scipy modules"
+    assert sum(won) <= 2
+
+
 def test_compare_outputs_finds_a_checkout_identical_to_itself():
     proc = run_script("compare_outputs.py", str(ROOT), str(ROOT),
                       "--workloads", "class_queries", "--seeds", "7")

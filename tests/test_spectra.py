@@ -536,16 +536,16 @@ def test_stochastic_rank_matches_the_three_term_recurrence(degree, probe_kind, f
 @pytest.mark.parametrize("degree", [1, 2, 3, 64, 65, 257])
 def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
     # every product is one call of the CSR kernel on the whole probe block
-    from homology_lab import spectra
+    from scipy.sparse import _sparsetools
 
     calls = []
-    kernel = spectra.csr_matvecs
+    kernel = _sparsetools.csr_matvecs
 
     def counting(n_row, n_col, n_vecs, indptr, indices, data, x, y):
         calls.append((n_row, n_col, n_vecs, x.size, y.size))
         return kernel(n_row, n_col, n_vecs, indptr, indices, data, x, y)
 
-    monkeypatch.setattr(spectra, "csr_matvecs", counting)
+    monkeypatch.setattr(_sparsetools, "csr_matvecs", counting)
     n, n_v = 10, 8
     stochastic_rank(np.diag([0.9] * 5 + [0.0] * 5), chebyshev_filter(0.05, degree), n_v=n_v, seed=0)
     assert len(calls) == -(-degree // 2)  # ceil(m / 2)
@@ -556,7 +556,7 @@ def test_stochastic_rank_makes_half_the_degree_in_products(monkeypatch, degree):
 def test_csr_kernel_adds_the_product_into_its_output(shape):
     # the estimator and harmonic_basis call scipy's private kernel directly:
     # it must add A X into Y in place, X and Y row-major
-    from homology_lab.spectra import csr_matvecs
+    from scipy.sparse._sparsetools import csr_matvecs
 
     n_row, n_col, n_vecs = shape
     rng = np.random.default_rng(sum(shape))
@@ -1078,6 +1078,7 @@ def test_residual_rank_builds_no_scipy_matrix_and_calls_two_kernels_per_step(mon
     # per stage and per step no slice, transpose, copy or product object: one
     # csr_matvecs for d^T C, then one csc_matvecs and one csr_matvecs a step
     import scipy.sparse._compressed as compressed
+    from scipy.sparse import _sparsetools
 
     pair = random_rips_filtration(2, n_points=20, t1=0.3, t2=0.4)
     q1, _, _ = hodge_basis(pair.k1, 1, 2)
@@ -1085,10 +1086,10 @@ def test_residual_rank_builds_no_scipy_matrix_and_calls_two_kernels_per_step(mon
     d = _boundary(pair.k2, 2).astype(float)
     calls = {"csc_matvecs": 0, "csr_matvecs": 0}
     for name in calls:
-        def counted(*args, _name=name, _real=getattr(spectra, name)):
+        def counted(*args, _name=name, _real=getattr(_sparsetools, name)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(spectra, name, counted)
+        monkeypatch.setattr(_sparsetools, name, counted)
     monkeypatch.setattr(compressed._cs_matrix, "__init__", lambda *a, **kw: pytest.fail("scipy matrix"))
     monkeypatch.setattr(spectra, "RESIDUAL_STEPS", 4)
     steps = []
