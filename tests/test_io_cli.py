@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,15 +301,9 @@ def test_cli_stochastic_betti_track_reports_confidence(tmp_path, capsys, monkeyp
     assert json.loads(out)["betti_lower_bound"] == 5
 
 
-def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
-    # the class solver and the harmonic basis need numpy and scipy.sparse
-    # only; scipy.sparse.linalg or scipy.linalg would add to the import time
-    # and memory of every run
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _write_class_inputs(tmp_path):
+    """The torus with one sampled cycle (c.json), the hollow and filled
+    triangles as a filtration (filt.json) and the hollow loop (loop.json)."""
     from homology_lab import sample_cycles
 
     torus = generate("torus")
@@ -315,6 +313,23 @@ def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
     (tmp_path / "filt.json").write_text(json.dumps({"k1": "k1.jsonl", "k2": "k2.jsonl"}))
     save_chain(Chain.make(1, {1: 1, 2: -1, 3: 1}), tmp_path / "loop.json")
     save_chain(sample_cycles(torus, 1, 1, seed=0)[0], tmp_path / "c.json")
+    return torus
+
+
+def _run_fresh(script):
+    """``script`` run by a fresh interpreter on this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
+    # the class solver and the harmonic basis need numpy and scipy.sparse
+    # only; scipy.sparse.linalg or scipy.linalg would add to the import time
+    # and memory of every run
+    _write_class_inputs(tmp_path)
     stochastic = ["--mode", "stochastic", "--seed", "0"]
     argvs = [
         ["test-trivial", "--input", str(tmp_path / "torus.jsonl"), "--chain", str(tmp_path / "c.json")],
@@ -326,37 +341,22 @@ def test_stochastic_class_commands_load_no_dense_scipy_module(tmp_path):
     script = ("import sys\nfrom homology_lab.cli import run\n"
               f"assert [run(argv + {stochastic!r}) for argv in {argvs!r}] == [0] * {len(argvs)}\n"
               "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    *answers, loaded = proc.stdout.splitlines()
-    assert len(answers) == len(argvs) and '"confidence": "low"' not in proc.stdout
+    stdout = _run_fresh(script)
+    *answers, loaded = stdout.splitlines()
+    assert len(answers) == len(argvs) and '"confidence": "low"' not in stdout
     assert loaded == "[]"
 
 
 def test_exact_commands_load_no_scipy_module(tmp_path):
     # scipy.sparse is imported where a float operator is built, so the package,
     # the CLI and every exact answer start without it; a stochastic betti loads it
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     from homology_lab import sample_cycles
 
-    torus = generate("torus")
-    save_complex(torus, tmp_path / "torus.jsonl")
-    save_complex(generate("hollow_triangle"), tmp_path / "k1.jsonl")
-    save_complex(generate("filled_triangle"), tmp_path / "k2.jsonl")
-    (tmp_path / "filt.json").write_text(json.dumps({"k1": "k1.jsonl", "k2": "k2.jsonl"}))
-    save_chain(Chain.make(1, {1: 1, 2: -1, 3: 1}), tmp_path / "loop.json")
-    c1, c2 = sample_cycles(torus, 1, 2, seed=0)
-    save_chain(c1, tmp_path / "c1.json")
-    save_chain(c2, tmp_path / "c2.json")
+    torus = _write_class_inputs(tmp_path)
+    save_chain(sample_cycles(torus, 1, 1, seed=1)[0], tmp_path / "c2.json")
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     (tmp_path / "pts.json").write_text(json.dumps(np.c_[np.cos(angles), np.sin(angles)].tolist()))
-    k, z1, z2 = (str(tmp_path / name) for name in ("torus.jsonl", "c1.json", "c2.json"))
+    k, z1, z2 = (str(tmp_path / name) for name in ("torus.jsonl", "c.json", "c2.json"))
     exact = [
         ["betti", "--input", k, "--r", "0"],
         ["betti", "--input", k, "--r", "1"],
@@ -388,11 +388,7 @@ def test_exact_commands_load_no_scipy_module(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert run({stochastic!r}) == 0\n"
         "print('scipy.sparse' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "True"]
+    assert _run_fresh(script).splitlines() == ["[]", "[]", "[]", "True"]
 
 
 def test_cli_betti_track_builds_and_reductions(tmp_path, capsys, monkeypatch):
